@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from .corpus import CsvSchema, GeneratorConfig, generate_synthetic_corpus, ingest_csv
-from .errors import ChunkfuseError, ConfigError, DataError
+from .errors import ChunkfuseError, ConfigError, DataError, read_json
 from .experiment import (
     ExperimentConfig,
     Method,
@@ -84,12 +84,7 @@ def _apply_overrides(doc: dict, overrides: dict[str, object]) -> dict:
 
 
 def _load_config(args: argparse.Namespace, extras: list[str]) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except FileNotFoundError as err:
-        raise ConfigError(f"config file not found: {args.config}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{args.config} is not valid JSON: {err}") from err
+    doc = read_json(args.config, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return ExperimentConfig.from_json_dict(
@@ -122,12 +117,7 @@ def _write_jsonl(notes, path: str) -> None:
 
 def cmd_ingest(args: argparse.Namespace, extras: list[str]) -> int:
     _reject_extras(extras)
-    try:
-        schema_doc = json.loads(Path(args.schema).read_text())
-    except FileNotFoundError as err:
-        raise ConfigError(f"schema file not found: {args.schema}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{args.schema} is not valid JSON: {err}") from err
+    schema_doc = read_json(args.schema, "schema")
     try:
         schema = CsvSchema(**schema_doc)
     except TypeError as err:

@@ -4,6 +4,9 @@ Each family maps to a CLI exit code: config errors exit 1, data errors 2,
 scorer/transport errors 3, undefined metrics 4.
 """
 
+import json
+from pathlib import Path
+
 
 class ChunkfuseError(Exception):
     exit_code = 1
@@ -70,3 +73,15 @@ class DegenerateClassError(MetricUndefinedError):
     def __init__(self, message, class_index=None):
         super().__init__(message)
         self.class_index = class_index
+
+
+def read_json(path, what: str):
+    """Parse a JSON file; a missing, unreadable or invalid one is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError as err:
+        raise ConfigError(f"{what} file not found: {path}") from err
+    except OSError as err:
+        raise ConfigError(f"cannot read {what} file {path}: {err}") from err
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{path} is not valid JSON: {err}") from err

@@ -20,7 +20,6 @@ import dataclasses
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -47,6 +46,7 @@ from .errors import (
     ContractError,
     DataError,
     MetricUndefinedError,
+    read_json,
 )
 from .fusion import FusionSpec
 from .metrics import RocReport, format_percent, macro_auroc
@@ -74,13 +74,6 @@ class Method(Enum):
     AGGREGATION = "aggregation"
     ENSEMBLE_AGGREGATION = "ensemble_aggregation"
 
-
-METHOD_ORDER = (
-    Method.BASELINE,
-    Method.ENSEMBLE,
-    Method.AGGREGATION,
-    Method.ENSEMBLE_AGGREGATION,
-)
 
 METHOD_LABELS = {
     Method.BASELINE: "Baseline",
@@ -114,7 +107,6 @@ class ExperimentConfig:
     split_ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
     vocab_size: int = 5000
     seed: int = 0
-    parallel_rows: bool = False
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -130,13 +122,7 @@ class ExperimentConfig:
         if any(s.num_classes != self.task.num_classes for s in self.scorers):
             raise ConfigError("scorer class counts must match the task")
         if self.fusion is None:
-            object.__setattr__(
-                self,
-                "fusion",
-                FusionSpec.uniform(
-                    len(self.scorers), with_overlap=self.chunking.overlap > 0
-                ),
-            )
+            object.__setattr__(self, "fusion", FusionSpec.uniform(len(self.scorers)))
         elif len(self.fusion.model_weights) != len(self.scorers):
             raise ConfigError(
                 f"{len(self.fusion.model_weights)} fusion weights for"
@@ -149,13 +135,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError as err:
-            raise ConfigError(f"config file not found: {path}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path} is not valid JSON: {err}") from err
-        return _config_from_dict(doc)
+        return _config_from_dict(read_json(path, "config"))
 
 
 _TASKS = {
@@ -165,7 +145,7 @@ _TASKS = {
 
 _TOP_LEVEL_KEYS = {
     "task", "data", "scorers", "methods", "output_dir", "chunking", "fusion",
-    "trainer", "split_ratios", "vocab_size", "seed", "parallel_rows",
+    "trainer", "split_ratios", "vocab_size", "seed",
 }
 
 
@@ -174,6 +154,12 @@ def _build(kind: str, factory, fields: dict):
         return factory(**fields)
     except TypeError as err:
         raise ConfigError(f"bad {kind} block: {err}") from err
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return dict(value)
 
 
 def _config_from_dict(doc: dict) -> ExperimentConfig:
@@ -185,11 +171,11 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
     for key in ("task", "data", "scorers", "methods", "output_dir"):
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
-    if doc["task"] not in _TASKS:
+    if not isinstance(doc["task"], str) or doc["task"] not in _TASKS:
         raise ConfigError(f"unknown task {doc['task']!r}; use one of {sorted(_TASKS)}")
     task = _TASKS[doc["task"]]()
 
-    data = dict(doc["data"])
+    data = _object(doc["data"], "data")
     kind = data.pop("kind", None)
     if kind == "synthetic":
         source: SyntheticSource | CsvSource = SyntheticSource(
@@ -197,7 +183,7 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
         )
     elif kind == "csv":
         try:
-            schema_doc = dict(data.pop("schema"))
+            schema_doc = _object(data.pop("schema"), "data.schema")
             path = data.pop("path")
         except KeyError as err:
             raise ConfigError(f"csv data source is missing {err}") from err
@@ -209,12 +195,14 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
 
     try:
         methods = tuple(Method(m) for m in doc["methods"])
-    except ValueError as err:
-        raise ConfigError(f"unknown method: {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad methods {doc['methods']!r}: {err}") from err
 
+    if not isinstance(doc["scorers"], list):
+        raise ConfigError(f"scorers must be a list, got {doc['scorers']!r}")
     scorers = []
     for entry in doc["scorers"]:
-        entry = dict(entry)
+        entry = _object(entry, "scorer entry")
         try:
             kind_name = entry.pop("kind")
             scorer_id = entry.pop("scorer_id")
@@ -224,7 +212,7 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
             scorer_kind = ScorerKind(kind_name)
         except ValueError as err:
             raise ConfigError(f"unknown scorer kind {kind_name!r}") from err
-        metadata = entry.pop("metadata", {})
+        metadata = _object(entry.pop("metadata", {}), "scorer metadata")
         if entry:
             raise ConfigError(f"unknown scorer keys: {sorted(entry)}")
         scorers.append(
@@ -238,14 +226,20 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
 
     fusion = None
     if "fusion" in doc:
-        fusion_doc = dict(doc["fusion"])
-        if "aggregation" in fusion_doc:
-            from .fusion import AggregationMode
-
-            fusion_doc["aggregation"] = AggregationMode(fusion_doc["aggregation"])
-        if "model_weights" in fusion_doc:
+        fusion_doc = _object(doc["fusion"], "fusion")
+        if isinstance(fusion_doc.get("model_weights"), list):
             fusion_doc["model_weights"] = tuple(fusion_doc["model_weights"])
         fusion = _build("fusion", FusionSpec, fusion_doc)
+
+    try:
+        vocab_size, seed = int(doc.get("vocab_size", 5000)), int(doc.get("seed", 0))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"vocab_size and seed must be integers: {err}") from err
+    ratios = doc.get("split_ratios", [0.7, 0.1, 0.2])
+    if not isinstance(ratios, list) or len(ratios) != 3 or not all(
+        isinstance(r, (int, float)) for r in ratios
+    ):
+        raise ConfigError(f"split_ratios must be three numbers, got {ratios!r}")
 
     return ExperimentConfig(
         task=task,
@@ -256,10 +250,9 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
         chunking=_build("chunking", ChunkingConfig, doc.get("chunking", {})),
         fusion=fusion,
         trainer=_build("trainer", TrainerConfig, doc.get("trainer", {})),
-        split_ratios=tuple(doc.get("split_ratios", (0.7, 0.1, 0.2))),
-        vocab_size=int(doc.get("vocab_size", 5000)),
-        seed=int(doc.get("seed", 0)),
-        parallel_rows=bool(doc.get("parallel_rows", False)),
+        split_ratios=tuple(ratios),
+        vocab_size=vocab_size,
+        seed=seed,
     )
 
 
@@ -452,7 +445,7 @@ def _build_scorer(
 def _row_plan(config: ExperimentConfig) -> list[tuple[Method, tuple[str, ...]]]:
     all_ids = tuple(s.scorer_id for s in config.scorers)
     plan = []
-    for method in METHOD_ORDER:
+    for method in Method:  # definition order is report order
         if method not in config.methods:
             continue
         if method in (Method.BASELINE, Method.AGGREGATION):
@@ -587,12 +580,11 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     columns: dict[str, list[np.ndarray]] = {}
     for scorer_id, scorer in list(scorers.items()):
         try:
-            vectors = score_chunks(scorer, flat)
+            arr = score_chunks(scorer, flat)
         except ChunkfuseError as err:
             logger.error("scorer %s failed to score: %s", scorer_id, err)
             failures[scorer_id] = err
             continue
-        arr = np.array([v.probs for v in vectors])
         columns[scorer_id] = [
             arr[offsets[i] : offsets[i + 1]] for i in range(len(test_notes))
         ]
@@ -624,12 +616,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             macro_auroc=roc.macro_auc, roc=roc,
         )
 
-    plan = _row_plan(config)
-    if config.parallel_rows and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(plan))) as pool:
-            rows = tuple(pool.map(evaluate_row, plan))
-    else:
-        rows = tuple(evaluate_row(spec) for spec in plan)
+    rows = tuple(evaluate_row(spec) for spec in _row_plan(config))
 
     report = ComparisonReport(
         task=config.task.task_kind.value,

@@ -11,21 +11,20 @@ Both are plain averaging over probability vectors, so outputs stay on
 the simplex by convexity. Weights are per-model; per-chunk weighting is
 deliberately out of scope (uniform chunk treatment is the published
 result path).
+
+The experiment pipeline fuses its cached (chunks, classes) score arrays
+in ``experiment._note_probs``; this module is the independent reference
+that tests and the benchmark's fusion check compare it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .chunker import ChunkingConfig, chunk
-from .corpus import ClinicalNote
-from .errors import ContractError, ScorerError
-from .scoring import ChunkScorer, ProbabilityVector, score_chunks
-from .tokenizer import Vocabulary, tokenize
+from .errors import ContractError
+from .scoring import ProbabilityVector
 
 
 @dataclass(frozen=True)
@@ -60,22 +59,12 @@ class PredictionMatrix:
         )
 
 
-class AggregationMode(Enum):
-    MEAN = "mean"
-    WEIGHTED = "weighted"
-
-
 @dataclass(frozen=True)
 class FusionSpec:
-    """Per-model weights plus bookkeeping for experiment reports.
-
-    Weights are normalized at construction, so any non-negative vector
-    with positive mass is accepted.
-    """
+    """Per-model weights, normalized at construction, so any non-negative
+    vector with positive mass is accepted."""
 
     model_weights: tuple[float, ...]
-    aggregation: AggregationMode = AggregationMode.MEAN
-    with_overlap: bool = True
 
     def __post_init__(self) -> None:
         if not self.model_weights:
@@ -91,55 +80,20 @@ class FusionSpec:
             )
 
     @classmethod
-    def uniform(cls, num_models: int, with_overlap: bool = True) -> "FusionSpec":
-        return cls(
-            model_weights=(1.0 / num_models,) * num_models,
-            aggregation=AggregationMode.MEAN,
-            with_overlap=with_overlap,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model_weights": list(self.model_weights),
-            "aggregation": self.aggregation.value,
-            "with_overlap": self.with_overlap,
-        }
+    def uniform(cls, num_models: int) -> "FusionSpec":
+        return cls(model_weights=(1.0 / num_models,) * num_models)
 
 
 @dataclass(frozen=True)
 class NotePrediction:
-    """Fused note-level answer plus per-model aggregates for reporting."""
+    """Fused note-level answer."""
 
-    note_id: str
     fused: ProbabilityVector
-    per_model_aggregates: tuple[ProbabilityVector, ...]
     num_chunks: int
-    fusion_spec: FusionSpec | None = None
-    per_chunk: PredictionMatrix | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "note_id": self.note_id,
-            "fused": list(self.fused.probs),
-            "per_model": [list(v.probs) for v in self.per_model_aggregates],
-            "num_chunks": self.num_chunks,
-            "fusion_spec": (
-                None if self.fusion_spec is None else self.fusion_spec.to_json_dict()
-            ),
-        }
 
 
 def _vector(row: np.ndarray) -> ProbabilityVector:
     return ProbabilityVector(probs=tuple(map(float, row)))
-
-
-def aggregate_chunks(preds: Sequence[ProbabilityVector]) -> ProbabilityVector:
-    """Element-wise mean over chunk vectors."""
-    if not preds:
-        raise ContractError("cannot aggregate zero chunk predictions")
-    if len({len(p) for p in preds}) != 1:
-        raise ContractError("chunk predictions disagree on class count")
-    return _vector(np.mean([p.probs for p in preds], axis=0))
 
 
 def weighted_fuse(matrix: PredictionMatrix, spec: FusionSpec) -> NotePrediction:
@@ -152,14 +106,9 @@ def weighted_fuse(matrix: PredictionMatrix, spec: FusionSpec) -> NotePrediction:
     weights = np.array(spec.model_weights)
     per_chunk_combined = np.einsum("kpc,p->kc", arr, weights)
     fused = per_chunk_combined.mean(axis=0)
-    per_model = arr.mean(axis=0)
     return NotePrediction(
-        note_id=matrix.note_id,
         fused=_vector(fused),
-        per_model_aggregates=tuple(_vector(row) for row in per_model),
         num_chunks=matrix.num_chunks,
-        fusion_spec=spec,
-        per_chunk=matrix,
     )
 
 
@@ -174,71 +123,6 @@ def ensemble_fuse(matrix: PredictionMatrix) -> NotePrediction:
     per_model = arr.mean(axis=0)
     fused = per_model.mean(axis=0)
     return NotePrediction(
-        note_id=matrix.note_id,
         fused=_vector(fused),
-        per_model_aggregates=tuple(_vector(row) for row in per_model),
         num_chunks=matrix.num_chunks,
-        fusion_spec=FusionSpec.uniform(matrix.num_models),
-        per_chunk=matrix,
-    )
-
-
-def score_matrix(
-    note: ClinicalNote,
-    scorers: Sequence[ChunkScorer],
-    chunking: ChunkingConfig,
-    vocab: Vocabulary,
-) -> PredictionMatrix:
-    """Tokenize, window, and score every (chunk, model) pair."""
-    if not scorers:
-        raise ContractError("need at least one scorer")
-    classes = {s.descriptor.num_classes for s in scorers}
-    if len(classes) != 1:
-        raise ContractError(f"scorers disagree on class count: {classes}")
-    chunks = chunk(tokenize(note.assembled_text, vocab, note.note_id).ids, chunking)
-    columns = []
-    for scorer in scorers:
-        try:
-            columns.append(score_chunks(scorer, chunks))
-        except ScorerError as err:
-            err.args = (
-                f"note {note.note_id}, scorer {scorer.descriptor.scorer_id}: {err}",
-            )
-            raise
-    return PredictionMatrix(
-        note_id=note.note_id,
-        entries=tuple(zip(*columns)),
-    )
-
-
-def predict_note(
-    note: ClinicalNote,
-    scorers: Sequence[ChunkScorer],
-    chunking: ChunkingConfig,
-    spec: FusionSpec,
-    vocab: Vocabulary,
-) -> NotePrediction:
-    """Full pipeline for one note: tokenize, window, score, fuse."""
-    return weighted_fuse(score_matrix(note, scorers, chunking, vocab), spec)
-
-
-def truncation_baseline(
-    note: ClinicalNote,
-    scorer: ChunkScorer,
-    chunking: ChunkingConfig,
-    vocab: Vocabulary,
-) -> NotePrediction:
-    """Score only the first window and discard the rest of the note."""
-    chunks = chunk(tokenize(note.assembled_text, vocab, note.note_id).ids, chunking)
-    first = score_chunks(scorer, chunks[:1])
-    matrix = PredictionMatrix(note_id=note.note_id, entries=((first[0],),))
-    prediction = weighted_fuse(matrix, FusionSpec(model_weights=(1.0,)))
-    # num_chunks reports the note's true window count, not the one scored
-    return NotePrediction(
-        note_id=prediction.note_id,
-        fused=prediction.fused,
-        per_model_aggregates=prediction.per_model_aggregates,
-        num_chunks=len(chunks),
-        fusion_spec=prediction.fusion_spec,
-        per_chunk=prediction.per_chunk,
     )

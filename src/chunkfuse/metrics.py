@@ -64,12 +64,14 @@ def roc_curve(scores, labels) -> list[tuple[float, float]]:
     return points
 
 
+def _area(points: list[tuple[float, float]]) -> float:
+    xs, ys = np.array(points).T
+    return float(np.trapezoid(ys, xs))
+
+
 def auc(scores, labels) -> float:
     """Trapezoidal area under the ROC curve of binary ``labels``."""
-    points = roc_curve(scores, labels)
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    return float(np.trapezoid(ys, xs))
+    return _area(roc_curve(scores, labels))
 
 
 @dataclass
@@ -149,9 +151,7 @@ def macro_auroc(prob_vectors, labels, num_classes: int) -> RocReport:
             skipped.append(c)
             per_class.append(float("nan"))
             continue
-        xs = np.array([p[0] for p in pts])
-        ts = np.array([p[1] for p in pts])
-        per_class.append(float(np.trapezoid(ts, xs)))
+        per_class.append(_area(pts))
         points[c] = pts
 
     evaluated = [a for a in per_class if not math.isnan(a)]

@@ -10,8 +10,8 @@ Wire protocol (JSON over HTTP, UTF-8):
 The client splits oversized batches per the server's advertised limit,
 may issue the sub-batches concurrently, and reassembles results in input
 order. Score rows whose sum strays from 1 by at most 1e-4 are
-renormalized with a warning; anything worse is a protocol violation, not
-a value to be repaired.
+renormalized with a warning; anything worse, or a non-finite entry, is
+a protocol violation, not a value to be repaired.
 
 ``StubScorerServer`` is the bundled in-process test double; the CLI's
 ``serve-mock`` command exposes it on a real port.
@@ -19,8 +19,10 @@ a value to be repaired.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
+import math
 import threading
 import time
 import urllib.error
@@ -30,9 +32,11 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .chunker import Chunk
 from .errors import ContractError, ProtocolError, TransportError
-from .scoring import ProbabilityVector, ScorerDescriptor, ScorerKind
+from .scoring import ScorerDescriptor, ScorerKind
 
 logger = logging.getLogger(__name__)
 
@@ -63,18 +67,19 @@ def _http_json(
             )
             if err.code < 500:
                 raise last from err  # client errors will not heal on retry
-        except (urllib.error.URLError, TimeoutError, ConnectionError) as err:
+        except (urllib.error.URLError, TimeoutError, ConnectionError,
+                http.client.IncompleteRead) as err:
             last = TransportError(
                 f"{url} unreachable: {err}", url=url, status=None, attempts=attempt
             )
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ProtocolError(f"{url} returned non-JSON body") from err
         if attempt < max_attempts and backoff_seconds > 0:
             time.sleep(backoff_seconds * attempt)
     raise last
 
 
-def _validate_row(row: object, num_classes: int, url: str) -> ProbabilityVector:
+def _validate_row(row: object, num_classes: int, url: str) -> list[float]:
     if not isinstance(row, list) or len(row) != num_classes:
         raise ProtocolError(
             f"{url}: score row has {len(row) if isinstance(row, list) else 'no'}"
@@ -84,6 +89,8 @@ def _validate_row(row: object, num_classes: int, url: str) -> ProbabilityVector:
         values = [float(v) for v in row]
     except (TypeError, ValueError) as err:
         raise ProtocolError(f"{url}: non-numeric score entry in {row}") from err
+    if not all(map(math.isfinite, values)):
+        raise ProtocolError(f"{url}: non-finite score entry in {values}")
     if any(v < 0.0 or v > 1.0 + SIMPLEX_TOLERANCE for v in values):
         raise ProtocolError(f"{url}: score entry outside [0, 1]: {values}")
     total = sum(values)
@@ -95,7 +102,7 @@ def _validate_row(row: object, num_classes: int, url: str) -> ProbabilityVector:
     if total != 1.0:
         logger.warning("%s: renormalizing score row summing to %.6f", url, total)
         values = [v / total for v in values]
-    return ProbabilityVector(probs=tuple(values))
+    return values
 
 
 @dataclass
@@ -156,7 +163,7 @@ class RemoteScorer:
             backoff_seconds=backoff_seconds,
         )
 
-    def _score_sub_batch(self, chunks: Sequence[Chunk]) -> list[ProbabilityVector]:
+    def _score_sub_batch(self, chunks: Sequence[Chunk]) -> list[list[float]]:
         url = self.endpoint + "/score"
         reply = _http_json(
             url,
@@ -178,7 +185,7 @@ class RemoteScorer:
             )
         return [_validate_row(r, self.descriptor.num_classes, url) for r in scores]
 
-    def score_batch(self, chunks: Sequence[Chunk]) -> list[ProbabilityVector]:
+    def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         if not chunks:
             raise ContractError("remote batch must be non-empty")
         parts = [
@@ -186,16 +193,13 @@ class RemoteScorer:
             for i in range(0, len(chunks), self.max_batch)
         ]
         if len(parts) == 1:
-            return self._score_sub_batch(parts[0])
+            return np.array(self._score_sub_batch(parts[0]))
         # Sub-batches may land on the server in any order; executor.map
         # reassembles replies in input order regardless.
         workers = min(self.max_concurrency, len(parts))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(self._score_sub_batch, parts))
-        return [vector for part in results for vector in part]
-
-    def score_chunk(self, chunk: Chunk) -> ProbabilityVector:
-        return self.score_batch([chunk])[0]
+        return np.array([row for part in results for row in part])
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -1,4 +1,5 @@
-"""Chunk scorers: one framed chunk in, one probability vector out.
+"""Chunk scorers: a batch of framed chunks in, a (chunks, classes) array
+of probability rows out.
 
 Four implementations share the contract: a trainable linear bag-of-tokens
 model (desk-scale stand-in for a fine-tuned encoder), a remote HTTP
@@ -6,7 +7,8 @@ scorer (see remote.py), a table-driven mock for tests, and a pattern
 detector that fires on a contiguous token-id subsequence. The linear
 scorer is order-blind within a chunk; the pattern scorer exists to
 exercise behaviors that depend on token adjacency, such as signals
-broken across chunk boundaries.
+broken across chunk boundaries. ``score_chunks`` is the one boundary
+every scorer's output crosses, and it checks that output once.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .chunker import Chunk
 from .corpus import find_pattern
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ScorerError, read_json
 
 # Ids 0..3 are reserved (PAD/UNK/CLS/SEP) and never carry features.
 FIRST_TEXT_ID = 4
@@ -108,19 +110,33 @@ class TrainerConfig:
             raise ConfigError("early_stop_patience must be >= 1")
 
 
-@runtime_checkable
 class ChunkScorer(Protocol):
     descriptor: ScorerDescriptor
 
-    def score_chunk(self, chunk: Chunk) -> ProbabilityVector: ...
+    def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray: ...
 
 
-def score_chunks(scorer: ChunkScorer, chunks: Sequence[Chunk]) -> list[ProbabilityVector]:
-    """Score a batch, using the scorer's native batch path when it has one."""
-    batch = getattr(scorer, "score_batch", None)
-    if batch is not None:
-        return batch(chunks)
-    return [scorer.score_chunk(c) for c in chunks]
+def score_chunks(scorer: ChunkScorer, chunks: Sequence[Chunk]) -> np.ndarray:
+    """Score a batch and check the result before anything uses it.
+
+    Returns a (len(chunks), num_classes) float array whose rows are
+    finite, lie in [0, 1] within 1e-9 and sum to 1 within 1e-6 (the
+    ProbabilityVector tolerances); anything else raises ScorerError.
+    """
+    name = repr(scorer.descriptor.scorer_id)
+    scores = np.asarray(scorer.score_batch(chunks), dtype=np.float64)
+    expected = (len(chunks), scorer.descriptor.num_classes)
+    if scores.shape != expected:
+        raise ScorerError(f"{name} returned scores of shape {scores.shape}, not {expected}")
+    bad = (
+        ~np.isfinite(scores).all(axis=1)
+        | ((scores < -1e-9) | (scores > 1 + 1e-9)).any(axis=1)
+        | (np.abs(scores.sum(axis=1) - 1.0) > 1e-6)
+    )
+    if bad.any():
+        i = int(bad.argmax())
+        raise ScorerError(f"{name} scored row {i} as {scores[i].tolist()}, not a distribution")
+    return scores
 
 
 @dataclass(frozen=True)
@@ -131,15 +147,17 @@ class MockScorer:
     table: dict[int, tuple[float, ...]]
     default: tuple[float, ...] | None = None
 
-    def score_chunk(self, chunk: Chunk) -> ProbabilityVector:
-        probs = self.table.get(chunk.index, self.default)
-        if probs is None:
-            raise ContractError(f"mock has no entry for chunk index {chunk.index}")
-        if len(probs) != self.descriptor.num_classes:
-            raise ContractError(
-                f"mock table width {len(probs)} != {self.descriptor.num_classes} classes"
-            )
-        return ProbabilityVector(probs=tuple(probs))
+    def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
+        width = self.descriptor.num_classes
+        rows = []
+        for c in chunks:
+            probs = self.table.get(c.index, self.default)
+            if probs is None:
+                raise ContractError(f"mock has no entry for chunk index {c.index}")
+            if len(probs) != width:
+                raise ContractError(f"mock table width {len(probs)} != {width} classes")
+            rows.append(probs)
+        return np.array(rows, dtype=np.float64).reshape(len(chunks), width)
 
     @classmethod
     def constant(cls, scorer_id: str, probs: Sequence[float]) -> "MockScorer":
@@ -171,10 +189,12 @@ class PatternScorer:
         if self.descriptor.num_classes != 2:
             raise ContractError("pattern scorer is binary")
 
-    def score_chunk(self, chunk: Chunk) -> ProbabilityVector:
-        content = chunk.ids[1:-1]
-        probs = self.hit if find_pattern(content, self.pattern_ids) else self.miss
-        return ProbabilityVector(probs=probs)
+    def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
+        rows = [
+            self.hit if find_pattern(c.ids[1:-1], self.pattern_ids) else self.miss
+            for c in chunks
+        ]
+        return np.array(rows, dtype=np.float64).reshape(len(chunks), 2)
 
     @classmethod
     def for_pattern(cls, scorer_id: str, pattern_ids: Sequence[int]) -> "PatternScorer":
@@ -259,14 +279,10 @@ class LinearScorer:
             bias=np.zeros(num_classes),
         )
 
-    def score_chunk(self, chunk: Chunk) -> ProbabilityVector:
-        return self.score_batch([chunk])[0]
-
-    def score_batch(self, chunks: Sequence[Chunk]) -> list[ProbabilityVector]:
+    def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         features = chunks_to_csr(chunks, self.vocab_size)
         logits = features @ self.weights.T + self.bias
-        rows = softmax_rows(np.asarray(logits))
-        return [ProbabilityVector(probs=tuple(map(float, row))) for row in rows]
+        return softmax_rows(np.asarray(logits))
 
     def save(self, path: str | Path) -> None:
         """Checkpoint as one JSON document; identical scorers serialize to
@@ -286,17 +302,20 @@ class LinearScorer:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearScorer":
-        doc = json.loads(Path(path).read_text())
-        k, v = doc["num_classes"], doc["vocab_size"]
-        config = doc.get("trainer_config")
-        return cls(
-            descriptor=ScorerDescriptor(
-                scorer_id=doc.get("scorer_id", "linear"),
-                kind=ScorerKind.LINEAR,
-                num_classes=k,
-            ),
-            weights=np.array(doc["weights"], dtype=np.float64).reshape(k, v),
-            bias=np.array(doc["bias"], dtype=np.float64),
-            trainer_config=None if config is None else TrainerConfig(**config),
-            best_val_auroc=doc.get("best_val_auroc"),
-        )
+        doc = read_json(path, "checkpoint")
+        try:
+            k, v = doc["num_classes"], doc["vocab_size"]
+            config = doc.get("trainer_config")
+            return cls(
+                descriptor=ScorerDescriptor(
+                    scorer_id=doc.get("scorer_id", "linear"),
+                    kind=ScorerKind.LINEAR,
+                    num_classes=k,
+                ),
+                weights=np.array(doc["weights"], dtype=np.float64).reshape(k, v),
+                bias=np.array(doc["bias"], dtype=np.float64),
+                trainer_config=None if config is None else TrainerConfig(**config),
+                best_val_auroc=doc.get("best_val_auroc"),
+            )
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"malformed checkpoint {path}: {err!r}") from err

@@ -32,7 +32,6 @@ from chunkfuse.experiment import (
 from chunkfuse.fusion import (
     FusionSpec,
     PredictionMatrix,
-    aggregate_chunks,
     ensemble_fuse,
     weighted_fuse,
 )
@@ -114,7 +113,10 @@ def test_a2_fusion_algebra_on_random_matrices():
                 1.0 if j == pick else 0.0 for j in range(num_models)
             )
         )
-        single = aggregate_chunks([row[pick] for row in matrix.entries])
+        column = PredictionMatrix(
+            note_id=f"m{i}", entries=tuple((row[pick],) for row in matrix.entries)
+        )
+        single = ensemble_fuse(column).fused
         assert weighted_fuse(matrix, one_hot).fused.probs == single.probs
 
         for fused in (uniform.fused, ensembled.fused):
@@ -392,7 +394,7 @@ def test_a8_remote_protocol_round_trip_and_error_paths(caplog):
         vectors = scorer.score_batch(chunks)
         assert len(vectors) == 1_000
         for ch, vec in zip(chunks, vectors):
-            assert vec.probs == pytest.approx(score_fn(list(ch.ids)), abs=1e-12)
+            assert vec == pytest.approx(score_fn(list(ch.ids)), abs=1e-12)
         batches = sorted(len(r["chunks"]) for r in server.requests if "chunks" in r)
         assert max(batches) <= 64
 
@@ -420,7 +422,7 @@ def test_a8_remote_protocol_round_trip_and_error_paths(caplog):
         scorer = RemoteScorer.connect(server.endpoint, "mortality", 2)
         with caplog.at_level("WARNING"):
             (vec,) = scorer.score_batch([probe])  # 4e-5 is inside the band
-        assert abs(sum(vec.probs) - 1.0) < 1e-12
+        assert abs(sum(vec) - 1.0) < 1e-12
         assert any("renormalizing" in r.message for r in caplog.records)
 
     print(

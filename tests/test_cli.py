@@ -173,6 +173,18 @@ class TestCompare:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        {"parallel_rows": True},
+        {"fusion": {"aggregation": "mean"}},
+        {"seed": "abc"},
+        {"split_ratios": [1.0]},
+    ])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, extra):
+        rc = main(["compare", "--config", base_config(tmp_path, **extra)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestEvaluate:
     def test_selects_scorer_by_id(self, tmp_path, capsys):
@@ -242,7 +254,7 @@ class TestServeMock:
         endpoint = endpoint_file.read_text().strip()
         scorer = RemoteScorer.connect(endpoint, "mortality", 2)
         vectors = scorer.score_batch([Chunk(index=0, start=0, end=1, ids=(2, 7, 3))])
-        assert [round(p, 6) for p in vectors[0].probs] == [0.25, 0.75]
+        assert [round(p, 6) for p in vectors[0]] == [0.25, 0.75]
         thread.join(timeout=10)
         assert result["rc"] == 0
 

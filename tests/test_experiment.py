@@ -1,25 +1,36 @@
 """Experiment grid: config parsing, row plan, reports, error rows."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkfuse.chunker import ChunkingConfig
 from chunkfuse.corpus import GeneratorConfig, TaskSpec
 from chunkfuse.errors import ConfigError
 from chunkfuse.experiment import (
+    _TOP_LEVEL_KEYS,
     ComparisonReport,
     ExperimentConfig,
     Method,
     ReportFormat,
     ReportRow,
     SyntheticSource,
+    _note_probs,
     emit_report,
     run_experiment,
 )
-from chunkfuse.scoring import ScorerDescriptor, ScorerKind, TrainerConfig
+from chunkfuse.fusion import FusionSpec, PredictionMatrix, ensemble_fuse, weighted_fuse
+from chunkfuse.scoring import (
+    ProbabilityVector,
+    ScorerDescriptor,
+    ScorerKind,
+    TrainerConfig,
+)
 
 
 def mock_descriptor(scorer_id: str, probs: str, num_classes: int = 2) -> ScorerDescriptor:
@@ -95,15 +106,14 @@ class TestConfigInvariants:
             )
 
     def test_fusion_weight_count_must_match_scorers(self, tmp_path):
-        from chunkfuse.fusion import FusionSpec
-
         with pytest.raises(ConfigError, match="fusion weights"):
             small_config(tmp_path, fusion=FusionSpec(model_weights=(0.2, 0.3, 0.5)))
 
     def test_default_fusion_is_uniform_and_tracks_overlap(self, tmp_path):
         config = small_config(tmp_path, chunking=ChunkingConfig(overlap=0))
-        assert config.fusion.model_weights == (0.5, 0.5)
-        assert config.fusion.with_overlap is False
+        assert config.fusion == FusionSpec(model_weights=(0.5, 0.5))
+        report = run_experiment(config)
+        assert all(row.with_overlap is False for row in report.rows)
 
 
 class TestConfigFromJson:
@@ -186,6 +196,25 @@ class TestConfigFromJson:
     def test_from_file_reports_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             ExperimentConfig.from_file(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("key, value", [
+        ("data", [["kind", "synthetic"]]),
+        ("scorers", ["m1"]),
+        ("scorers", [{"scorer_id": "m1", "kind": "mock", "metadata": "0.6,0.4"}]),
+        ("vocab_size", "abc"),
+        ("seed", "abc"),
+        ("methods", 5),
+        ("fusion", {"aggregation": "bogus"}),
+        ("fusion", {"model_weights": [0.5, 0.5], "with_overlap": False}),
+        ("parallel_rows", True),
+        ("split_ratios", [1.0]),
+        ("split_ratios", ["a", "b", "c"]),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, key, value):
+        doc = self.base_doc(tmp_path)
+        doc[key] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_dict(doc)
 
     def test_trainer_block_round_trips(self, tmp_path):
         doc = self.base_doc(tmp_path)
@@ -294,18 +323,84 @@ class TestRunExperiment:
         assert row.error_code == 4
         assert (Path(config.output_dir) / "report.json").exists()
 
-    def test_parallel_rows_change_nothing(self, tmp_path):
-        serial = run_experiment(
-            small_config(tmp_path, output_dir=str(tmp_path / "serial"))
+    @pytest.mark.parametrize("checkpoint, code", [
+        ("{not json", 1),
+        ({"num_classes": 2, "vocab_size": 3, "bias": [0.0, 0.0]}, 1),
+        ({"num_classes": 2, "vocab_size": 3, "weights": [0.0] * 5,
+          "bias": [0.0, 0.0]}, 1),
+        # loads fine, but every score it gives is NaN
+        ({"num_classes": 2, "vocab_size": 5000, "weights": [0.0] * 10000,
+          "bias": [float("nan"), 0.0]}, 3),
+    ])
+    def test_bad_checkpoint_yields_error_rows_only(self, tmp_path, checkpoint, code):
+        path = tmp_path / "lin.ckpt.json"
+        if not isinstance(checkpoint, str):
+            checkpoint = json.dumps(checkpoint)
+        path.write_text(checkpoint)
+        config = small_config(
+            tmp_path,
+            scorers=(
+                mock_descriptor("mock-a", "0.6,0.4"),
+                ScorerDescriptor(
+                    scorer_id="lin",
+                    kind=ScorerKind.LINEAR,
+                    num_classes=2,
+                    metadata={"checkpoint": str(path)},
+                ),
+            ),
+            methods=(Method.BASELINE,),
         )
-        parallel = run_experiment(
-            small_config(
-                tmp_path, output_dir=str(tmp_path / "parallel"), parallel_rows=True
-            )
-        )
-        assert [r.to_json_dict() for r in serial.rows] == [
-            r.to_json_dict() for r in parallel.rows
-        ]
+        good, bad = run_experiment(config).rows
+        assert good.error is None and good.macro_auroc == pytest.approx(0.5)
+        assert bad.macro_auroc is None
+        assert bad.error.startswith("scorer lin: ")
+        assert bad.error_code == code
+
+
+def reference_note_probs(method, ids, columns, weights, i):
+    """Note i's fused vector through the public fusion functions."""
+    last = 1 if method in (Method.BASELINE, Method.ENSEMBLE) else None
+    per_model = [
+        [ProbabilityVector(tuple(row)) for row in columns[sid][i][:last]] for sid in ids
+    ]
+    matrix = PredictionMatrix(note_id=f"n{i}", entries=tuple(zip(*per_model)))
+    if method is Method.ENSEMBLE_AGGREGATION:
+        spec = FusionSpec(model_weights=tuple(weights[sid] for sid in ids))
+        return weighted_fuse(matrix, spec).fused.probs
+    return ensemble_fuse(matrix).fused.probs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(2, 5),
+    st.lists(st.integers(1, 8), min_size=1, max_size=5),
+    st.integers(0, 2**31),
+)
+def test_note_probs_matches_reference_fusion(
+    num_models, num_classes, chunk_counts, seed
+):
+    rng = np.random.default_rng(seed)
+    ids = [f"s{j}" for j in range(num_models)]
+    columns = {
+        sid: [rng.dirichlet(np.ones(num_classes), size=k) for k in chunk_counts]
+        for sid in ids
+    }
+    weights = {sid: float(w) for sid, w in zip(ids, rng.random(num_models) + 0.05)}
+    for method in Method:
+        fused = method in (Method.ENSEMBLE, Method.ENSEMBLE_AGGREGATION)
+        picked = ids if fused else ids[:1]
+        got = _note_probs(method, picked, columns, weights)
+        assert len(got) == len(chunk_counts)
+        for i, probs in enumerate(got):
+            want = reference_note_probs(method, picked, columns, weights, i)
+            assert np.abs(np.asarray(probs) - want).max() <= 1e-12, method
+
+
+def test_readme_config_table_lists_exactly_the_parsed_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Experiment config", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M)) == _TOP_LEVEL_KEYS
 
 
 class TestTrainedScorersEndToEnd:

@@ -3,22 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkfuse.chunker import ChunkingConfig
+from chunkfuse.chunker import ChunkingConfig, chunk
 from chunkfuse.corpus import SECTION_ORDER, ClinicalNote
-from chunkfuse.errors import ContractError, TransportError
-from chunkfuse.fusion import (
-    AggregationMode,
-    FusionSpec,
-    PredictionMatrix,
-    aggregate_chunks,
-    ensemble_fuse,
-    predict_note,
-    score_matrix,
-    truncation_baseline,
-    weighted_fuse,
+from chunkfuse.errors import ContractError
+from chunkfuse.experiment import Method, _note_probs
+from chunkfuse.fusion import FusionSpec, PredictionMatrix, ensemble_fuse, weighted_fuse
+from chunkfuse.scoring import (
+    MockScorer,
+    ProbabilityVector,
+    ScorerDescriptor,
+    ScorerKind,
+    score_chunks,
 )
-from chunkfuse.scoring import MockScorer, ProbabilityVector, ScorerDescriptor, ScorerKind
-from chunkfuse.tokenizer import build_vocabulary
+from chunkfuse.tokenizer import build_vocabulary, tokenize
 
 
 def vec(*probs):
@@ -44,24 +41,44 @@ def note_with(text, note_id="n1"):
     return ClinicalNote(note_id=note_id, sections=sections)
 
 
+def pipeline_probs(method, note, scorers, vocab):
+    """One note through the pipeline's own steps: tokenize, window, score
+    each scorer once, then fuse with experiment._note_probs."""
+    ids = tokenize(note.assembled_text, vocab, note.note_id).ids
+    chunks = chunk(ids, ChunkingConfig())
+    sids = [s.descriptor.scorer_id for s in scorers]
+    columns = {sid: [score_chunks(s, chunks)] for sid, s in zip(sids, scorers)}
+    weights = {sid: 1.0 / len(sids) for sid in sids}
+    (probs,) = _note_probs(method, sids, columns, weights)
+    return tuple(probs), len(chunks)
+
+
+def table_mock(scorer_id, table):
+    return MockScorer(
+        descriptor=ScorerDescriptor(scorer_id, ScorerKind.MOCK, num_classes=2),
+        table=table,
+    )
+
+
 def test_aggregate_is_elementwise_mean():
-    out = aggregate_chunks([vec(0.2, 0.8), vec(0.4, 0.6), vec(0.6, 0.4)])
-    assert out.probs == pytest.approx((0.4, 0.6), abs=1e-12)
+    out = ensemble_fuse(matrix([[(0.2, 0.8)], [(0.4, 0.6)], [(0.6, 0.4)]]))
+    assert out.fused.probs == pytest.approx((0.4, 0.6), abs=1e-12)
 
 
 def test_aggregate_single_identity_and_permutation():
-    assert aggregate_chunks([vec(0.3, 0.7)]).probs == (0.3, 0.7)
-    preds = [vec(0.1, 0.9), vec(0.5, 0.5), vec(0.9, 0.1)]
-    assert aggregate_chunks(preds).probs == pytest.approx(
-        aggregate_chunks(preds[::-1]).probs, abs=1e-12
+    assert ensemble_fuse(matrix([[(0.3, 0.7)]])).fused.probs == (0.3, 0.7)
+    rows = [[(0.1, 0.9)], [(0.5, 0.5)], [(0.9, 0.1)]]
+    assert ensemble_fuse(matrix(rows)).fused.probs == pytest.approx(
+        ensemble_fuse(matrix(rows[::-1])).fused.probs, abs=1e-12
     )
 
 
 def test_aggregate_contract_errors():
+    # aggregating zero chunks, or chunks of different widths, is refused
     with pytest.raises(ContractError):
-        aggregate_chunks([])
+        ensemble_fuse(PredictionMatrix(note_id="n", entries=()))
     with pytest.raises(ContractError):
-        aggregate_chunks([vec(0.5, 0.5), vec(0.2, 0.3, 0.5)])
+        ensemble_fuse(matrix([[(0.5, 0.5)], [(0.2, 0.3, 0.5)]]))
 
 
 def test_matrix_invariants():
@@ -94,8 +111,8 @@ def test_one_hot_weights_reduce_to_single_model():
     rng = np.random.default_rng(1)
     m = random_matrix(rng, chunks=4, models=3, classes=2)
     out = weighted_fuse(m, FusionSpec((1.0, 0.0, 0.0)))
-    column = [row[0] for row in m.entries]
-    assert out.fused.probs == aggregate_chunks(column).probs  # exact
+    column = PredictionMatrix(note_id="n", entries=tuple(row[:1] for row in m.entries))
+    assert out.fused.probs == ensemble_fuse(column).fused.probs  # exact
 
 
 def test_uniform_weights_equal_grand_mean():
@@ -115,15 +132,15 @@ def test_ensemble_single_model_reduces_to_aggregation():
     rng = np.random.default_rng(3)
     m = random_matrix(rng, chunks=5, models=1, classes=4)
     out = ensemble_fuse(m)
-    column = [row[0] for row in m.entries]
-    assert out.fused.probs == pytest.approx(aggregate_chunks(column).probs, abs=1e-15)
+    column_mean = np.mean([row[0].probs for row in m.entries], axis=0)
+    assert out.fused.probs == pytest.approx(tuple(column_mean), abs=1e-15)
 
 
 def test_ensemble_idempotent_on_constant_matrix():
     m = matrix([[(0.3, 0.7)] * 3] * 4)
     out = ensemble_fuse(m)
     assert out.fused.probs == pytest.approx((0.3, 0.7), abs=1e-15)
-    assert len(out.per_model_aggregates) == 3
+    assert out.num_chunks == 4
 
 
 @settings(max_examples=200)
@@ -161,102 +178,60 @@ def test_blending_is_affine_in_weight():
 def test_predict_short_note_single_scorer():
     vocab = build_vocabulary(["alpha beta"], max_size=10)
     note = note_with("alpha beta alpha")
-    out = predict_note(
-        note, [MockScorer.constant("m", (0.3, 0.7))], ChunkingConfig(),
-        FusionSpec((1.0,)), vocab,
+    probs, num_chunks = pipeline_probs(
+        Method.AGGREGATION, note, [MockScorer.constant("m", (0.3, 0.7))], vocab
     )
-    assert out.fused.probs == (0.3, 0.7)
-    assert out.num_chunks == 1
+    assert probs == (0.3, 0.7)
+    assert num_chunks == 1
 
 
 def test_predict_three_chunk_note_averages_mock_table():
     vocab = build_vocabulary(["fi"], max_size=5)
     note = note_with(" ".join(["fi"] * 1000))
-    scorer = MockScorer(
-        descriptor=ScorerDescriptor(scorer_id="m", kind=ScorerKind.MOCK, num_classes=2),
-        table={0: (1.0, 0.0), 1: (0.0, 1.0), 2: (1.0, 0.0)},
-    )
-    out = predict_note(note, [scorer], ChunkingConfig(), FusionSpec((1.0,)), vocab)
-    assert out.num_chunks == 3
-    assert out.fused.probs == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
+    scorer = table_mock("m", {0: (1.0, 0.0), 1: (0.0, 1.0), 2: (1.0, 0.0)})
+    probs, num_chunks = pipeline_probs(Method.AGGREGATION, note, [scorer], vocab)
+    assert num_chunks == 3
+    assert probs == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
 
 def test_duplicate_scorers_change_nothing():
     vocab = build_vocabulary(["fi"], max_size=5)
     note = note_with(" ".join(["fi"] * 700))
-    scorer = MockScorer(
-        descriptor=ScorerDescriptor(scorer_id="m", kind=ScorerKind.MOCK, num_classes=2),
-        table={0: (0.2, 0.8), 1: (0.6, 0.4)},
-    )
-    solo = predict_note(note, [scorer], ChunkingConfig(), FusionSpec((1.0,)), vocab)
-    duo = predict_note(
-        note, [scorer, scorer], ChunkingConfig(), FusionSpec.uniform(2), vocab
-    )
-    assert duo.fused.probs == pytest.approx(solo.fused.probs, abs=1e-12)
-
-
-def test_score_matrix_requires_consistent_scorers():
-    vocab = build_vocabulary(["fi"], max_size=5)
-    note = note_with("fi")
-    with pytest.raises(ContractError):
-        score_matrix(note, [], ChunkingConfig(), vocab)
-    two = MockScorer.constant("a", (0.5, 0.5))
-    three = MockScorer.constant("b", (0.2, 0.3, 0.5))
-    with pytest.raises(ContractError):
-        score_matrix(note, [two, three], ChunkingConfig(), vocab)
-
-
-def test_scorer_errors_gain_note_context():
-    class Failing:
-        descriptor = ScorerDescriptor(
-            scorer_id="remote-1", kind=ScorerKind.REMOTE, num_classes=2
-        )
-
-        def score_chunk(self, chunk):
-            raise TransportError("connection refused", url="http://x/score")
-
-    vocab = build_vocabulary(["fi"], max_size=5)
-    with pytest.raises(TransportError, match="note n1, scorer remote-1"):
-        score_matrix(note_with("fi fi"), [Failing()], ChunkingConfig(), vocab)
+    table = {0: (0.2, 0.8), 1: (0.6, 0.4)}
+    solo = [table_mock("a", table)]
+    duo = [table_mock("a", table), table_mock("b", table)]
+    for single, fused in (
+        (Method.AGGREGATION, Method.ENSEMBLE_AGGREGATION),
+        (Method.BASELINE, Method.ENSEMBLE),
+    ):
+        want, _ = pipeline_probs(single, note, solo, vocab)
+        got, _ = pipeline_probs(fused, note, duo, vocab)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_truncation_matches_full_pipeline_on_short_note():
     vocab = build_vocabulary(["alpha"], max_size=5)
     note = note_with("alpha alpha")
-    scorer = MockScorer.constant("m", (0.4, 0.6))
-    full = predict_note(note, [scorer], ChunkingConfig(), FusionSpec((1.0,)), vocab)
-    base = truncation_baseline(note, scorer, ChunkingConfig(), vocab)
-    assert base.fused.probs == full.fused.probs
-    assert base.num_chunks == 1
+    scorer = [MockScorer.constant("m", (0.4, 0.6))]
+    full, _ = pipeline_probs(Method.AGGREGATION, note, scorer, vocab)
+    base, num_chunks = pipeline_probs(Method.BASELINE, note, scorer, vocab)
+    assert base == full
+    assert num_chunks == 1
 
 
 def test_truncation_sees_only_first_chunk():
     vocab = build_vocabulary(["fi"], max_size=5)
     note = note_with(" ".join(["fi"] * 1000))
-    scorer = MockScorer(
-        descriptor=ScorerDescriptor(scorer_id="m", kind=ScorerKind.MOCK, num_classes=2),
-        table={0: (0.9, 0.1), 1: (0.0, 1.0), 2: (0.0, 1.0)},
-    )
-    out = truncation_baseline(note, scorer, ChunkingConfig(), vocab)
-    assert out.fused.probs == (0.9, 0.1)
-    assert out.num_chunks == 3  # reports the note's real window count
+    scorer = table_mock("m", {0: (0.9, 0.1), 1: (0.0, 1.0), 2: (0.0, 1.0)})
+    probs, num_chunks = pipeline_probs(Method.BASELINE, note, [scorer], vocab)
+    assert probs == (0.9, 0.1)
+    assert num_chunks == 3  # the later windows exist but are not used
 
 
 def test_truncation_on_empty_note():
     vocab = build_vocabulary(["x"], max_size=5)
-    note = note_with("")
-    out = truncation_baseline(note, MockScorer.constant("m", (0.5, 0.5)),
-                              ChunkingConfig(), vocab)
-    assert out.fused.probs == (0.5, 0.5)
-    assert out.num_chunks == 1
-
-
-def test_prediction_serialization_shape():
-    rng = np.random.default_rng(8)
-    m = random_matrix(rng, chunks=2, models=2, classes=2)
-    doc = weighted_fuse(m, FusionSpec.uniform(2)).to_json_dict()
-    assert set(doc) == {"note_id", "fused", "per_model", "num_chunks", "fusion_spec"}
-    assert doc["num_chunks"] == 2
-    assert len(doc["per_model"]) == 2
-    assert doc["fusion_spec"]["aggregation"] == AggregationMode.MEAN.value
-    assert doc["fusion_spec"]["model_weights"] == [0.5, 0.5]
+    probs, num_chunks = pipeline_probs(
+        Method.BASELINE, note_with(""), [MockScorer.constant("m", (0.5, 0.5))], vocab
+    )
+    assert probs == (0.5, 0.5)
+    assert num_chunks == 1

@@ -1,5 +1,8 @@
+import http.client
+
 import pytest
 
+from chunkfuse import remote
 from chunkfuse.chunker import Chunk
 from chunkfuse.errors import ContractError, ProtocolError, TransportError
 from chunkfuse.remote import RemoteScorer, StubScorerServer
@@ -24,8 +27,7 @@ def test_info_probe_and_fixed_vector_round_trip():
         assert scorer.max_batch == 16
         assert scorer.descriptor.metadata["endpoint"] == stub.endpoint
         out = scorer.score_batch([make_chunk(i) for i in range(3)])
-        assert [v.probs for v in out] == [(0.5, 0.5)] * 3
-        assert scorer.score_chunk(make_chunk(9)).probs == (0.5, 0.5)
+        assert out.tolist() == [[0.5, 0.5]] * 3
 
 
 def test_class_count_mismatch_rejected_at_connect():
@@ -57,7 +59,7 @@ def test_batches_split_to_server_limit_and_keep_order():
         # the client-side output order are what the contract fixes
         assert sorted(len(r["chunks"]) for r in stub.requests) == [5, 10, 10]
         for i, vector in enumerate(out):
-            assert vector.probs[1] == pytest.approx((1000 + i) % 100 / 100.0)
+            assert vector[1] == pytest.approx((1000 + i) % 100 / 100.0)
 
 
 def test_concurrent_sub_batches_preserve_order():
@@ -66,7 +68,7 @@ def test_concurrent_sub_batches_preserve_order():
         out = scorer.score_batch([make_chunk(i) for i in range(100)])
         assert len(stub.requests) == 13
         for i, vector in enumerate(out):
-            assert vector.probs[1] == pytest.approx((1000 + i) % 100 / 100.0)
+            assert vector[1] == pytest.approx((1000 + i) % 100 / 100.0)
 
 
 def test_empty_batch_rejected():
@@ -91,6 +93,7 @@ def test_row_width_and_content_validation():
             {"scores": [[0.2, 0.3, 0.5]]},  # too wide
             {"scores": [[0.5, "x"]]},  # non-numeric
             {"scores": [[-0.2, 1.2]]},  # outside [0, 1]
+            {"scores": [[float("nan"), float("nan")]]},  # non-finite
             {"wrong_key": []},  # missing scores
         ]
         for payload in cases:
@@ -113,8 +116,8 @@ def test_within_band_renormalized_with_warning(caplog):
         stub.respond = lambda body: (200, {"scores": [[0.70005, 0.3]]})
         with caplog.at_level("WARNING"):
             (vector,) = scorer.score_batch([make_chunk(0)])
-    assert sum(vector.probs) == pytest.approx(1.0, abs=1e-15)
-    assert vector.probs[0] == pytest.approx(0.70005 / 1.00005)
+    assert sum(vector) == pytest.approx(1.0, abs=1e-15)
+    assert vector[0] == pytest.approx(0.70005 / 1.00005)
     assert "renormalizing" in caplog.text
 
 
@@ -124,7 +127,7 @@ def test_exact_sum_is_untouched(caplog):
         stub.respond = lambda body: (200, {"scores": [[0.25, 0.75]]})
         with caplog.at_level("WARNING"):
             (vector,) = scorer.score_batch([make_chunk(0)])
-    assert vector.probs == (0.25, 0.75)
+    assert vector.tolist() == [0.25, 0.75]
     assert "renormalizing" not in caplog.text
 
 
@@ -157,5 +160,40 @@ def test_transient_failure_then_recovery():
 
         stub.respond = flaky
         (vector,) = scorer.score_batch([make_chunk(0)])
-        assert vector.probs == (0.5, 0.5)
+        assert vector.tolist() == [0.5, 0.5]
         assert state["calls"] == 2
+
+
+class CannedResponse:
+    def __init__(self, read):
+        self.read = read
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_undecodable_reply_is_protocol_error_truncated_reply_retries(monkeypatch):
+    calls = []
+
+    def serve(read):
+        def urlopen(request, timeout):
+            calls.append(request)
+            return CannedResponse(read)
+        monkeypatch.setattr(remote.urllib.request, "urlopen", urlopen)
+
+    serve(lambda: b"\xff\xfe{")
+    with pytest.raises(ProtocolError, match="non-JSON"):
+        remote._http_json("http://stub/score", {}, 1.0, 3, 0.0)
+    assert len(calls) == 1  # a garbled body is not retried
+
+    def truncated():
+        raise http.client.IncompleteRead(b"{", 10)
+
+    calls.clear()
+    serve(truncated)
+    with pytest.raises(TransportError) as exc:
+        remote._http_json("http://stub/score", {}, 1.0, 3, 0.0)
+    assert exc.value.attempts == 3 and len(calls) == 3

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkfuse.chunker import Chunk, ChunkingConfig, chunk
-from chunkfuse.errors import ConfigError, ContractError
+from chunkfuse.errors import ConfigError, ContractError, ScorerError
 from chunkfuse.scoring import (
     LinearScorer,
     MockScorer,
@@ -55,9 +57,9 @@ def test_mock_table_lookup():
         descriptor=ScorerDescriptor(scorer_id="m", kind=ScorerKind.MOCK, num_classes=2),
         table={0: (0.2, 0.8)},
     )
-    assert scorer.score_chunk(framed([5, 6])).probs == (0.2, 0.8)
+    assert scorer.score_batch([framed([5, 6])]).tolist() == [[0.2, 0.8]]
     with pytest.raises(ContractError):  # no entry, no default
-        scorer.score_chunk(Chunk(index=3, start=0, end=1, ids=(2, 5, 3)))
+        scorer.score_batch([Chunk(index=3, start=0, end=1, ids=(2, 5, 3))])
 
 
 def test_mock_width_mismatch_rejected():
@@ -66,12 +68,12 @@ def test_mock_width_mismatch_rejected():
         table={0: (0.5, 0.5)},
     )
     with pytest.raises(ContractError):
-        scorer.score_chunk(framed([4]))
+        scorer.score_batch([framed([4])])
 
 
 def test_untrained_linear_is_uniform():
     scorer = LinearScorer.untrained("lin", vocab_size=20, num_classes=4)
-    assert scorer.score_chunk(framed([4, 5, 6])).probs == (0.25,) * 4
+    assert scorer.score_batch([framed([4, 5, 6])]).tolist() == [[0.25] * 4]
 
 
 def test_chunk_counts_skip_reserved_ids():
@@ -104,7 +106,7 @@ def test_linear_scores_match_manual_softmax():
         weights=weights,
         bias=np.array([0.1, -0.1]),
     )
-    got = scorer.score_chunk(framed([4, 4, 5])).probs
+    (got,) = scorer.score_batch([framed([4, 4, 5])])
     logits = np.array([2 * 1.0 + 0.1, 1 * 2.0 - 0.1])
     want = np.exp(logits) / np.exp(logits).sum()
     assert got == pytest.approx(tuple(want), abs=1e-12)
@@ -119,17 +121,53 @@ def test_linear_batch_equals_single_scoring():
     )
     chunks = [framed(list(rng.integers(4, 15, size=8))) for _ in range(5)]
     batched = score_chunks(scorer, chunks)
-    singles = [scorer.score_chunk(c) for c in chunks]
-    for a, b in zip(batched, singles):
-        assert a.probs == pytest.approx(b.probs, abs=1e-12)
+    assert batched.shape == (5, 3)
+    for row, c in zip(batched, chunks):
+        assert row == pytest.approx(scorer.score_batch([c])[0], abs=1e-12)
 
 
-def test_score_chunks_falls_back_to_loop():
-    mock = MockScorer.constant("m", (0.3, 0.7))
-    assert [v.probs for v in score_chunks(mock, [framed([4]), framed([5])])] == [
-        (0.3, 0.7),
-        (0.3, 0.7),
-    ]
+class FixedScorer:
+    """Returns the same array whatever it is asked to score."""
+
+    descriptor = ScorerDescriptor(scorer_id="fixed", kind=ScorerKind.MOCK, num_classes=2)
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=np.float64)
+
+    def score_batch(self, chunks):
+        return self.rows
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, 0.5], [0.5, 0.5]],  # one row per chunk, not two
+    [[0.2, 0.3, 0.5]],  # wider than the scorer's class count
+    [[np.nan, np.nan]],
+    [[np.inf, 0.0]],
+    [[1.2, -0.2]],
+    [[0.7, 0.7]],
+    [[0.5, 0.5 + 2e-6]],  # sum just outside the 1e-6 band
+])
+def test_score_chunks_rejects_non_distributions(rows):
+    with pytest.raises(ScorerError, match="'fixed'"):
+        score_chunks(FixedScorer(rows), [framed([4])])
+
+
+def test_score_chunks_keeps_rows_inside_tolerance():
+    rows = [[0.5, 0.5 + 5e-7], [-5e-10, 1.0]]
+    got = score_chunks(FixedScorer(rows), [framed([4]), framed([5])])
+    assert got.tolist() == rows
+
+
+def test_nan_weight_is_caught_where_scores_leave_the_scorer():
+    weights = np.zeros((2, 6))
+    weights[1, 4] = np.nan
+    scorer = LinearScorer(
+        descriptor=ScorerDescriptor(scorer_id="lin", kind=ScorerKind.LINEAR, num_classes=2),
+        weights=weights,
+        bias=np.zeros(2),
+    )
+    with pytest.raises(ScorerError, match="'lin' scored row 1 "):
+        score_chunks(scorer, [framed([5]), framed([4])])
 
 
 def test_weight_shape_validation():
@@ -145,9 +183,11 @@ def test_weight_shape_validation():
 
 def test_pattern_scorer_detects_contiguous_sequence():
     scorer = PatternScorer.for_pattern("p", [7, 8, 9])
-    assert scorer.score_chunk(framed([4, 7, 8, 9, 5])).probs == (0.1, 0.9)
-    assert scorer.score_chunk(framed([7, 8, 4, 9])).probs == (0.5, 0.5)  # broken
-    assert scorer.score_chunk(framed([9, 8, 7])).probs == (0.5, 0.5)  # reordered
+    got = scorer.score_batch(
+        [framed([4, 7, 8, 9, 5]), framed([7, 8, 4, 9]), framed([9, 8, 7])]
+    )
+    # whole, broken, reordered
+    assert got.tolist() == [[0.1, 0.9], [0.5, 0.5], [0.5, 0.5]]
     with pytest.raises(ContractError):
         PatternScorer.for_pattern("p", [])
 
@@ -159,9 +199,9 @@ def test_pattern_scorer_overlap_rejoins_split_signal():
     pattern = PatternScorer.for_pattern("p", [7, 8, 9])
     with_overlap = chunk(ids, ChunkingConfig(capacity=10, overlap=4))
     without = chunk(ids, ChunkingConfig(capacity=10, overlap=0))
-    hit = (0.1, 0.9)
-    assert any(pattern.score_chunk(c).probs == hit for c in with_overlap)
-    assert not any(pattern.score_chunk(c).probs == hit for c in without)
+    hit = [0.1, 0.9]
+    assert hit in pattern.score_batch(with_overlap).tolist()
+    assert hit not in pattern.score_batch(without).tolist()
 
 
 def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
@@ -184,6 +224,24 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("text, match", [
+    (None, "not found"),
+    ("{not json", "not valid JSON"),
+    (json.dumps({"num_classes": 2, "vocab_size": 3, "bias": [0.0, 0.0]}), "weights"),
+    (
+        json.dumps({"num_classes": 2, "vocab_size": 3, "weights": [0.0] * 5,
+                    "bias": [0.0, 0.0]}),
+        "reshape",
+    ),
+])
+def test_malformed_checkpoint_is_config_error(tmp_path, text, match):
+    path = tmp_path / "scorer.ckpt.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        LinearScorer.load(path)
+
+
 @settings(max_examples=100)
 @given(
     st.integers(2, 5),
@@ -199,5 +257,5 @@ def test_linear_outputs_always_on_simplex(num_classes, ids, seed):
         weights=rng.normal(scale=5.0, size=(num_classes, 31)),
         bias=rng.normal(scale=5.0, size=num_classes),
     )
-    probs = scorer.score_chunk(framed(ids)).probs  # constructor validates simplex
-    assert len(probs) == num_classes
+    probs = score_chunks(scorer, [framed(ids)])  # raises off the simplex
+    assert probs.shape == (1, num_classes)

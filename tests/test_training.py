@@ -135,7 +135,7 @@ def test_separable_toy_reaches_perfect_auroc():
     scorer, log = train_linear_scorer(items, items, vocab_size=6, num_classes=2,
                                       config=config)
     assert log.best_val_auroc == 1.0
-    train_scores = [scorer.score_chunk(i.chunks[0]).probs[1] for i in items]
+    train_scores = scorer.score_batch([i.chunks[0] for i in items])[:, 1]
     assert auc(train_scores, [i.label for i in items]) == 1.0
     assert log.stopped_early  # plateau at 1.0 trips the patience window
     assert log.best_epoch <= len(log.epochs)
