@@ -236,10 +236,6 @@ class DatasetSplit:
     train: tuple[str, ...]
     validation: tuple[str, ...]
     test: tuple[str, ...]
-    ratios: tuple[float, float, float]
-
-    def sizes(self) -> tuple[int, int, int]:
-        return (len(self.train), len(self.validation), len(self.test))
 
 
 def split_dataset(
@@ -275,7 +271,6 @@ def split_dataset(
         train=tuple(ids[bounds[0] : bounds[1]]),
         validation=tuple(ids[bounds[1] : bounds[2]]),
         test=tuple(ids[bounds[2] : bounds[3]]),
-        ratios=tuple(ratios),
     )
 
 

@@ -19,7 +19,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import sys
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -63,7 +66,7 @@ from .scoring import (
 )
 from .seeds import child_seed
 from .tokenizer import Vocabulary, build_vocabulary, tokenize
-from .training import build_labeled_chunks, train_linear_scorer
+from .training import TrainingSplit, build_labeled_chunks, train_linear_scorer
 
 logger = logging.getLogger(__name__)
 
@@ -149,7 +152,43 @@ _TOP_LEVEL_KEYS = {
 }
 
 
+def _conforms(hint, value) -> bool:
+    """Whether a JSON value fits a config field's type. An int field takes
+    an int but not a bool or a float; a float field takes a finite int or
+    float; a str field a string. Tuples, dicts and unions are checked
+    element by element; other types are left to their constructors."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (int, str):
+        return type(value) is hint
+    if hint is float:  # NaN, the infinities and ints past float range fail
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if hint is type(None):
+        return value is None
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(arm, value) for arm in args)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        arms = args[:1] * len(value) if args[-1:] == (...,) else args
+        return len(arms) == len(value) and all(map(_conforms, arms, value))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _conforms(args[0], k) and _conforms(args[1], v) for k, v in value.items()
+        )
+    return True
+
+
 def _build(kind: str, factory, fields: dict):
+    """Construct a config block after checking each value against the
+    block's field type (``_conforms``); JSON lists become tuples."""
+    hints = typing.get_type_hints(factory)
+    for name, value in fields.items():
+        hint = hints.get(name)  # an unknown name conforms; the factory rejects it
+        if not _conforms(hint, value):
+            shown = hint.__name__ if hint in (int, float, str) else hint
+            raise ConfigError(f"{kind}.{name} must be a valid {shown}, got {value!r}")
+        if typing.get_origin(hint) is tuple:
+            fields[name] = tuple(value)
     try:
         return factory(**fields)
     except TypeError as err:
@@ -189,7 +228,8 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"csv data source is missing {err}") from err
         if data:
             raise ConfigError(f"unknown csv source keys: {sorted(data)}")
-        source = CsvSource(path=path, schema=_build("schema", CsvSchema, schema_doc))
+        schema = _build("schema", CsvSchema, schema_doc)
+        source = _build("data", CsvSource, {"path": path, "schema": schema})
     else:
         raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {kind!r}")
 
@@ -215,45 +255,29 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
         metadata = _object(entry.pop("metadata", {}), "scorer metadata")
         if entry:
             raise ConfigError(f"unknown scorer keys: {sorted(entry)}")
-        scorers.append(
-            ScorerDescriptor(
-                scorer_id=scorer_id,
-                kind=scorer_kind,
-                num_classes=task.num_classes,
-                metadata={str(k): str(v) for k, v in metadata.items()},
-            )
+        scorers.append(_build("scorer", ScorerDescriptor, {
+            "scorer_id": scorer_id,
+            "kind": scorer_kind,
+            "num_classes": task.num_classes,
+            "metadata": {str(k): str(v) for k, v in metadata.items()},
+        }))
+
+    blocks = {
+        key: _build(key, factory, _object(doc[key], key))
+        for key, factory in (
+            ("chunking", ChunkingConfig), ("fusion", FusionSpec), ("trainer", TrainerConfig)
         )
-
-    fusion = None
-    if "fusion" in doc:
-        fusion_doc = _object(doc["fusion"], "fusion")
-        if isinstance(fusion_doc.get("model_weights"), list):
-            fusion_doc["model_weights"] = tuple(fusion_doc["model_weights"])
-        fusion = _build("fusion", FusionSpec, fusion_doc)
-
-    try:
-        vocab_size, seed = int(doc.get("vocab_size", 5000)), int(doc.get("seed", 0))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"vocab_size and seed must be integers: {err}") from err
-    ratios = doc.get("split_ratios", [0.7, 0.1, 0.2])
-    if not isinstance(ratios, list) or len(ratios) != 3 or not all(
-        isinstance(r, (int, float)) for r in ratios
-    ):
-        raise ConfigError(f"split_ratios must be three numbers, got {ratios!r}")
-
-    return ExperimentConfig(
-        task=task,
-        data_source=source,
-        scorers=tuple(scorers),
-        methods=methods,
-        output_dir=str(doc["output_dir"]),
-        chunking=_build("chunking", ChunkingConfig, doc.get("chunking", {})),
-        fusion=fusion,
-        trainer=_build("trainer", TrainerConfig, doc.get("trainer", {})),
-        split_ratios=tuple(ratios),
-        vocab_size=vocab_size,
-        seed=seed,
-    )
+        if key in doc
+    }
+    plain = {k: doc[k] for k in ("output_dir", "split_ratios", "vocab_size", "seed") if k in doc}
+    return _build("config", ExperimentConfig, {
+        "task": task,
+        "data_source": source,
+        "scorers": tuple(scorers),
+        "methods": methods,
+        **blocks,
+        **plain,
+    })
 
 
 @dataclass(frozen=True)
@@ -308,7 +332,6 @@ class ComparisonReport:
 
 class ReportFormat(Enum):
     JSON = "json"
-    CSV = "csv"
     MARKDOWN = "markdown"
 
 
@@ -319,16 +342,6 @@ def emit_report(
     path = Path(path)
     if fmt is ReportFormat.JSON:
         text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    elif fmt is ReportFormat.CSV:
-        lines = ["method,scorers,with_overlap,macro_auroc_percent,error"]
-        for row in report.rows:
-            value = "" if row.macro_auroc is None else format_percent(row.macro_auroc)
-            error = (row.error or "").replace(",", ";")
-            lines.append(
-                f"{row.method.value},{'+'.join(row.scorer_ids)},"
-                f"{str(row.with_overlap).lower()},{value},{error}"
-            )
-        text = "\n".join(lines) + "\n"
     else:
         lines = [
             "| Category | Architecture | Overlap | Macro AUROC (%) |",
@@ -381,8 +394,8 @@ def _build_scorer(
     descriptor: ScorerDescriptor,
     config: ExperimentConfig,
     vocab: Vocabulary,
-    train_items,
-    val_items,
+    train: TrainingSplit | None,
+    validation: TrainingSplit | None,
     test_ids: frozenset[str],
     output_dir: Path,
 ) -> ChunkScorer:
@@ -392,9 +405,13 @@ def _build_scorer(
             raise ConfigError(
                 f"mock scorer {descriptor.scorer_id} needs metadata.probs"
             )
-        return MockScorer.constant(
-            descriptor.scorer_id, [float(p) for p in probs.split(",")]
-        )
+        try:
+            values = [float(p) for p in probs.split(",")]
+        except ValueError as err:
+            raise ConfigError(
+                f"mock scorer {descriptor.scorer_id}: probs {probs!r} are not numbers"
+            ) from err
+        return MockScorer.constant(descriptor.scorer_id, values)
     if descriptor.kind is ScorerKind.PATTERN:
         spec = descriptor.metadata.get("pattern", "auto")
         if spec == "auto":
@@ -417,16 +434,18 @@ def _build_scorer(
     checkpoint = descriptor.metadata.get("checkpoint")
     if checkpoint:
         scorer = LinearScorer.load(checkpoint)
-        if scorer.descriptor.num_classes != config.task.num_classes:
-            raise ConfigError(f"checkpoint {checkpoint} has the wrong class count")
+        if scorer.vocab_sha256 != vocab.sha256():
+            raise ConfigError(
+                f"checkpoint {checkpoint} was trained on vocabulary"
+                f" {scorer.vocab_sha256}, not this run's {vocab.sha256()}"
+            )
         return scorer
     trainer = dataclasses.replace(
         config.trainer, seed=child_seed(config.seed, f"train:{descriptor.scorer_id}")
     )
     scorer, log = train_linear_scorer(
-        train_items,
-        val_items,
-        vocab_size=len(vocab),
+        train,
+        validation,
         num_classes=config.task.num_classes,
         config=trainer,
         scorer_id=descriptor.scorer_id,
@@ -489,12 +508,14 @@ class PreparedData:
     test_ids: frozenset[str]
     test_notes: list[ClinicalNote]
     test_labels: list[int]
-    train_items: list
-    val_items: list
+    # Shared by every trained scorer, released by build_scorers; None if none trains
+    train: TrainingSplit | None
+    validation: TrainingSplit | None
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
-    """Load notes, split them, and build vocab and chunks from train only."""
+    """Load notes, split them, build the vocab from train only, and
+    featurize the train and validation splits if any scorer trains."""
     notes = _load_notes(config)
     kept, labels = filter_for_task(notes, config.task)
     if not kept:
@@ -512,12 +533,12 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         s.kind is ScorerKind.LINEAR and not s.metadata.get("checkpoint")
         for s in config.scorers
     )
-    train_items = val_items = []
+    train = validation = None
     if needs_training:
-        train_items = build_labeled_chunks(
+        train = build_labeled_chunks(
             train_notes, [label_by_id[i] for i in split.train], config.chunking, vocab
         )
-        val_items = build_labeled_chunks(
+        validation = build_labeled_chunks(
             val_notes, [label_by_id[i] for i in split.validation],
             config.chunking, vocab,
         )
@@ -531,25 +552,35 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         test_ids=frozenset(split.test),
         test_notes=[note_by_id[i] for i in split.test],
         test_labels=[label_by_id[i] for i in split.test],
-        train_items=train_items,
-        val_items=val_items,
+        train=train,
+        validation=validation,
     )
 
 
 def build_scorers(
     config: ExperimentConfig, prepared: PreparedData
 ) -> tuple[dict[str, ChunkScorer], dict[str, ChunkfuseError]]:
-    """Construct every configured scorer; failures are collected, not raised."""
+    """Construct every configured scorer; failures are collected, not raised.
+
+    A scorer whose class count is not the task's fails here. The shared
+    training splits are taken out of ``prepared`` and freed on return.
+    """
     output_dir = Path(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
+    train, validation = prepared.train, prepared.validation
+    prepared.train = prepared.validation = None
     scorers: dict[str, ChunkScorer] = {}
     failures: dict[str, ChunkfuseError] = {}
     for descriptor in config.scorers:
         try:
-            scorers[descriptor.scorer_id] = _build_scorer(
-                descriptor, config, prepared.vocab, prepared.train_items,
-                prepared.val_items, prepared.test_ids, output_dir,
+            scorer = _build_scorer(
+                descriptor, config, prepared.vocab, train, validation,
+                prepared.test_ids, output_dir,
             )
+            width, wanted = scorer.descriptor.num_classes, config.task.num_classes
+            if width != wanted:
+                raise ConfigError(f"gives {width} classes, the task has {wanted}")
+            scorers[descriptor.scorer_id] = scorer
         except ChunkfuseError as err:
             logger.error("scorer %s failed to build: %s", descriptor.scorer_id, err)
             failures[descriptor.scorer_id] = err
@@ -570,7 +601,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     # Chunk each test note once, then score per scorer in one flat batch.
     chunk_lists: list[list[Chunk]] = [
         chunk(
-            tokenize(n.assembled_text, prepared.vocab, n.note_id).ids,
+            tokenize(n.assembled_text, prepared.vocab).ids,
             config.chunking,
         )
         for n in test_notes

@@ -19,6 +19,7 @@ that tests and the benchmark's fusion check compare it against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,19 +62,19 @@ class PredictionMatrix:
 
 @dataclass(frozen=True)
 class FusionSpec:
-    """Per-model weights, normalized at construction, so any non-negative
-    vector with positive mass is accepted."""
+    """Per-model weights, normalized at construction, so any finite
+    non-negative vector with positive mass is accepted."""
 
     model_weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not self.model_weights:
             raise ContractError("model_weights must be non-empty")
-        if any(w < 0 for w in self.model_weights):
-            raise ContractError(f"negative model weight in {self.model_weights}")
+        if not all(0 <= w < math.inf for w in self.model_weights):
+            raise ContractError(f"model weights must be finite and >= 0: {self.model_weights}")
         total = sum(self.model_weights)
-        if total <= 0:
-            raise ContractError("model weights must have positive mass")
+        if not 0 < total < math.inf:
+            raise ContractError("model weights must have positive, finite mass")
         if abs(total - 1.0) > 1e-9:
             object.__setattr__(
                 self, "model_weights", tuple(w / total for w in self.model_weights)

@@ -9,7 +9,6 @@ the trapezoidal area identical to the Mann-Whitney statistic with midrank
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -88,23 +87,6 @@ class RocReport:
     roc_points: dict[int, list[tuple[float, float]]]
     n_samples: int
     skipped_classes: list[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_class_auc": [
-                None if math.isnan(a) else a for a in self.per_class_auc
-            ],
-            "macro_auc": self.macro_auc,
-            "n_samples": self.n_samples,
-            "skipped_classes": list(self.skipped_classes),
-            "roc_points": {
-                str(c): [[x, t] for x, t in pts]
-                for c, pts in self.roc_points.items()
-            },
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
     def write_roc_csv(self, class_index: int, path) -> None:
         """Write the class's ROC points as a two-column fpr,tpr CSV."""

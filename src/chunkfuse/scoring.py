@@ -48,10 +48,6 @@ class ProbabilityVector:
     def __len__(self) -> int:
         return len(self.probs)
 
-    @classmethod
-    def uniform(cls, num_classes: int) -> "ProbabilityVector":
-        return cls(probs=(1.0 / num_classes,) * num_classes)
-
 
 class ScorerKind(Enum):
     LINEAR = "linear"
@@ -206,19 +202,12 @@ class PatternScorer:
         )
 
 
-def chunk_counts(chunk: Chunk, vocab_size: int) -> np.ndarray:
-    """Bag-of-token-id counts; reserved ids contribute nothing."""
-    counts = np.zeros(vocab_size, dtype=np.float64)
-    for i in chunk.ids:
-        if i >= vocab_size:
-            raise ContractError(f"token id {i} outside vocabulary of {vocab_size}")
-        if i >= FIRST_TEXT_ID:
-            counts[i] += 1.0
-    return counts
-
-
 def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix:
-    """Stack count features for many chunks without densifying."""
+    """Bag-of-token-id counts, one CSR row per chunk: the one featurizer.
+
+    Reserved ids (the frame, UNK) count for nothing; an id at or past
+    ``vocab_size`` raises ContractError.
+    """
     data, indices, indptr = [], [], [0]
     for chunk in chunks:
         row: dict[int, float] = {}
@@ -254,6 +243,7 @@ class LinearScorer:
     bias: np.ndarray  # (num_classes,)
     trainer_config: TrainerConfig | None = None
     best_val_auroc: float | None = None
+    vocab_sha256: str | None = None  # Vocabulary.sha256() of the training vocabulary
 
     def __post_init__(self) -> None:
         k = self.descriptor.num_classes
@@ -266,18 +256,6 @@ class LinearScorer:
     @property
     def vocab_size(self) -> int:
         return self.weights.shape[1]
-
-    @classmethod
-    def untrained(
-        cls, scorer_id: str, vocab_size: int, num_classes: int
-    ) -> "LinearScorer":
-        return cls(
-            descriptor=ScorerDescriptor(
-                scorer_id=scorer_id, kind=ScorerKind.LINEAR, num_classes=num_classes
-            ),
-            weights=np.zeros((num_classes, vocab_size)),
-            bias=np.zeros(num_classes),
-        )
 
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         features = chunks_to_csr(chunks, self.vocab_size)
@@ -297,6 +275,7 @@ class LinearScorer:
                 None if self.trainer_config is None else vars(self.trainer_config)
             ),
             "best_val_auroc": self.best_val_auroc,
+            "vocab_sha256": self.vocab_sha256,
         }
         Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -316,6 +295,7 @@ class LinearScorer:
                 bias=np.array(doc["bias"], dtype=np.float64),
                 trainer_config=None if config is None else TrainerConfig(**config),
                 best_val_auroc=doc.get("best_val_auroc"),
+                vocab_sha256=doc.get("vocab_sha256"),
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"malformed checkpoint {path}: {err!r}") from err

@@ -8,9 +8,10 @@ downstream chunker and scorers only see integer ids.
 
 from __future__ import annotations
 
+import hashlib
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ContractError, DataError
@@ -36,7 +37,6 @@ class TokenSequence:
     """Token ids for one note, before any framing or windowing."""
 
     ids: tuple[int, ...]
-    source_note: str = ""
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -51,9 +51,6 @@ class Vocabulary:
     """
 
     token_to_id: dict[str, int]
-    special_ids: dict[str, int] = field(
-        default_factory=lambda: dict(zip(SPECIAL_TOKENS, range(4)))
-    )
 
     def __post_init__(self) -> None:
         ids = list(self.token_to_id.values())
@@ -68,10 +65,17 @@ class Vocabulary:
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
+    def _text(self) -> str:
+        ordered = sorted(self.token_to_id, key=self.token_to_id.get)
+        return "\n".join(SPECIAL_TOKENS + tuple(ordered)) + "\n"
+
     def save(self, path: str | Path) -> None:
         """One token per line; the line number is the id."""
-        ordered = sorted(self.token_to_id, key=self.token_to_id.get)
-        Path(path).write_text("\n".join(SPECIAL_TOKENS + tuple(ordered)) + "\n")
+        Path(path).write_text(self._text())
+
+    def sha256(self) -> str:
+        """Hex sha256 of the tokens in id order: the UTF-8 text ``save`` writes."""
+        return hashlib.sha256(self._text().encode()).hexdigest()
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -102,10 +106,7 @@ def build_vocabulary(corpus: list[str], max_size: int) -> Vocabulary:
     return Vocabulary(token_to_id={tok: i + 4 for i, tok in enumerate(kept)})
 
 
-def tokenize(text: str, vocab: Vocabulary, source_note: str = "") -> TokenSequence:
+def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """Map text to ids, with unknown tokens becoming UNK rather than dropped
     so positions stay aligned with the source."""
-    return TokenSequence(
-        ids=tuple(vocab.id_for(tok) for tok in normalize(text)),
-        source_note=source_note,
-    )
+    return TokenSequence(ids=tuple(vocab.id_for(tok) for tok in normalize(text)))

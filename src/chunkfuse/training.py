@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .chunker import Chunk, ChunkingConfig, chunk
+from .chunker import ChunkingConfig, chunk
 from .corpus import ClinicalNote
 from .errors import DataError, NumericDivergenceError
 from .metrics import macro_auroc
@@ -37,12 +37,16 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class LabeledChunks:
-    """All windows of one note, sharing the note's class label."""
+class TrainingSplit:
+    """One split, windowed and featurized once for every trainer. Note
+    ``i``'s ``window_counts[i]`` windows are consecutive rows of ``features``,
+    all labeled ``labels[i]``; columns are ids of vocabulary ``vocab_sha256``."""
 
-    note_id: str
-    chunks: tuple[Chunk, ...]
-    label: int
+    note_ids: tuple[str, ...]
+    labels: np.ndarray  # (notes,) int64
+    window_counts: np.ndarray  # (notes,) int64
+    features: sparse.csr_matrix  # (windows, vocab)
+    vocab_sha256: str
 
 
 def build_labeled_chunks(
@@ -50,18 +54,22 @@ def build_labeled_chunks(
     labels: list[int],
     chunking: ChunkingConfig,
     vocab: Vocabulary,
-) -> list[LabeledChunks]:
-    """Tokenize and window each note, attaching its label to every chunk."""
+) -> TrainingSplit:
+    """Tokenize, window and featurize a split in one pass."""
     if len(notes) != len(labels):
         raise DataError(f"{len(notes)} notes but {len(labels)} labels")
-    return [
-        LabeledChunks(
-            note_id=note.note_id,
-            chunks=tuple(chunk(tokenize(note.assembled_text, vocab).ids, chunking)),
-            label=label,
-        )
-        for note, label in zip(notes, labels)
-    ]
+    windows, counts = [], []
+    for note in notes:
+        note_windows = chunk(tokenize(note.assembled_text, vocab).ids, chunking)
+        windows.extend(note_windows)
+        counts.append(len(note_windows))
+    return TrainingSplit(
+        note_ids=tuple(note.note_id for note in notes),
+        labels=np.array(labels, dtype=np.int64),
+        window_counts=np.array(counts, dtype=np.int64),
+        features=chunks_to_csr(windows, len(vocab)),
+        vocab_sha256=vocab.sha256(),
+    )
 
 
 def lr_schedule(step: int, peak: float, warmup_steps: int, total_steps: int) -> float:
@@ -155,9 +163,8 @@ def _note_level_probs(
 
 
 def train_linear_scorer(
-    train: list[LabeledChunks],
-    validation: list[LabeledChunks],
-    vocab_size: int,
+    train: TrainingSplit,
+    validation: TrainingSplit,
     num_classes: int,
     config: TrainerConfig,
     scorer_id: str = "linear",
@@ -168,29 +175,23 @@ def train_linear_scorer(
     use a named substream, so identical inputs reproduce identical
     checkpoints bit for bit.
     """
-    if not train:
+    if not train.note_ids:
         raise DataError("training set is empty")
-    if not validation:
+    if not validation.note_ids:
         raise DataError("validation set is empty")
-    flat_chunks = [c for item in train for c in item.chunks]
-    flat_labels = np.array(
-        [item.label for item in train for _ in item.chunks], dtype=np.int64
-    )
+    features = train.features
+    flat_labels = np.repeat(train.labels, train.window_counts)
     if flat_labels.max(initial=0) >= num_classes:
         raise DataError("label outside class range")
-    features = chunks_to_csr(flat_chunks, vocab_size)
-    val_chunks = [c for item in validation for c in item.chunks]
-    val_features = chunks_to_csr(val_chunks, vocab_size)
-    val_sizes = np.array([len(item.chunks) for item in validation])
+    val_sizes = validation.window_counts
     val_starts = np.concatenate([[0], np.cumsum(val_sizes)[:-1]])
-    val_labels = [item.label for item in validation]
 
     rng_init = np.random.default_rng(child_seed(config.seed, "init"))
     rng_shuffle = np.random.default_rng(child_seed(config.seed, "shuffle"))
-    weights = rng_init.normal(scale=0.01, size=(num_classes, vocab_size))
+    weights = rng_init.normal(scale=0.01, size=(num_classes, features.shape[1]))
     bias = np.zeros(num_classes)
 
-    n = len(flat_chunks)
+    n = features.shape[0]
     batches_per_epoch = math.ceil(n / config.batch_size)
     total_steps = batches_per_epoch * config.max_epochs // config.accumulation_steps
 
@@ -231,8 +232,10 @@ def train_linear_scorer(
                 acc_w[:] = 0.0
                 acc_b[:] = 0.0
                 micro_in_window = 0
-        note_probs = _note_level_probs(weights, bias, val_features, val_starts, val_sizes)
-        val_auroc = macro_auroc(note_probs, val_labels, num_classes).macro_auc
+        note_probs = _note_level_probs(
+            weights, bias, validation.features, val_starts, val_sizes
+        )
+        val_auroc = macro_auroc(note_probs, validation.labels, num_classes).macro_auc
         epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -262,6 +265,7 @@ def train_linear_scorer(
         bias=best["bias"],
         trainer_config=config,
         best_val_auroc=best["auroc"],
+        vocab_sha256=train.vocab_sha256,
     )
     log = TrainingLog(
         epochs=tuple(epochs),
@@ -269,8 +273,6 @@ def train_linear_scorer(
         best_val_auroc=best["auroc"],
         stopped_early=stopped_early,
         total_optimizer_steps=opt_step,
-        seen_note_ids=frozenset(
-            item.note_id for item in train + validation
-        ),
+        seen_note_ids=frozenset(train.note_ids + validation.note_ids),
     )
     return scorer, log

@@ -336,7 +336,7 @@ def test_a6_trainer_gradients_early_stop_and_determinism(tmp_path):
     paths = []
     for run in ("one", "two"):
         scorer, _ = train_linear_scorer(
-            train_items, val_items, len(vocab), 2, config, scorer_id="det"
+            train_items, val_items, 2, config, scorer_id="det"
         )
         path = tmp_path / f"ckpt_{run}.json"
         scorer.save(path)
@@ -367,7 +367,7 @@ def test_a7_los_bins_and_split_apportionment():
     wanted = (33_954, 4_908, 9_822)
     ids = [f"n{i}" for i in range(total)]
     split = split_dataset(ids, tuple(w / total for w in wanted), seed=0)
-    sizes = split.sizes()
+    sizes = tuple(map(len, (split.train, split.validation, split.test)))
     assert sum(sizes) == total
     assert all(abs(got - want) <= 1 for got, want in zip(sizes, wanted)), sizes
     assert set(split.train) | set(split.validation) | set(split.test) == set(ids)

@@ -178,6 +178,8 @@ class TestCompare:
         {"fusion": {"aggregation": "mean"}},
         {"seed": "abc"},
         {"split_ratios": [1.0]},
+        {"seed": 0.7},
+        {"fusion": {"model_weights": [float("inf"), 1.0]}},
     ])
     def test_malformed_config_exits_1(self, tmp_path, capsys, extra):
         rc = main(["compare", "--config", base_config(tmp_path, **extra)])

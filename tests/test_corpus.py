@@ -189,7 +189,7 @@ def test_ingest_error_paths(tmp_path):
 
 def test_split_exact_divisibility():
     split = split_dataset([f"n{i}" for i in range(10)], (0.7, 0.1, 0.2), seed=42)
-    assert split.sizes() == (7, 1, 2)
+    assert tuple(map(len, (split.train, split.validation, split.test))) == (7, 1, 2)
 
 
 def test_split_determinism_and_partition():

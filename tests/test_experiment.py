@@ -1,7 +1,11 @@
 """Experiment grid: config parsing, row plan, reports, error rows."""
 
+import dataclasses
 import json
+import math
 import re
+import typing
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chunkfuse.scoring as scoring
+import chunkfuse.training as training
 from chunkfuse.chunker import ChunkingConfig
-from chunkfuse.corpus import GeneratorConfig, TaskSpec
-from chunkfuse.errors import ConfigError
+from chunkfuse.corpus import SECTION_ORDER, GeneratorConfig, TaskSpec
+from chunkfuse.errors import ChunkfuseError, ConfigError
 from chunkfuse.experiment import (
     _TOP_LEVEL_KEYS,
     ComparisonReport,
@@ -22,6 +28,7 @@ from chunkfuse.experiment import (
     SyntheticSource,
     _note_probs,
     emit_report,
+    prepare_data,
     run_experiment,
 )
 from chunkfuse.fusion import FusionSpec, PredictionMatrix, ensemble_fuse, weighted_fuse
@@ -216,12 +223,143 @@ class TestConfigFromJson:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_dict(doc)
 
+    @pytest.mark.parametrize("path, value", [
+        ("chunking.capacity", 30.5),
+        ("chunking.overlap", 2.5),
+        ("data.num_docs", 40.5),
+        ("trainer.max_epochs", 2.5),
+        ("trainer.batch_size", 4.5),
+        ("trainer.learning_rate", math.nan),
+        ("scorers.0.scorer_id", 5),
+        ("split_ratios", [math.nan, 0.5, 0.5]),
+        ("vocab_size", 99.9),
+        ("vocab_size", True),
+        ("seed", 0.7),
+        ("fusion.model_weights", [math.nan, 1]),
+        ("fusion.model_weights", [math.inf, 1]),
+        ("fusion.model_weights", [1e308, 1e308]),  # finite, but the sum is not
+    ])
+    def test_bad_number_is_config_error(self, tmp_path, path, value):
+        doc = self.base_doc(tmp_path)
+        doc["chunking"], doc["trainer"] = {}, {}
+        doc["fusion"] = {"model_weights": [1, 1]}
+        replace_at(doc, path, value)
+        with pytest.raises(ChunkfuseError) as err:
+            ExperimentConfig.from_json_dict(doc)
+        assert err.value.exit_code == 1
+
     def test_trainer_block_round_trips(self, tmp_path):
         doc = self.base_doc(tmp_path)
         doc["trainer"] = {"learning_rate": 0.05, "max_epochs": 7}
         config = ExperimentConfig.from_json_dict(doc)
         assert config.trainer.learning_rate == 0.05
         assert config.trainer.max_epochs == 7
+
+
+def replace_at(doc, path: str, value):
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+FULL_DOCS = [
+    {
+        "task": "mortality",
+        "data": {
+            "kind": "synthetic", "num_docs": 40, "min_tokens": 80, "max_tokens": 160,
+            "signal_length": 12, "positive_fraction": 0.5, "placement": "boundary",
+            "boundary_period": 50, "straddle_prob": 0.5, "filler_vocab_size": 400,
+        },
+        "scorers": [
+            {"scorer_id": "m1", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},
+            {"scorer_id": "lin", "kind": "linear", "metadata": {}},
+        ],
+        "methods": ["baseline", "ensemble_aggregation"],
+        "output_dir": "out",
+        "chunking": {"capacity": 510, "overlap": 50, "cls_id": 2, "sep_id": 3},
+        "fusion": {"model_weights": [0.3, 0.7]},
+        "trainer": {
+            "learning_rate": 0.01, "weight_decay": 0.01, "max_epochs": 3,
+            "early_stop_delta": 0.0001, "early_stop_patience": 3,
+            "accumulation_steps": 2, "warmup_steps": 5, "batch_size": 8, "seed": 0,
+        },
+        "split_ratios": [0.7, 0.1, 0.2],
+        "vocab_size": 600,
+        "seed": 0,
+    },
+    {
+        "task": "length_of_stay",
+        "data": {
+            "kind": "csv", "path": "notes.csv",
+            "schema": {
+                "id_column": "id",
+                "section_columns": {k: k.lower() for k in SECTION_ORDER},
+                "mortality_column": None, "los_column": "los",
+            },
+        },
+        "scorers": [{"scorer_id": "m1", "kind": "mock"}],
+        "methods": ["aggregation"],
+        "output_dir": "out",
+    },
+]
+
+
+def paths_of(node, prefix=""):
+    """Every dotted path into a JSON document, inner nodes included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        path = f"{prefix}{key}"
+        yield path
+        if isinstance(child, (dict, list)):
+            yield from paths_of(child, path + ".")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def assert_numbers_sound(block):
+    """Int fields hold ints (not bools) and float fields finite numbers,
+    recursively through nested config blocks."""
+    if isinstance(block, (list, tuple)):
+        for item in block:
+            assert_numbers_sound(item)
+        return
+    if not dataclasses.is_dataclass(block):
+        return
+    hints = typing.get_type_hints(type(block))
+    for f in dataclasses.fields(block):
+        value, hint = getattr(block, f.name), hints[f.name]
+        if hint is int:
+            assert type(value) is int, (f.name, value)
+        elif hint is float or hint == tuple[float, ...]:
+            for x in value if isinstance(value, tuple) else (value,):
+                assert type(x) in (int, float) and math.isfinite(x), (f.name, value)
+        else:
+            assert_numbers_sound(value)
+
+
+@pytest.mark.parametrize("doc", FULL_DOCS)
+def test_fuzz_base_documents_parse(doc):
+    assert_numbers_sound(ExperimentConfig.from_json_dict(json.loads(json.dumps(doc))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_fields_fail_closed(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(FULL_DOCS))))
+    path = data.draw(st.sampled_from(list(paths_of(doc))))
+    replace_at(doc, path, data.draw(JSON_VALUES))
+    try:
+        config = ExperimentConfig.from_json_dict(doc)
+    except ChunkfuseError:
+        return
+    assert_numbers_sound(config)
 
 
 class TestRunExperiment:
@@ -334,9 +472,6 @@ class TestRunExperiment:
     ])
     def test_bad_checkpoint_yields_error_rows_only(self, tmp_path, checkpoint, code):
         path = tmp_path / "lin.ckpt.json"
-        if not isinstance(checkpoint, str):
-            checkpoint = json.dumps(checkpoint)
-        path.write_text(checkpoint)
         config = small_config(
             tmp_path,
             scorers=(
@@ -350,11 +485,35 @@ class TestRunExperiment:
             ),
             methods=(Method.BASELINE,),
         )
+        if not isinstance(checkpoint, str):
+            # bound to this run's vocabulary, so only its own fault shows
+            vocab_sha256 = prepare_data(config).vocab.sha256()
+            checkpoint = json.dumps(dict(checkpoint, vocab_sha256=vocab_sha256))
+        path.write_text(checkpoint)
         good, bad = run_experiment(config).rows
         assert good.error is None and good.macro_auroc == pytest.approx(0.5)
         assert bad.macro_auroc is None
         assert bad.error.startswith("scorer lin: ")
         assert bad.error_code == code
+
+    @pytest.mark.parametrize("probs, message", [
+        ("0.2,0.3,0.5", "gives 3 classes, the task has 2"),
+        ("a,b", "not numbers"),
+    ])
+    def test_bad_mock_probs_yield_error_rows_only(self, tmp_path, probs, message):
+        config = small_config(
+            tmp_path,
+            scorers=(mock_descriptor("mock-a", "0.6,0.4"), mock_descriptor("bad", probs)),
+        )
+        report = run_experiment(config)
+        for row in report.rows:
+            if "bad" in row.scorer_ids:
+                assert row.macro_auroc is None and row.error_code == 1
+                assert row.error.startswith("scorer bad: ") and message in row.error
+            else:
+                assert row.error is None and row.macro_auroc == pytest.approx(0.5)
+        assert report.worst_error_code() == 1
+        assert (Path(config.output_dir) / "report.json").exists()
 
 
 def reference_note_probs(method, ids, columns, weights, i):
@@ -378,12 +537,12 @@ def reference_note_probs(method, ids, columns, weights, i):
     st.integers(0, 2**31),
 )
 def test_note_probs_matches_reference_fusion(
-    num_models, num_classes, chunk_counts, seed
+    num_models, num_classes, window_counts, seed
 ):
     rng = np.random.default_rng(seed)
     ids = [f"s{j}" for j in range(num_models)]
     columns = {
-        sid: [rng.dirichlet(np.ones(num_classes), size=k) for k in chunk_counts]
+        sid: [rng.dirichlet(np.ones(num_classes), size=k) for k in window_counts]
         for sid in ids
     }
     weights = {sid: float(w) for sid, w in zip(ids, rng.random(num_models) + 0.05)}
@@ -391,7 +550,7 @@ def test_note_probs_matches_reference_fusion(
         fused = method in (Method.ENSEMBLE, Method.ENSEMBLE_AGGREGATION)
         picked = ids if fused else ids[:1]
         got = _note_probs(method, picked, columns, weights)
-        assert len(got) == len(chunk_counts)
+        assert len(got) == len(window_counts)
         for i, probs in enumerate(got):
             want = reference_note_probs(method, picked, columns, weights, i)
             assert np.abs(np.asarray(probs) - want).max() <= 1e-12, method
@@ -454,6 +613,63 @@ class TestTrainedScorersEndToEnd:
             report_b.rows[0].macro_auroc, abs=0
         )
 
+    @pytest.mark.parametrize("vocab_sha256, seed", [
+        (..., 6),  # as saved, but the run at seed 6 builds another vocabulary
+        (None, 5),  # the run's own vocabulary, but the digest is missing
+    ])
+    def test_checkpoint_is_bound_to_its_vocabulary(self, tmp_path, vocab_sha256, seed):
+        trained = self.linear_config(tmp_path, "trained")
+        run_experiment(trained)
+        checkpoint = Path(trained.output_dir) / "scorer_lin.ckpt.json"
+        doc = json.loads(checkpoint.read_text())
+        if vocab_sha256 is None:
+            del doc["vocab_sha256"]
+        checkpoint.write_text(json.dumps(doc))
+        reloaded = self.linear_config(
+            tmp_path,
+            "reloaded",
+            scorers=(
+                ScorerDescriptor(
+                    scorer_id="lin",
+                    kind=ScorerKind.LINEAR,
+                    num_classes=2,
+                    metadata={"checkpoint": str(checkpoint)},
+                ),
+            ),
+            seed=seed,
+        )
+        assert len(prepare_data(reloaded).vocab) == len(prepare_data(trained).vocab)
+        (row,) = run_experiment(reloaded).rows
+        assert row.macro_auroc is None and row.error_code == 1
+        assert "trained on vocabulary" in row.error
+
+    def test_training_splits_are_featurized_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counting(name, featurize):
+            def counted(*args):
+                calls[name] += 1
+                return featurize(*args)
+            return counted
+
+        for name, module in (("training", training), ("scoring", scoring)):
+            monkeypatch.setattr(
+                module, "chunks_to_csr", counting(name, module.chunks_to_csr)
+            )
+        config = self.linear_config(
+            tmp_path,
+            "two",
+            scorers=tuple(
+                ScorerDescriptor(scorer_id=sid, kind=ScorerKind.LINEAR, num_classes=2)
+                for sid in ("lin-a", "lin-b")
+            ),
+        )
+        report = run_experiment(config)
+        assert all(row.error is None for row in report.rows)
+        # train and validation once for both trainers; the test split once
+        # per linear scorer
+        assert calls == {"training": 2, "scoring": 2}
+
 
 class TestEmitReport:
     def handmade_report(self) -> ComparisonReport:
@@ -495,18 +711,6 @@ class TestEmitReport:
             "wall clock: 1.2 s\n"
         )
         assert path.read_text() == expected
-
-    def test_csv_rows(self, tmp_path):
-        path = emit_report(
-            self.handmade_report(), ReportFormat.CSV, tmp_path / "report.csv"
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == "method,scorers,with_overlap,macro_auroc_percent,error"
-        assert lines[1] == "baseline,lin-a,true,81.23,"
-        assert lines[4] == (
-            "ensemble_aggregation,lin-a+lin-b,true,,"
-            "scorer lin-b: connection refused"
-        )
 
     def test_json_excludes_wall_clock(self, tmp_path):
         path = emit_report(

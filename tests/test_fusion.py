@@ -44,7 +44,7 @@ def note_with(text, note_id="n1"):
 def pipeline_probs(method, note, scorers, vocab):
     """One note through the pipeline's own steps: tokenize, window, score
     each scorer once, then fuse with experiment._note_probs."""
-    ids = tokenize(note.assembled_text, vocab, note.note_id).ids
+    ids = tokenize(note.assembled_text, vocab).ids
     chunks = chunk(ids, ChunkingConfig())
     sids = [s.descriptor.scorer_id for s in scorers]
     columns = {sid: [score_chunks(s, chunks)] for sid, s in zip(sids, scorers)}

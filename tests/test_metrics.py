@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -180,13 +179,10 @@ def test_accepts_objects_with_probs_attribute():
     assert report.macro_auc == 1.0
 
 
-def test_report_json_roundtrip(tmp_path):
+def test_roc_csv_lists_the_curve(tmp_path):
     report = macro_auroc(
         np.array([[0.2, 0.8], [0.9, 0.1], [0.4, 0.6]]), [1, 0, 1], num_classes=2
     )
-    loaded = json.loads(report.to_json())
-    assert loaded["macro_auc"] == report.macro_auc
-    assert loaded["n_samples"] == 3
     path = tmp_path / "roc.csv"
     report.write_roc_csv(1, path)
     lines = path.read_text().strip().splitlines()

@@ -15,7 +15,6 @@ from chunkfuse.scoring import (
     ScorerDescriptor,
     ScorerKind,
     TrainerConfig,
-    chunk_counts,
     chunks_to_csr,
     score_chunks,
     softmax_rows,
@@ -34,7 +33,6 @@ def test_probability_vector_validation():
         ProbabilityVector(probs=(0.7, 0.7))
     with pytest.raises(ContractError):
         ProbabilityVector(probs=(1.2, -0.2))
-    assert ProbabilityVector.uniform(4).probs == (0.25,) * 4
 
 
 def test_trainer_config_validation():
@@ -71,23 +69,27 @@ def test_mock_width_mismatch_rejected():
         scorer.score_batch([framed([4])])
 
 
-def test_untrained_linear_is_uniform():
-    scorer = LinearScorer.untrained("lin", vocab_size=20, num_classes=4)
+def test_zero_weight_linear_is_uniform():
+    scorer = LinearScorer(
+        descriptor=ScorerDescriptor(scorer_id="lin", kind=ScorerKind.LINEAR, num_classes=4),
+        weights=np.zeros((4, 20)),
+        bias=np.zeros(4),
+    )
     assert scorer.score_batch([framed([4, 5, 6])]).tolist() == [[0.25] * 4]
 
 
-def test_chunk_counts_skip_reserved_ids():
-    counts = chunk_counts(framed([4, 4, 7, 1]), vocab_size=10)
-    expected = np.zeros(10)
-    expected[4], expected[7] = 2, 1  # the UNK (id 1) and frame contribute nothing
-    assert np.array_equal(counts, expected)
+def test_csr_counts_skip_reserved_ids():
+    # the frame (ids 2 and 3) and UNK (id 1) count for nothing
+    counts = chunks_to_csr([framed([4, 4, 7, 1])], vocab_size=10).toarray()
+    assert counts.tolist() == [[0, 0, 0, 0, 2, 0, 0, 1, 0, 0]]
     with pytest.raises(ContractError):
-        chunk_counts(framed([12]), vocab_size=10)
+        chunks_to_csr([framed([12])], vocab_size=10)
 
 
 def test_csr_matches_dense_counts():
     chunks = [framed([4, 5, 5]), framed([9, 1]), framed([])]
-    dense = np.stack([chunk_counts(c, 12) for c in chunks])
+    dense = np.zeros((3, 12))
+    dense[0, 4], dense[0, 5], dense[1, 9] = 1, 2, 1
     assert np.array_equal(chunks_to_csr(chunks, 12).toarray(), dense)
     with pytest.raises(ContractError):
         chunks_to_csr([framed([99])], 12)

@@ -54,10 +54,9 @@ def test_build_preconditions():
 def test_tokenize_examples():
     vocab = build_vocabulary(["chest pain chest"], max_size=10)
     assert tokenize("", vocab).ids == ()
-    seq = tokenize("Chest PAIN chest", vocab, source_note="n1")
+    seq = tokenize("Chest PAIN chest", vocab)
     chest, pain = vocab.token_to_id["chest"], vocab.token_to_id["pain"]
     assert seq.ids == (chest, pain, chest)
-    assert seq.source_note == "n1"
     assert tokenize("zzzunseen chest", vocab).ids == (UNK_ID, chest)
 
 

@@ -4,15 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from chunkfuse.chunker import ChunkingConfig
+from chunkfuse.chunker import ChunkingConfig, chunk
 from chunkfuse.corpus import SECTION_ORDER, ClinicalNote
 from chunkfuse.errors import DataError, NumericDivergenceError
 from chunkfuse.metrics import auc
-from chunkfuse.scoring import TrainerConfig, softmax_rows
+from chunkfuse.scoring import TrainerConfig
 from chunkfuse.tokenizer import build_vocabulary
 from chunkfuse.training import (
     EarlyStopping,
-    LabeledChunks,
     build_labeled_chunks,
     loss_and_grad,
     lr_schedule,
@@ -106,37 +105,40 @@ def test_early_stopping_counts_subthreshold_gains_as_stall():
 def test_build_labeled_chunks():
     vocab = build_vocabulary(["fi fo"], max_size=10)
     notes = [note_with("fi fo " * 30, "a"), note_with("fo", "b")]
-    items = build_labeled_chunks(notes, [1, 0], ChunkingConfig(capacity=20, overlap=5), vocab)
-    assert [i.note_id for i in items] == ["a", "b"]
-    assert [i.label for i in items] == [1, 0]
-    assert len(items[0].chunks) == 4  # 60 tokens, stride 15
-    assert len(items[1].chunks) == 1
+    split = build_labeled_chunks(notes, [1, 0], ChunkingConfig(capacity=20, overlap=5), vocab)
+    assert split.note_ids == ("a", "b")
+    assert split.labels.tolist() == [1, 0]
+    assert split.window_counts.tolist() == [4, 1]  # 60 tokens, stride 15
+    assert split.features.shape == (5, len(vocab))
+    fi, fo = vocab.token_to_id["fi"], vocab.token_to_id["fo"]
+    assert split.features[:, [fi, fo]].toarray().tolist() == [
+        [10, 10], [10, 10], [10, 10], [7, 8], [0, 1]
+    ]
+    assert split.vocab_sha256 == vocab.sha256()
     with pytest.raises(DataError):
         build_labeled_chunks(notes, [1], ChunkingConfig(), vocab)
 
 
-def toy_separable():
-    # class 0 notes use only token id 4, class 1 only id 5
-    items = []
-    for i in range(4):
-        label = i % 2
-        ids = (4 + label,) * 3
-        from chunkfuse.chunker import chunk
+TOY_VOCAB = build_vocabulary(["a b"], max_size=10)  # "a" is id 4, "b" id 5
+TOY_CHUNKING = ChunkingConfig(capacity=10, overlap=2)
 
-        chunks = tuple(chunk(list(ids), ChunkingConfig(capacity=10, overlap=2)))
-        items.append(LabeledChunks(note_id=f"t{i}", chunks=chunks, label=label))
-    return items
+
+def toy_separable(num_notes=4, labels=None):
+    # class 0 notes use only token id 4, class 1 only id 5
+    labels = [i % 2 for i in range(num_notes)] if labels is None else labels
+    notes = [note_with(" ".join(["ab"[y % 2]] * 3), f"t{i}") for i, y in enumerate(labels)]
+    return build_labeled_chunks(notes, labels, TOY_CHUNKING, TOY_VOCAB)
 
 
 def test_separable_toy_reaches_perfect_auroc():
     items = toy_separable()
     config = TrainerConfig(learning_rate=0.5, weight_decay=0.0, max_epochs=200,
                            batch_size=2, accumulation_steps=1, warmup_steps=2, seed=1)
-    scorer, log = train_linear_scorer(items, items, vocab_size=6, num_classes=2,
-                                      config=config)
+    scorer, log = train_linear_scorer(items, items, num_classes=2, config=config)
     assert log.best_val_auroc == 1.0
-    train_scores = scorer.score_batch([i.chunks[0] for i in items])[:, 1]
-    assert auc(train_scores, [i.label for i in items]) == 1.0
+    windows = [chunk([4 + y] * 3, TOY_CHUNKING)[0] for y in items.labels]
+    train_scores = scorer.score_batch(windows)[:, 1]
+    assert auc(train_scores, items.labels) == 1.0
     assert log.stopped_early  # plateau at 1.0 trips the patience window
     assert log.best_epoch <= len(log.epochs)
     assert scorer.best_val_auroc == max(e.val_auroc for e in log.epochs)
@@ -146,45 +148,40 @@ def test_empty_sets_rejected():
     items = toy_separable()
     config = TrainerConfig(seed=0)
     with pytest.raises(DataError):
-        train_linear_scorer([], items, 6, 2, config)
+        train_linear_scorer(toy_separable(0), items, 2, config)
     with pytest.raises(DataError):
-        train_linear_scorer(items, [], 6, 2, config)
-    bad = [LabeledChunks(note_id="x", chunks=items[0].chunks, label=5)]
+        train_linear_scorer(items, toy_separable(0), 2, config)
     with pytest.raises(DataError):
-        train_linear_scorer(bad, items, 6, 2, config)
+        train_linear_scorer(toy_separable(labels=[5]), items, 2, config)
 
 
 def test_identical_seeds_identical_checkpoints(tmp_path):
     items = toy_separable()
     config = TrainerConfig(learning_rate=0.3, max_epochs=20, batch_size=2,
                            accumulation_steps=2, warmup_steps=3, seed=7)
-    a, _ = train_linear_scorer(items, items, 6, 2, config)
-    b, _ = train_linear_scorer(items, items, 6, 2, config)
+    a, _ = train_linear_scorer(items, items, 2, config)
+    b, _ = train_linear_scorer(items, items, 2, config)
     a.save(tmp_path / "a.json")
     b.save(tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     c, _ = train_linear_scorer(
-        items, items, 6, 2, TrainerConfig(learning_rate=0.3, max_epochs=20,
-                                          batch_size=2, accumulation_steps=2,
-                                          warmup_steps=3, seed=8)
+        items, items, 2, TrainerConfig(learning_rate=0.3, max_epochs=20,
+                                       batch_size=2, accumulation_steps=2,
+                                       warmup_steps=3, seed=8)
     )
     assert not np.array_equal(a.weights, c.weights)
 
 
 def test_optimizer_step_count_matches_formula():
-    items = toy_separable() * 5  # 20 notes, 20 chunks
     config = TrainerConfig(learning_rate=1e-3, max_epochs=6, batch_size=3,
                            accumulation_steps=4, warmup_steps=2,
                            early_stop_patience=100, early_stop_delta=1e-12, seed=0)
-    deduped = [
-        LabeledChunks(note_id=f"n{i}", chunks=item.chunks, label=item.label)
-        for i, item in enumerate(items)
-    ]
-    _, log = train_linear_scorer(deduped, deduped[:4], 6, 2, config)
+    # 20 notes, 20 chunks
+    _, log = train_linear_scorer(toy_separable(20), toy_separable(4), 2, config)
     batches_per_epoch = math.ceil(20 / 3)
     assert log.total_optimizer_steps == batches_per_epoch * 6 // 4
     assert not log.stopped_early
-    assert log.seen_note_ids == {f"n{i}" for i in range(20)} | {"n0", "n1", "n2", "n3"}
+    assert log.seen_note_ids == {f"t{i}" for i in range(20)}
 
 
 def test_nan_loss_raises_divergence_error():
@@ -193,7 +190,7 @@ def test_nan_loss_raises_divergence_error():
                            batch_size=4, accumulation_steps=1, warmup_steps=1,
                            early_stop_patience=1000, seed=0)
     with np.errstate(all="ignore"), pytest.raises(NumericDivergenceError) as exc:
-        train_linear_scorer(items, items, 6, 2, config)
+        train_linear_scorer(items, items, 2, config)
     assert exc.value.step >= 0
 
 
@@ -218,5 +215,5 @@ def test_random_labels_score_near_chance():
     for seed in range(5):
         config = TrainerConfig(learning_rate=0.05, max_epochs=10, batch_size=18,
                                accumulation_steps=2, warmup_steps=5, seed=seed)
-        _, log = train_linear_scorer(train_items, val_items, len(vocab), 2, config)
+        _, log = train_linear_scorer(train_items, val_items, 2, config)
         assert 0.4 <= log.best_val_auroc <= 0.6, (seed, log.best_val_auroc)
