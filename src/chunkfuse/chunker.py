@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, conforms
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,10 @@ class ChunkingConfig:
     sep_id: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("capacity", "overlap", "cls_id", "sep_id"):
+            value = getattr(self, name)
+            if not conforms(int, value):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {self.capacity}")
         if not 0 <= self.overlap < self.capacity:

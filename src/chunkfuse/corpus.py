@@ -298,14 +298,27 @@ def signal_pattern(length: int) -> tuple[str, ...]:
 
 
 def find_pattern(tokens: Sequence, pattern: Sequence) -> list[int]:
-    """All start offsets where ``pattern`` occurs contiguously in ``tokens``."""
+    """All start offsets where ``pattern`` occurs contiguously in ``tokens``,
+    overlapping occurrences included.
+
+    ``tuple.index`` finds each candidate start and one slice comparison
+    confirms it, so the scan runs at C speed rather than per token.
+    """
     if not pattern:
         raise ContractError("pattern must be non-empty")
-    hits = []
-    limit = len(tokens) - len(pattern)
-    for i in range(limit + 1):
-        if all(tokens[i + j] == pattern[j] for j in range(len(pattern))):
+    tokens, pattern = tuple(tokens), tuple(pattern)
+    width, first = len(pattern), pattern[0]
+    stop = len(tokens) - width + 1  # one past the last possible start
+    hits: list[int] = []
+    i = 0
+    while i < stop:
+        try:
+            i = tokens.index(first, i, stop)
+        except ValueError:
+            break
+        if tokens[i : i + width] == pattern:
             hits.append(i)
+        i += 1
     return hits
 
 

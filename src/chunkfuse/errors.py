@@ -1,10 +1,14 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, plus the JSON-file
+reader and the config type rule (``conforms``) whose failures raise it.
 
 Each family maps to a CLI exit code: config errors exit 1, data errors 2,
 scorer/transport errors 3, undefined metrics 4.
 """
 
 import json
+import sys
+import types
+import typing
 from pathlib import Path
 
 
@@ -85,3 +89,29 @@ def read_json(path, what: str):
         raise ConfigError(f"cannot read {what} file {path}: {err}") from err
     except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
+
+
+def conforms(hint, value) -> bool:
+    """Whether a config value fits its field's type. An int field takes
+    an int but not a bool or a float; a float field takes a finite int or
+    float; a str field a string. Tuples, dicts and unions are checked
+    element by element; other types are left to their constructors."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (int, str):
+        return type(value) is hint
+    if hint is float:  # NaN, the infinities and ints past float range fail
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if hint is type(None):
+        return value is None
+    if origin in (typing.Union, types.UnionType):
+        return any(conforms(arm, value) for arm in args)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        arms = args[:1] * len(value) if args[-1:] == (...,) else args
+        return len(arms) == len(value) and all(map(conforms, arms, value))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            conforms(args[0], k) and conforms(args[1], v) for k, v in value.items()
+        )
+    return True

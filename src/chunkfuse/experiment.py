@@ -19,9 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import sys
 import time
-import types
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,6 +47,7 @@ from .errors import (
     ContractError,
     DataError,
     MetricUndefinedError,
+    conforms,
     read_json,
 )
 from .fusion import FusionSpec
@@ -152,39 +151,13 @@ _TOP_LEVEL_KEYS = {
 }
 
 
-def _conforms(hint, value) -> bool:
-    """Whether a JSON value fits a config field's type. An int field takes
-    an int but not a bool or a float; a float field takes a finite int or
-    float; a str field a string. Tuples, dicts and unions are checked
-    element by element; other types are left to their constructors."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint in (int, str):
-        return type(value) is hint
-    if hint is float:  # NaN, the infinities and ints past float range fail
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max
-    if hint is type(None):
-        return value is None
-    if origin in (typing.Union, types.UnionType):
-        return any(_conforms(arm, value) for arm in args)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        arms = args[:1] * len(value) if args[-1:] == (...,) else args
-        return len(arms) == len(value) and all(map(_conforms, arms, value))
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _conforms(args[0], k) and _conforms(args[1], v) for k, v in value.items()
-        )
-    return True
-
-
 def _build(kind: str, factory, fields: dict):
     """Construct a config block after checking each value against the
-    block's field type (``_conforms``); JSON lists become tuples."""
+    block's field type (``conforms``); JSON lists become tuples."""
     hints = typing.get_type_hints(factory)
     for name, value in fields.items():
         hint = hints.get(name)  # an unknown name conforms; the factory rejects it
-        if not _conforms(hint, value):
+        if not conforms(hint, value):
             shown = hint.__name__ if hint in (int, float, str) else hint
             raise ConfigError(f"{kind}.{name} must be a valid {shown}, got {value!r}")
         if typing.get_origin(hint) is tuple:
@@ -383,11 +356,26 @@ def _load_notes(config: ExperimentConfig) -> list[ClinicalNote]:
     return result.notes
 
 
-def _auto_pattern_ids(config: ExperimentConfig, vocab: Vocabulary) -> tuple[int, ...]:
-    if not isinstance(config.data_source, SyntheticSource):
+def _pattern_ids(
+    descriptor: ScorerDescriptor, config: ExperimentConfig, vocab: Vocabulary
+) -> tuple[int, ...]:
+    """Ids of the scorer's ``metadata.pattern`` tokens ("auto": the synthetic
+    signal). A token outside the vocabulary would map to UNK, and the
+    scorer would then fire on any run of unknown tokens, so it is refused."""
+    spec = descriptor.metadata.get("pattern", "auto")
+    if spec != "auto":
+        tokens = spec.split()
+    elif isinstance(config.data_source, SyntheticSource):
+        tokens = signal_pattern(config.data_source.generator.signal_length)
+    else:
         raise ConfigError("pattern 'auto' needs a synthetic data source")
-    tokens = signal_pattern(config.data_source.generator.signal_length)
-    return tuple(vocab.id_for(t) for t in tokens)
+    missing = [t for t in tokens if t not in vocab.token_to_id]
+    if missing:
+        raise ConfigError(
+            f"pattern scorer {descriptor.scorer_id}: tokens {missing}"
+            " are not in the vocabulary"
+        )
+    return tuple(vocab.token_to_id[t] for t in tokens)
 
 
 def _build_scorer(
@@ -413,11 +401,7 @@ def _build_scorer(
             ) from err
         return MockScorer.constant(descriptor.scorer_id, values)
     if descriptor.kind is ScorerKind.PATTERN:
-        spec = descriptor.metadata.get("pattern", "auto")
-        if spec == "auto":
-            ids = _auto_pattern_ids(config, vocab)
-        else:
-            ids = tuple(vocab.id_for(tok) for tok in spec.split())
+        ids = _pattern_ids(descriptor, config, vocab)
         return PatternScorer.for_pattern(descriptor.scorer_id, ids)
     if descriptor.kind is ScorerKind.REMOTE:
         endpoint = descriptor.metadata.get("endpoint")

@@ -12,6 +12,7 @@ import hashlib
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import ContractError, DataError
@@ -62,9 +63,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return 4 + len(self.token_to_id)
 
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def _text(self) -> str:
         ordered = sorted(self.token_to_id, key=self.token_to_id.get)
         return "\n".join(SPECIAL_TOKENS + tuple(ordered)) + "\n"
@@ -109,4 +107,6 @@ def build_vocabulary(corpus: list[str], max_size: int) -> Vocabulary:
 def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """Map text to ids, with unknown tokens becoming UNK rather than dropped
     so positions stay aligned with the source."""
-    return TokenSequence(ids=tuple(vocab.id_for(tok) for tok in normalize(text)))
+    return TokenSequence(
+        ids=tuple(map(vocab.token_to_id.get, normalize(text), repeat(UNK_ID)))
+    )

@@ -32,6 +32,15 @@ def test_invalid_configs_rejected():
         ChunkingConfig(capacity=10, overlap=-1)
 
 
+@pytest.mark.parametrize("field", ["capacity", "overlap", "cls_id", "sep_id"])
+@pytest.mark.parametrize("value", [30.5, 8.0, True, "8", None])
+def test_non_int_fields_are_config_errors(field, value):
+    # a Python caller gets exit code 1 here, not a TypeError mid-run
+    with pytest.raises(ConfigError, match=f"^{field} must be an int") as raised:
+        ChunkingConfig(**{"capacity": 30, "overlap": 5, field: value})
+    assert raised.value.exit_code == 1
+
+
 def test_thousand_token_spans():
     cfg = ChunkingConfig()
     chunks = chunk(list(range(100, 1100)), cfg)

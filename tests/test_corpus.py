@@ -334,9 +334,37 @@ def test_boundary_placement_straddles_half_the_time():
     assert 0.40 <= straddled / 400 <= 0.60
 
 
+def reference_find_pattern(tokens, pattern):
+    """The O(n*m) scan ``find_pattern`` replaced, kept as its oracle."""
+    limit = len(tokens) - len(pattern)
+    return [
+        i
+        for i in range(limit + 1)
+        if all(tokens[i + j] == pattern[j] for j in range(len(pattern)))
+    ]
+
+
 def test_find_pattern_oracle():
     assert find_pattern(list("abcabc"), list("abc")) == [0, 3]
     assert find_pattern(list("aaaa"), list("aa")) == [0, 1, 2]
+    assert find_pattern("aaaa", "aa") == [0, 1, 2]
     assert find_pattern(list("xyz"), list("zz")) == []
+    assert find_pattern((4, 5, 6), (4, 5, 6, 7)) == []  # pattern longer than tokens
+    assert find_pattern((9, 4, 5, 4, 5), (4, 5)) == [1, 3]  # match at the last offset
+    assert find_pattern([7], (7,)) == [0]
     with pytest.raises(ContractError):
         find_pattern(list("abc"), [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), max_size=30),
+    st.lists(st.integers(0, 2), min_size=1, max_size=5),
+)
+def test_find_pattern_matches_quadratic_oracle(tokens, pattern):
+    want = reference_find_pattern(tokens, pattern)
+    assert find_pattern(tokens, pattern) == want
+    assert find_pattern(tuple(tokens), pattern) == want
+    assert find_pattern([f"w{i}" for i in tokens], [f"w{i}" for i in pattern]) == want
+    text, sub = ("".join("abc"[i] for i in seq) for seq in (tokens, pattern))
+    assert find_pattern(text, sub) == want

@@ -415,6 +415,30 @@ class TestRunExperiment:
         assert row.error is None
         assert row.macro_auroc == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "pattern, vocab_size",
+        [("zzzqqq zzzqqq", 5000), ("auto", 8)],  # 8: room for 4 filler words only
+    )
+    def test_pattern_outside_vocabulary_yields_error_rows(self, tmp_path, pattern, vocab_size):
+        config = small_config(
+            tmp_path,
+            scorers=(
+                mock_descriptor("mock-a", "0.6,0.4"),
+                ScorerDescriptor(
+                    scorer_id="pat",
+                    kind=ScorerKind.PATTERN,
+                    num_classes=2,
+                    metadata={"pattern": pattern},
+                ),
+            ),
+            methods=(Method.AGGREGATION,),
+            vocab_size=vocab_size,
+        )
+        mock_row, pattern_row = run_experiment(config).rows
+        assert mock_row.error is None
+        assert pattern_row.macro_auroc is None and pattern_row.error_code == 1
+        assert "not in the vocabulary" in pattern_row.error
+
     def test_unreachable_remote_scorer_yields_error_rows_only(self, tmp_path):
         config = small_config(
             tmp_path,

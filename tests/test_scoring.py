@@ -1,13 +1,17 @@
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from chunkfuse import scoring
 from chunkfuse.chunker import Chunk, ChunkingConfig, chunk
 from chunkfuse.errors import ConfigError, ContractError, ScorerError
 from chunkfuse.scoring import (
+    FIRST_TEXT_ID,
     LinearScorer,
     MockScorer,
     PatternScorer,
@@ -93,6 +97,79 @@ def test_csr_matches_dense_counts():
     assert np.array_equal(chunks_to_csr(chunks, 12).toarray(), dense)
     with pytest.raises(ContractError):
         chunks_to_csr([framed([99])], 12)
+
+
+def reference_csr(chunks, vocab_size):
+    """The per-token dict count ``chunks_to_csr`` replaced, kept as its oracle."""
+    data, indices, indptr = [], [], [0]
+    for c in chunks:
+        row = {}
+        for i in c.ids:
+            if i >= vocab_size:
+                raise ContractError(f"token id {i} outside vocabulary of {vocab_size}")
+            if i >= FIRST_TEXT_ID:
+                row[i] = row.get(i, 0.0) + 1.0
+        cols = sorted(row)
+        indices.extend(cols)
+        data.extend(row[col] for col in cols)
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
+        shape=(len(chunks), vocab_size),
+    )
+
+
+def assert_same_csr(got, want):
+    """Element for element, with the same dtypes, and bit-equal logits."""
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+    weights = np.random.default_rng(got.shape[1]).normal(size=(3, got.shape[1]))
+    assert np.array_equal(got @ weights.T, want @ weights.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(4, 40),
+    st.lists(st.lists(st.integers(0, 45), max_size=30), max_size=25),
+    st.integers(1, 6),
+)
+def test_csr_matches_dict_count_oracle(vocab_size, windows, block):
+    # ids up to 45 may pass the vocabulary: then both must name the same id
+    chunks = [framed(w) for w in windows]
+    with patch.object(scoring, "_BLOCK_WINDOWS", block):
+        try:
+            want = reference_csr(chunks, vocab_size)
+        except ContractError as err:
+            with pytest.raises(ContractError) as raised:
+                chunks_to_csr(chunks, vocab_size)
+            assert str(raised.value) == str(err)
+            return
+        assert_same_csr(chunks_to_csr(chunks, vocab_size), want)
+
+
+def test_csr_matches_oracle_across_full_blocks():
+    rng = np.random.default_rng(0)
+    chunks = [
+        framed(rng.integers(0, 50, size=rng.integers(0, 60)).tolist())
+        for _ in range(2 * scoring._BLOCK_WINDOWS + 5)
+    ]
+    # frame-only, reserved ids only, and the last id of the vocabulary
+    chunks += [framed([]), framed([1, 2, 3, 0]), framed([49, 49, 4])]
+    got = chunks_to_csr(chunks, 50)
+    assert_same_csr(got, reference_csr(chunks, 50))
+    assert got[-1, 49] == 2.0 and got[-2].nnz == 0 and got[-3].nnz == 0
+    # the first id past the vocabulary in window order is the one named
+    late = chunks + [framed([4, 60, 70]), framed([55])]
+    with pytest.raises(ContractError, match="^token id 60 outside vocabulary of 50$"):
+        chunks_to_csr(late, 50)
+
+
+def test_csr_of_no_windows_is_empty():
+    features = chunks_to_csr([], 9)
+    assert features.shape == (0, 9) and features.nnz == 0
+    assert_same_csr(features, reference_csr([], 9))
 
 
 def test_softmax_rows_stable_and_normalized():
