@@ -3,8 +3,8 @@
 Long token sequences are cut into fixed-capacity windows that advance
 left to right by ``capacity - overlap`` positions, so consecutive chunks
 share exactly ``overlap`` content tokens. Each window is framed with a
-leading [CLS] id and a trailing [SEP] id; the final window keeps its
-natural length instead of being padded.
+leading [CLS] id and a trailing [SEP] id (the tokenizer's reserved ids);
+the final window keeps its natural length instead of being padded.
 """
 
 from __future__ import annotations
@@ -12,19 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ContractError, conforms
+from .tokenizer import CLS_ID, SEP_ID
 
 
 @dataclass(frozen=True)
 class ChunkingConfig:
-    """Window geometry plus the special token ids used for framing."""
+    """Window geometry."""
 
     capacity: int = 510
     overlap: int = 50
-    cls_id: int = 2
-    sep_id: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("capacity", "overlap", "cls_id", "sep_id"):
+        for name in ("capacity", "overlap"):
             value = getattr(self, name)
             if not conforms(int, value):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
@@ -43,7 +42,7 @@ class ChunkingConfig:
 
 @dataclass(frozen=True)
 class Chunk:
-    """One framed window: ids = [cls_id, *content, sep_id].
+    """One framed window: ids = [CLS_ID, *content, SEP_ID].
 
     ``start``/``end`` give the half-open content span in the source
     sequence, so ``ids[1:-1] == token_ids[start:end]``.
@@ -68,7 +67,7 @@ def chunk(token_ids: list[int] | tuple[int, ...], config: ChunkingConfig) -> lis
     """
     n = len(token_ids)
     if n == 0:
-        return [Chunk(index=0, start=0, end=0, ids=(config.cls_id, config.sep_id))]
+        return [Chunk(index=0, start=0, end=0, ids=(CLS_ID, SEP_ID))]
     chunks: list[Chunk] = []
     start = 0
     while True:
@@ -79,7 +78,7 @@ def chunk(token_ids: list[int] | tuple[int, ...], config: ChunkingConfig) -> lis
                 index=len(chunks),
                 start=start,
                 end=end,
-                ids=(config.cls_id, *content, config.sep_id),
+                ids=(CLS_ID, *content, SEP_ID),
             )
         )
         if end >= n:
@@ -101,11 +100,11 @@ def coverage_check(
         raise ContractError("chunking must produce at least one chunk")
     if n == 0:
         only = chunks[0]
-        if len(chunks) != 1 or only.ids != (config.cls_id, config.sep_id):
+        if len(chunks) != 1 or only.ids != (CLS_ID, SEP_ID):
             raise ContractError("empty input must yield exactly one frame-only chunk")
         return
     for c in chunks:
-        if c.ids[0] != config.cls_id or c.ids[-1] != config.sep_id:
+        if c.ids[0] != CLS_ID or c.ids[-1] != SEP_ID:
             raise ContractError(f"chunk {c.index} is missing its frame")
         if c.ids[1:-1] != tuple(token_ids[c.start : c.end]):
             raise ContractError(f"chunk {c.index} content does not match its span")

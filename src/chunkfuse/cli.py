@@ -20,10 +20,19 @@ import json
 import logging
 import sys
 import time
+import typing
 from pathlib import Path
 
 from .corpus import CsvSchema, GeneratorConfig, generate_synthetic_corpus, ingest_csv
-from .errors import ChunkfuseError, ConfigError, DataError, read_json
+from .errors import (
+    ChunkfuseError,
+    ConfigError,
+    DataError,
+    as_object,
+    build_block,
+    read_json,
+    write_text,
+)
 from .experiment import (
     ExperimentConfig,
     Method,
@@ -38,7 +47,12 @@ logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage mistakes are config errors (exit 1), not argparse's exit 2."""
+    """Usage mistakes are config errors (exit 1), not argparse's exit 2.
+    Flags are never abbreviated, so an override such as ``--c 5`` stays a
+    config path instead of being read as ``--config``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:
         raise ConfigError(message)
@@ -84,9 +98,7 @@ def _apply_overrides(doc: dict, overrides: dict[str, object]) -> dict:
 
 
 def _load_config(args: argparse.Namespace, extras: list[str]) -> ExperimentConfig:
-    doc = read_json(args.config, "config")
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
+    doc = as_object(read_json(args.config, "config"), "config root")
     return ExperimentConfig.from_json_dict(
         _apply_overrides(doc, _parse_overrides(extras))
     )
@@ -97,31 +109,16 @@ def _reject_extras(extras: list[str]) -> None:
         raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
 
 
-def _note_record(note) -> dict:
-    return {
-        "note_id": note.note_id,
-        "sections": dict(note.sections),
-        "mortality_label": note.mortality_label,
-        "los_days": note.los_days,
-    }
-
-
 def _write_jsonl(notes, path: str) -> None:
-    try:
-        with open(path, "w") as handle:
-            for note in notes:
-                handle.write(json.dumps(_note_record(note), sort_keys=True) + "\n")
-    except OSError as err:
-        raise DataError(f"cannot write {path}: {err}") from err
+    """One JSON object per note: its fields but the derived assembled text."""
+    records = ({k: v for k, v in vars(n).items() if k != "assembled_text"} for n in notes)
+    write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), "notes")
 
 
 def cmd_ingest(args: argparse.Namespace, extras: list[str]) -> int:
     _reject_extras(extras)
-    schema_doc = read_json(args.schema, "schema")
-    try:
-        schema = CsvSchema(**schema_doc)
-    except TypeError as err:
-        raise ConfigError(f"bad schema: {err}") from err
+    schema_doc = as_object(read_json(args.schema, "schema"), "schema")
+    schema = build_block("schema", CsvSchema, schema_doc)
     result = ingest_csv(args.input, schema)
     if result.missing_columns:
         print(f"warning: missing columns {list(result.missing_columns)}")
@@ -138,17 +135,9 @@ def cmd_ingest(args: argparse.Namespace, extras: list[str]) -> int:
 
 def cmd_generate(args: argparse.Namespace, extras: list[str]) -> int:
     _reject_extras(extras)
-    generator = GeneratorConfig(
-        num_docs=args.num_docs,
-        min_tokens=args.min_tokens,
-        max_tokens=args.max_tokens,
-        signal_length=args.signal_length,
-        positive_fraction=args.positive_fraction,
-        placement=args.placement,
-        boundary_period=args.boundary_period,
-        straddle_prob=args.straddle_prob,
-        filler_vocab_size=args.filler_vocab_size,
-    )
+    generator = build_block("generate", GeneratorConfig, {
+        f.name: getattr(args, f.name) for f in dataclasses.fields(GeneratorConfig)
+    })
     notes = generate_synthetic_corpus(generator, args.seed)
     _write_jsonl(notes, args.output)
     positives = sum(1 for n in notes if n.mortality_label == 1)
@@ -222,7 +211,7 @@ def cmd_serve_mock(args: argparse.Namespace, extras: list[str]) -> int:
               f" max_batch={args.max_batch})")
         sys.stdout.flush()
         if args.endpoint_file:
-            Path(args.endpoint_file).write_text(server.endpoint + "\n")
+            write_text(args.endpoint_file, server.endpoint + "\n", "endpoint file")
         if args.serve_seconds is not None:
             time.sleep(args.serve_seconds)
         else:
@@ -249,18 +238,15 @@ def build_parser() -> _Parser:
     ingest.set_defaults(handler=cmd_ingest)
 
     generate = sub.add_parser("generate", help="write a synthetic corpus")
-    generate.add_argument("--num-docs", type=int, required=True)
     generate.add_argument("--output", required=True, help="JSON lines destination")
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--min-tokens", type=int, default=1500)
-    generate.add_argument("--max-tokens", type=int, default=3000)
-    generate.add_argument("--signal-length", type=int, default=12)
-    generate.add_argument("--positive-fraction", type=float, default=0.5)
-    generate.add_argument("--placement", choices=("uniform", "boundary"),
-                          default="uniform")
-    generate.add_argument("--boundary-period", type=int, default=510)
-    generate.add_argument("--straddle-prob", type=float, default=0.5)
-    generate.add_argument("--filler-vocab-size", type=int, default=400)
+    # One flag per GeneratorConfig field, with its type and default.
+    hints = typing.get_type_hints(GeneratorConfig)
+    for f in dataclasses.fields(GeneratorConfig):
+        generate.add_argument(
+            "--" + f.name.replace("_", "-"), type=hints[f.name], default=f.default,
+            required=f.default is dataclasses.MISSING,
+        )
     generate.set_defaults(handler=cmd_generate)
 
     for name, handler, text in (

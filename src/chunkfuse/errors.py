@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the pipeline, plus the JSON-file
-reader and the config type rule (``conforms``) whose failures raise it.
+"""Exception hierarchy shared across the pipeline, plus the file reader
+and writers and the one config block builder whose failures raise it.
 
 Each family maps to a CLI exit code: config errors exit 1, data errors 2,
 scorer/transport errors 3, undefined metrics 4.
@@ -91,6 +91,27 @@ def read_json(path, what: str):
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
 
 
+def make_dir(path, what: str) -> Path:
+    """Create a directory and its parents; one that cannot be made is a DataError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise DataError(f"cannot create {what} {path}: {err}") from err
+    return path
+
+
+def write_text(path, text: str, what: str) -> Path:
+    """Write ``text`` as UTF-8 with its newlines as given (a CSV's CRLF rows
+    stay CRLF); a file that cannot be written is a DataError."""
+    path = Path(path)
+    try:
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as err:
+        raise DataError(f"cannot write {what} {path}: {err}") from err
+    return path
+
+
 def conforms(hint, value) -> bool:
     """Whether a config value fits its field's type. An int field takes
     an int but not a bool or a float; a float field takes a finite int or
@@ -115,3 +136,28 @@ def conforms(hint, value) -> bool:
             conforms(args[0], k) and conforms(args[1], v) for k, v in value.items()
         )
     return True
+
+
+def as_object(value, what: str) -> dict:
+    """A copy of a JSON object; any other value is a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def build_block(kind: str, factory, fields: dict):
+    """Construct a config block after checking each value against the
+    block's field type (``conforms``); JSON lists become tuples. Every
+    config block, in a config file or from a CLI command, is built here."""
+    hints = typing.get_type_hints(factory)
+    for name, value in fields.items():
+        hint = hints.get(name)  # an unknown name conforms; the factory rejects it
+        if not conforms(hint, value):
+            shown = hint.__name__ if hint in (int, float, str) else hint
+            raise ConfigError(f"{kind}.{name} must be a valid {shown}, got {value!r}")
+        if typing.get_origin(hint) is tuple:
+            fields[name] = tuple(value)
+    try:
+        return factory(**fields)
+    except TypeError as err:
+        raise ConfigError(f"bad {kind} block: {err}") from err

@@ -20,7 +20,6 @@ import dataclasses
 import json
 import logging
 import time
-import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -47,8 +46,11 @@ from .errors import (
     ContractError,
     DataError,
     MetricUndefinedError,
-    conforms,
+    as_object,
+    build_block,
+    make_dir,
     read_json,
+    write_text,
 )
 from .fusion import FusionSpec
 from .metrics import RocReport, format_percent, macro_auroc
@@ -61,10 +63,11 @@ from .scoring import (
     ScorerDescriptor,
     ScorerKind,
     TrainerConfig,
+    pool_windows,
     score_chunks,
 )
 from .seeds import child_seed
-from .tokenizer import Vocabulary, build_vocabulary, tokenize
+from .tokenizer import Vocabulary, build_vocabulary, normalize, tokenize
 from .training import TrainingSplit, build_labeled_chunks, train_linear_scorer
 
 logger = logging.getLogger(__name__)
@@ -151,32 +154,8 @@ _TOP_LEVEL_KEYS = {
 }
 
 
-def _build(kind: str, factory, fields: dict):
-    """Construct a config block after checking each value against the
-    block's field type (``conforms``); JSON lists become tuples."""
-    hints = typing.get_type_hints(factory)
-    for name, value in fields.items():
-        hint = hints.get(name)  # an unknown name conforms; the factory rejects it
-        if not conforms(hint, value):
-            shown = hint.__name__ if hint in (int, float, str) else hint
-            raise ConfigError(f"{kind}.{name} must be a valid {shown}, got {value!r}")
-        if typing.get_origin(hint) is tuple:
-            fields[name] = tuple(value)
-    try:
-        return factory(**fields)
-    except TypeError as err:
-        raise ConfigError(f"bad {kind} block: {err}") from err
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
 def _config_from_dict(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
+    doc = as_object(doc, "config root")
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -187,22 +166,16 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown task {doc['task']!r}; use one of {sorted(_TASKS)}")
     task = _TASKS[doc["task"]]()
 
-    data = _object(doc["data"], "data")
+    data = as_object(doc["data"], "data")
     kind = data.pop("kind", None)
     if kind == "synthetic":
         source: SyntheticSource | CsvSource = SyntheticSource(
-            generator=_build("data", GeneratorConfig, data)
+            generator=build_block("data", GeneratorConfig, data)
         )
     elif kind == "csv":
-        try:
-            schema_doc = _object(data.pop("schema"), "data.schema")
-            path = data.pop("path")
-        except KeyError as err:
-            raise ConfigError(f"csv data source is missing {err}") from err
-        if data:
-            raise ConfigError(f"unknown csv source keys: {sorted(data)}")
-        schema = _build("schema", CsvSchema, schema_doc)
-        source = _build("data", CsvSource, {"path": path, "schema": schema})
+        schema = as_object(data.get("schema"), "data.schema")
+        data["schema"] = build_block("schema", CsvSchema, schema)
+        source = build_block("data", CsvSource, data)
     else:
         raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {kind!r}")
 
@@ -215,35 +188,30 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"scorers must be a list, got {doc['scorers']!r}")
     scorers = []
     for entry in doc["scorers"]:
-        entry = _object(entry, "scorer entry")
+        entry = as_object(entry, "scorer entry")
+        unknown = set(entry) - {"scorer_id", "kind", "metadata"}
+        if unknown:
+            raise ConfigError(f"unknown scorer keys: {sorted(unknown)}")
         try:
-            kind_name = entry.pop("kind")
-            scorer_id = entry.pop("scorer_id")
-        except KeyError as err:
-            raise ConfigError(f"scorer entry is missing {err}") from err
-        try:
-            scorer_kind = ScorerKind(kind_name)
+            entry["kind"] = ScorerKind(entry.get("kind"))
         except ValueError as err:
-            raise ConfigError(f"unknown scorer kind {kind_name!r}") from err
-        metadata = _object(entry.pop("metadata", {}), "scorer metadata")
-        if entry:
-            raise ConfigError(f"unknown scorer keys: {sorted(entry)}")
-        scorers.append(_build("scorer", ScorerDescriptor, {
-            "scorer_id": scorer_id,
-            "kind": scorer_kind,
-            "num_classes": task.num_classes,
-            "metadata": {str(k): str(v) for k, v in metadata.items()},
-        }))
+            raise ConfigError(f"unknown scorer kind {entry.get('kind')!r}") from err
+        metadata = as_object(entry.get("metadata", {}), "scorer metadata")
+        entry["metadata"] = {str(k): str(v) for k, v in metadata.items()}
+        entry["num_classes"] = task.num_classes
+        scorers.append(build_block("scorer", ScorerDescriptor, entry))
 
     blocks = {
-        key: _build(key, factory, _object(doc[key], key))
+        key: build_block(key, factory, as_object(doc[key], key))
         for key, factory in (
             ("chunking", ChunkingConfig), ("fusion", FusionSpec), ("trainer", TrainerConfig)
         )
         if key in doc
     }
+    if "seed" in doc.get("trainer", {}):  # each trained scorer's seed derives from it
+        raise ConfigError("trainer.seed is not read; set the top-level seed")
     plain = {k: doc[k] for k in ("output_dir", "split_ratios", "vocab_size", "seed") if k in doc}
-    return _build("config", ExperimentConfig, {
+    return build_block("config", ExperimentConfig, {
         "task": task,
         "data_source": source,
         "scorers": tuple(scorers),
@@ -312,7 +280,6 @@ def emit_report(
     report: ComparisonReport, fmt: ReportFormat, path: str | Path
 ) -> Path:
     """Render the comparison to one file; returns the path written."""
-    path = Path(path)
     if fmt is ReportFormat.JSON:
         text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     else:
@@ -338,11 +305,7 @@ def emit_report(
         if report.wall_clock_seconds is not None:
             lines.append(f"wall clock: {report.wall_clock_seconds:.1f} s")
         text = "\n".join(lines) + "\n"
-    try:
-        path.write_text(text)
-    except OSError as err:
-        raise DataError(f"cannot write report to {path}: {err}") from err
-    return path
+    return write_text(path, text, "report")
 
 
 def _load_notes(config: ExperimentConfig) -> list[ClinicalNote]:
@@ -359,12 +322,12 @@ def _load_notes(config: ExperimentConfig) -> list[ClinicalNote]:
 def _pattern_ids(
     descriptor: ScorerDescriptor, config: ExperimentConfig, vocab: Vocabulary
 ) -> tuple[int, ...]:
-    """Ids of the scorer's ``metadata.pattern`` tokens ("auto": the synthetic
-    signal). A token outside the vocabulary would map to UNK, and the
-    scorer would then fire on any run of unknown tokens, so it is refused."""
+    """Ids of the scorer's ``metadata.pattern`` tokens, normalized as note text
+    is ("auto": the synthetic signal). A token outside the vocabulary would map
+    to UNK and fire on any run of unknown tokens, so it is refused."""
     spec = descriptor.metadata.get("pattern", "auto")
     if spec != "auto":
-        tokens = spec.split()
+        tokens = normalize(spec)
     elif isinstance(config.data_source, SyntheticSource):
         tokens = signal_pattern(config.data_source.generator.signal_length)
     else:
@@ -404,10 +367,10 @@ def _build_scorer(
         ids = _pattern_ids(descriptor, config, vocab)
         return PatternScorer.for_pattern(descriptor.scorer_id, ids)
     if descriptor.kind is ScorerKind.REMOTE:
-        endpoint = descriptor.metadata.get("endpoint")
-        if not endpoint:
+        endpoint = descriptor.metadata.get("endpoint", "")
+        if not endpoint.startswith(("http://", "https://")):
             raise ConfigError(
-                f"remote scorer {descriptor.scorer_id} needs metadata.endpoint"
+                f"remote scorer {descriptor.scorer_id} needs an http(s) metadata.endpoint"
             )
         return RemoteScorer.connect(
             endpoint,
@@ -463,24 +426,19 @@ def _note_probs(
     scorer_ids: Sequence[str],
     columns: dict[str, list[np.ndarray]],
     weights: dict[str, float],
-) -> list[np.ndarray]:
-    """Reduce cached per-chunk scores to one vector per note."""
-    stacked = []
-    num_notes = len(next(iter(columns.values())))
-    for i in range(num_notes):
-        per_model = np.stack([columns[sid][i] for sid in scorer_ids])  # (p, k, c)
-        if method is Method.BASELINE:
-            stacked.append(per_model[0, 0])
-        elif method is Method.ENSEMBLE:
-            stacked.append(per_model[:, 0].mean(axis=0))
-        elif method is Method.AGGREGATION:
-            stacked.append(per_model[0].mean(axis=0))
-        else:
-            w = np.array([weights[sid] for sid in scorer_ids])
-            w = w / w.sum()
-            combined = np.einsum("pkc,p->kc", per_model, w)
-            stacked.append(combined.mean(axis=0))
-    return stacked
+) -> np.ndarray:
+    """Fuse cached window scores into one ``(notes, classes)`` array;
+    ``columns[sid][i]`` is note ``i``'s ``(windows, classes)`` array."""
+    if method in (Method.BASELINE, Method.AGGREGATION):
+        scorer_ids = scorer_ids[:1]
+    if method in (Method.BASELINE, Method.ENSEMBLE):
+        first = np.array([[note[0] for note in columns[sid]] for sid in scorer_ids])
+        return first.mean(axis=0)  # over scorers: (p, notes, c) -> (notes, c)
+    windows = np.stack([np.concatenate(columns[sid]) for sid in scorer_ids])
+    if method is Method.ENSEMBLE_AGGREGATION:
+        w = np.array([weights[sid] for sid in scorer_ids])
+        windows = np.einsum("pkc,p->kc", windows, w / w.sum())[None]
+    return pool_windows(windows[0], [len(note) for note in columns[scorer_ids[0]]])
 
 
 @dataclass
@@ -507,6 +465,12 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     label_by_id = {n.note_id: lab for n, lab in zip(kept, labels)}
     note_by_id = {n.note_id: n for n in kept}
     split = split_dataset(kept, config.split_ratios, child_seed(config.seed, "split"))
+    for name in ("train", "test"):
+        if not getattr(split, name):
+            raise DataError(
+                f"the {name} split is empty: {len(kept)} labeled notes"
+                f" split by ratios {list(config.split_ratios)}"
+            )
 
     train_notes = [note_by_id[i] for i in split.train]
     val_notes = [note_by_id[i] for i in split.validation]
@@ -549,8 +513,7 @@ def build_scorers(
     A scorer whose class count is not the task's fails here. The shared
     training splits are taken out of ``prepared`` and freed on return.
     """
-    output_dir = Path(config.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = make_dir(config.output_dir, "output directory")
     train, validation = prepared.train, prepared.validation
     prepared.train = prepared.validation = None
     scorers: dict[str, ChunkScorer] = {}
@@ -574,8 +537,7 @@ def build_scorers(
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute the full grid and write report/ROC artifacts to output_dir."""
     started = time.perf_counter()
-    output_dir = Path(config.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = make_dir(config.output_dir, "output directory")
 
     prepared = prepare_data(config)
     test_notes = prepared.test_notes
@@ -600,9 +562,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             logger.error("scorer %s failed to score: %s", scorer_id, err)
             failures[scorer_id] = err
             continue
-        columns[scorer_id] = [
-            arr[offsets[i] : offsets[i + 1]] for i in range(len(test_notes))
-        ]
+        columns[scorer_id] = np.split(arr, offsets[1:-1])
 
     weights = {
         s.scorer_id: w for s, w in zip(config.scorers, config.fusion.model_weights)

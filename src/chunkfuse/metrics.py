@@ -9,13 +9,14 @@ the trapezoidal area identical to the Mann-Whitney statistic with midrank
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateClassError, MetricUndefinedError
+from .errors import ContractError, DegenerateClassError, MetricUndefinedError, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -90,11 +91,11 @@ class RocReport:
 
     def write_roc_csv(self, class_index: int, path) -> None:
         """Write the class's ROC points as a two-column fpr,tpr CSV."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fpr", "tpr"])
-            for x, t in self.roc_points[class_index]:
-                writer.writerow([repr(x), repr(t)])
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["fpr", "tpr"])
+        writer.writerows([repr(x), repr(t)] for x, t in self.roc_points[class_index])
+        write_text(path, text.getvalue(), "ROC curve")
 
 
 def macro_auroc(prob_vectors, labels, num_classes: int) -> RocReport:

@@ -25,10 +25,8 @@ from scipy import sparse
 
 from .chunker import Chunk
 from .corpus import find_pattern
-from .errors import ConfigError, ContractError, ScorerError, read_json
-
-# Ids 0..3 are reserved (PAD/UNK/CLS/SEP) and never carry features.
-FIRST_TEXT_ID = 4
+from .errors import ConfigError, ContractError, ScorerError, read_json, write_text
+from .tokenizer import FIRST_TEXT_ID
 
 # Windows featurized per np.unique call. Blocks bound the int64 id and key
 # arrays; one flat array for a whole test split raises peak memory.
@@ -61,6 +59,15 @@ class ScorerKind(Enum):
     PATTERN = "pattern"
 
 
+# The one metadata key each kind reads; any other key is refused.
+METADATA_KEYS = {
+    ScorerKind.LINEAR: "checkpoint",
+    ScorerKind.REMOTE: "endpoint",
+    ScorerKind.MOCK: "probs",
+    ScorerKind.PATTERN: "pattern",
+}
+
+
 @dataclass(frozen=True)
 class ScorerDescriptor:
     """Identity and wiring of one ensemble member."""
@@ -73,6 +80,10 @@ class ScorerDescriptor:
     def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ContractError("scorers need at least 2 classes")
+        key = METADATA_KEYS[self.kind]
+        if set(self.metadata) - {key}:
+            raise ConfigError(f"scorer {self.scorer_id} reads only metadata.{key},"
+                              f" got keys {sorted(self.metadata)}")
 
 
 @dataclass(frozen=True)
@@ -253,6 +264,15 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def pool_windows(scores: np.ndarray, window_counts: Sequence[int]) -> np.ndarray:
+    """Mean-pool window rows to note rows: note ``i`` owns the next
+    ``window_counts[i]`` (at least one) rows of ``scores``, in note order.
+    Returns a ``(notes, classes)`` array; the one pooling kernel."""
+    counts = np.asarray(window_counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    return np.add.reduceat(scores, starts, axis=0) / counts[:, None]
+
+
 @dataclass(frozen=True)
 class LinearScorer:
     """Multinomial logistic regression over bag-of-token-id counts."""
@@ -296,7 +316,7 @@ class LinearScorer:
             "best_val_auroc": self.best_val_auroc,
             "vocab_sha256": self.vocab_sha256,
         }
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n", "checkpoint")
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearScorer":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, write_text
 
 PAD_ID = 0
 UNK_ID = 1
@@ -24,6 +24,8 @@ SEP_ID = 3
 
 # Header order doubles as the id assignment in serialized files.
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]")
+# Text tokens take the ids after the reserved ones; reserved ids carry no features.
+FIRST_TEXT_ID = len(SPECIAL_TOKENS)
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -45,23 +47,22 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Bijection between surface tokens and dense ids; ids 0..3 are reserved.
+    """Bijection between surface tokens and dense ids; ids below
+    ``FIRST_TEXT_ID`` are reserved for the special tokens.
 
-    Text tokens start at id 4. The bracketed special token strings can
-    never collide with text tokens because normalization strips brackets.
+    The bracketed special token strings can never collide with text
+    tokens because normalization strips brackets.
     """
 
     token_to_id: dict[str, int]
 
     def __post_init__(self) -> None:
-        ids = list(self.token_to_id.values())
-        if len(set(ids)) != len(ids):
-            raise ContractError("vocabulary ids must be unique")
-        if ids and (min(ids) < 4 or sorted(ids) != list(range(4, 4 + len(ids)))):
-            raise ContractError("text token ids must be dense starting at 4")
+        ids = sorted(self.token_to_id.values())
+        if ids != list(range(FIRST_TEXT_ID, FIRST_TEXT_ID + len(ids))):
+            raise ContractError(f"text token ids must be unique and dense from {FIRST_TEXT_ID}")
 
     def __len__(self) -> int:
-        return 4 + len(self.token_to_id)
+        return FIRST_TEXT_ID + len(self.token_to_id)
 
     def _text(self) -> str:
         ordered = sorted(self.token_to_id, key=self.token_to_id.get)
@@ -69,7 +70,7 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         """One token per line; the line number is the id."""
-        Path(path).write_text(self._text())
+        write_text(path, self._text(), "vocabulary")
 
     def sha256(self) -> str:
         """Hex sha256 of the tokens in id order: the UTF-8 text ``save`` writes."""
@@ -78,30 +79,30 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         lines = Path(path).read_text().splitlines()
-        if tuple(lines[:4]) != SPECIAL_TOKENS:
+        if tuple(lines[:FIRST_TEXT_ID]) != SPECIAL_TOKENS:
             raise DataError(f"{path}: missing or reordered special-token header")
-        tokens = lines[4:]
+        tokens = lines[FIRST_TEXT_ID:]
         if len(set(tokens)) != len(tokens):
             raise DataError(f"{path}: duplicate tokens in vocabulary file")
-        return cls(token_to_id={tok: i + 4 for i, tok in enumerate(tokens)})
+        return cls(token_to_id={tok: i for i, tok in enumerate(tokens, FIRST_TEXT_ID)})
 
 
 def build_vocabulary(corpus: list[str], max_size: int) -> Vocabulary:
     """Rank tokens by frequency (ties lexicographic) and keep the top ones.
 
-    ``max_size`` counts the four reserved ids, so at most ``max_size - 4``
+    ``max_size`` counts the reserved ids, so at most ``max_size - FIRST_TEXT_ID``
     text tokens are retained. Deterministic regardless of document order.
     """
     if not corpus:
         raise ContractError("corpus must be non-empty")
-    if max_size < 4:
-        raise ContractError(f"max_size must be >= 4, got {max_size}")
+    if max_size < FIRST_TEXT_ID:
+        raise ContractError(f"max_size must be >= {FIRST_TEXT_ID}, got {max_size}")
     counts: Counter[str] = Counter()
     for text in corpus:
         counts.update(normalize(text))
     ranked = sorted(counts, key=lambda tok: (-counts[tok], tok))
-    kept = ranked[: max_size - 4]
-    return Vocabulary(token_to_id={tok: i + 4 for i, tok in enumerate(kept)})
+    kept = ranked[: max_size - FIRST_TEXT_ID]
+    return Vocabulary(token_to_id={tok: i for i, tok in enumerate(kept, FIRST_TEXT_ID)})
 
 
 def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:

@@ -28,6 +28,7 @@ from .scoring import (
     ScorerKind,
     TrainerConfig,
     chunks_to_csr,
+    pool_windows,
     softmax_rows,
 )
 from .seeds import child_seed
@@ -150,18 +151,6 @@ class TrainingLog:
     seen_note_ids: frozenset[str] = field(repr=False)
 
 
-def _note_level_probs(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    features: sparse.csr_matrix,
-    note_starts: np.ndarray,
-    note_sizes: np.ndarray,
-) -> np.ndarray:
-    """Score all chunks at once, then mean-pool back to notes."""
-    probs = softmax_rows(np.asarray(features @ weights.T + bias))
-    return np.add.reduceat(probs, note_starts, axis=0) / note_sizes[:, None]
-
-
 def train_linear_scorer(
     train: TrainingSplit,
     validation: TrainingSplit,
@@ -183,8 +172,6 @@ def train_linear_scorer(
     flat_labels = np.repeat(train.labels, train.window_counts)
     if flat_labels.max(initial=0) >= num_classes:
         raise DataError("label outside class range")
-    val_sizes = validation.window_counts
-    val_starts = np.concatenate([[0], np.cumsum(val_sizes)[:-1]])
 
     rng_init = np.random.default_rng(child_seed(config.seed, "init"))
     rng_shuffle = np.random.default_rng(child_seed(config.seed, "shuffle"))
@@ -232,9 +219,8 @@ def train_linear_scorer(
                 acc_w[:] = 0.0
                 acc_b[:] = 0.0
                 micro_in_window = 0
-        note_probs = _note_level_probs(
-            weights, bias, validation.features, val_starts, val_sizes
-        )
+        window_probs = softmax_rows(np.asarray(validation.features @ weights.T + bias))
+        note_probs = pool_windows(window_probs, validation.window_counts)
         val_auroc = macro_auroc(note_probs, validation.labels, num_classes).macro_auc
         epochs.append(
             EpochStats(

@@ -27,6 +27,7 @@ from chunkfuse.experiment import (
     ExperimentConfig,
     Method,
     SyntheticSource,
+    _note_probs,
     run_experiment,
 )
 from chunkfuse.fusion import (
@@ -123,10 +124,28 @@ def test_a2_fusion_algebra_on_random_matrices():
             assert min(fused.probs) >= 0.0
             assert abs(sum(fused.probs) - 1.0) <= 1e-9
 
+        # The pipeline's kernel on the same note obeys the same algebra.
+        ids = [f"s{b}" for b in range(num_models)]
+        columns = {sid: [draws[:, b]] for b, sid in enumerate(ids)}
+        (kernel,) = _note_probs(
+            Method.ENSEMBLE_AGGREGATION, ids, columns, dict.fromkeys(ids, 1.0)
+        )
+        gap = np.abs(kernel - ensembled.fused.probs).max()
+        worst_gap = max(worst_gap, gap)
+        assert gap <= 1e-12
+        one_hot_weights = {sid: float(j == pick) for j, sid in enumerate(ids)}
+        (kernel_one_hot,) = _note_probs(
+            Method.ENSEMBLE_AGGREGATION, ids, columns, one_hot_weights
+        )
+        (kernel_single,) = _note_probs(
+            Method.AGGREGATION, [ids[pick]], columns, one_hot_weights
+        )
+        assert np.array_equal(kernel_one_hot, kernel_single)
+
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(
-        f"\nA2 PASS: 1000 matrices; ensemble==uniform within {worst_gap:.2e}"
+        f"\nA2 PASS: 1000 matrices; ensemble==uniform==kernel within {worst_gap:.2e}"
         f" (<=1e-12); one-hot exact; outputs simplex-valid; {elapsed:.1f}s < 5s"
     )
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from chunkfuse.chunker import Chunk, ChunkingConfig, chunk, coverage_check
 from chunkfuse.errors import ConfigError, ContractError
+from chunkfuse.tokenizer import CLS_ID, SEP_ID
 
 
 def expected_count(n, capacity, overlap):
@@ -32,7 +33,7 @@ def test_invalid_configs_rejected():
         ChunkingConfig(capacity=10, overlap=-1)
 
 
-@pytest.mark.parametrize("field", ["capacity", "overlap", "cls_id", "sep_id"])
+@pytest.mark.parametrize("field", ["capacity", "overlap"])
 @pytest.mark.parametrize("value", [30.5, 8.0, True, "8", None])
 def test_non_int_fields_are_config_errors(field, value):
     # a Python caller gets exit code 1 here, not a TypeError mid-run
@@ -63,10 +64,9 @@ def test_exact_capacity_is_single_chunk():
     assert len(chunk(list(range(511)), cfg)) == 2
 
 
-def test_framing_uses_configured_ids():
-    cfg = ChunkingConfig(capacity=4, overlap=1, cls_id=9, sep_id=8)
-    (only,) = chunk([5, 6, 7], cfg)
-    assert only.ids == (9, 5, 6, 7, 8)
+def test_framing_uses_reserved_ids():
+    (only,) = chunk([5, 6, 7], ChunkingConfig(capacity=4, overlap=1))
+    assert only.ids == (CLS_ID, 5, 6, 7, SEP_ID) == (2, 5, 6, 7, 3)
 
 
 token_seqs = st.lists(st.integers(4, 30000), min_size=0, max_size=2500)

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chunkfuse.chunker import Chunk
 from chunkfuse.cli import main
@@ -74,27 +76,35 @@ class TestGenerate:
         assert "num_docs" in capsys.readouterr().err
 
 
+SCHEMA = {
+    "id_column": "note_id",
+    "section_columns": {k: k.lower() for k in SECTION_ORDER},
+    "mortality_column": "died",
+    "los_column": "los",
+}
+INGEST_ROWS = [
+    ["n1", "chest pain", "two days", "", "", "", "", "", "", "1", "3.5"],
+    ["n2", "fever", "", "copd", "", "", "", "", "", "0", ""],
+]
+
+
+def write_ingest_fixture(tmp_path, rows, schema) -> tuple[str, str]:
+    header = ["note_id"] + [k.lower() for k in SECTION_ORDER] + ["died", "los"]
+    csv_path = tmp_path / "notes.csv"
+    csv_path.write_text(
+        "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+    )
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema))
+    return str(csv_path), str(schema_path)
+
+
 class TestIngest:
-    def write_fixture(self, tmp_path, rows) -> tuple[str, str]:
-        header = ["note_id"] + [k.lower() for k in SECTION_ORDER] + ["died", "los"]
-        csv_path = tmp_path / "notes.csv"
-        csv_path.write_text(
-            "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-        )
-        schema_path = tmp_path / "schema.json"
-        schema_path.write_text(json.dumps({
-            "id_column": "note_id",
-            "section_columns": {k: k.lower() for k in SECTION_ORDER},
-            "mortality_column": "died",
-            "los_column": "los",
-        }))
-        return str(csv_path), str(schema_path)
+    def write_fixture(self, tmp_path, rows, **schema_changes) -> tuple[str, str]:
+        return write_ingest_fixture(tmp_path, rows, {**SCHEMA, **schema_changes})
 
     def test_round_trip(self, tmp_path, capsys):
-        csv_path, schema_path = self.write_fixture(tmp_path, [
-            ["n1", "chest pain", "two days", "", "", "", "", "", "", "1", "3.5"],
-            ["n2", "fever", "", "copd", "", "", "", "", "", "0", ""],
-        ])
+        csv_path, schema_path = self.write_fixture(tmp_path, INGEST_ROWS)
         out = tmp_path / "notes.jsonl"
         rc = main([
             "ingest", "--input", csv_path, "--schema", schema_path,
@@ -114,6 +124,20 @@ class TestIngest:
         ])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"section_columns": {k: i for i, k in enumerate(SECTION_ORDER)}},
+        {"section_columns": 5},
+        {"mortality_column": 3},
+        {"id_column": None},
+        {"label_column": "died"},
+    ])
+    def test_schema_is_checked_like_a_csv_config(self, tmp_path, capsys, change):
+        csv_path, schema_path = self.write_fixture(tmp_path, [INGEST_ROWS[0]], **change)
+        rc = main(["ingest", "--input", csv_path, "--schema", schema_path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_all_rows_skipped_is_data_error(self, tmp_path, capsys):
         csv_path, schema_path = self.write_fixture(tmp_path, [
@@ -168,6 +192,11 @@ class TestCompare:
         )
         assert main(["compare", "--config", config]) == 4
 
+    def test_empty_split_exits_2(self, tmp_path, capsys):
+        rc = main(["compare", "--config", base_config(tmp_path), "--data.num_docs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: the test split is empty")
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["compare", "--config", str(tmp_path / "absent.json")])
         assert rc == 1
@@ -180,6 +209,13 @@ class TestCompare:
         {"split_ratios": [1.0]},
         {"seed": 0.7},
         {"fusion": {"model_weights": [float("inf"), 1.0]}},
+        {"chunking": {"cls_id": 7}},
+        {"chunking": {"sep_id": 9}},
+        {"trainer": {"seed": 5}},
+        {"scorers": [
+            {"scorer_id": "lin", "kind": "linear", "metadata": {"checkpiont": "a.json"}},
+            {"scorer_id": "mock-b", "kind": "mock", "metadata": {"probs": "0.3,0.7"}},
+        ]},
     ])
     def test_malformed_config_exits_1(self, tmp_path, capsys, extra):
         rc = main(["compare", "--config", base_config(tmp_path, **extra)])
@@ -236,6 +272,16 @@ class TestTrain:
         assert "scorer dead: FAILED" in out
 
 
+@pytest.mark.parametrize("command", ["compare", "train"])
+def test_output_dir_under_a_file_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    config = base_config(tmp_path, output_dir=str(blocker / "out"))
+    assert main([command, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory") and "Traceback" not in err
+
+
 class TestServeMock:
     def test_serves_scores_until_deadline(self, tmp_path):
         endpoint_file = tmp_path / "endpoint.txt"
@@ -264,3 +310,125 @@ class TestServeMock:
         rc = main(["serve-mock", "--probs", "0.2,0.3,0.5"])
         assert rc == 1
         assert "--probs" in capsys.readouterr().err
+
+
+# A compare config that runs in well under a second: a mock and a pattern
+# scorer (no training) over a tiny corpus.
+FUZZ_CONFIG = {
+    "task": "mortality",
+    "data": {"kind": "synthetic", "num_docs": 20, "min_tokens": 20, "max_tokens": 40,
+             "signal_length": 3},
+    "scorers": [
+        {"scorer_id": "mock", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},
+        {"scorer_id": "pattern", "kind": "pattern", "metadata": {"pattern": "auto"}},
+    ],
+    "methods": ["baseline", "ensemble", "aggregation", "ensemble_aggregation"],
+    "output_dir": "out",
+    "chunking": {"capacity": 16, "overlap": 4},
+    "fusion": {"model_weights": [0.5, 0.5]},
+    "trainer": {"max_epochs": 2},
+    "split_ratios": [0.5, 0.2, 0.3],
+    "vocab_size": 60,
+    "seed": 0,
+}
+
+
+def dotted_paths(node, prefix="", in_list=False):
+    """(path, whether it passes through a list) for every dotted path into
+    a JSON document, inner nodes included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    in_list = in_list or isinstance(node, list)
+    for key, child in items:
+        yield f"{prefix}{key}", in_list
+        if isinstance(child, (dict, list)):
+            yield from dotted_paths(child, f"{prefix}{key}.", in_list)
+
+
+# Text has no path separators, so a fuzzed output_dir stays inside the
+# working directory; integers are bounded so a fuzzed corpus stays small.
+FUZZ_TEXT = st.text(alphabet="abSIG01 ,_-", max_size=6)
+FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | FUZZ_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(FUZZ_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+# Paths below a list are refused (overrides address objects only); junk
+# keys never name the subcommands' own flags.
+_OBJECT_PATHS = sorted(p for p, in_list in dotted_paths(FUZZ_CONFIG) if not in_list)
+_LIST_PATHS = sorted(p for p, in_list in dotted_paths(FUZZ_CONFIG) if in_list)
+_JUNK_KEYS = FUZZ_TEXT.filter(lambda key: key not in ("", "config", "help"))
+# Values of a path's own type, so that most runs get past parsing.
+_TYPED_VALUES = {
+    int: st.integers(0, 64),
+    float: st.floats(0, 1),
+    str: st.sampled_from(["auto", "SIG0 Sig1.", "sig1 sig0", "uniform", "boundary",
+                          "synthetic", "csv", "mortality", "length_of_stay",
+                          "0.2,0.8", "0.5,0.3,0.2", ""]),
+    list: st.lists(st.floats(0, 1), min_size=2, max_size=3),
+}
+
+
+def _base_value(path: str):
+    node = FUZZ_CONFIG
+    for key in path.split("."):
+        node = node[key]
+    return node
+
+
+@st.composite
+def fuzz_override(draw) -> list[str]:
+    """One ``--key value`` or ``--key=value`` override, mostly on real
+    paths and mostly with a value of the path's own type."""
+    if draw(st.integers(0, 4)) < 4:
+        key = draw(st.sampled_from(_OBJECT_PATHS))
+        typed = _TYPED_VALUES.get(type(_base_value(key)))
+    else:
+        key, typed = draw(st.sampled_from(_LIST_PATHS) | _JUNK_KEYS), None
+    value = draw(typed if typed is not None and draw(st.integers(0, 3)) < 3 else FUZZ_JSON)
+    raw = json.dumps(value)
+    return [f"--{key}={raw}"] if draw(st.booleans()) else [f"--{key}", raw]
+
+
+def assert_fails_closed(rc, capsys):
+    out, err = capsys.readouterr()
+    assert 0 <= rc <= 4
+    if rc:
+        assert "error:" in err or "error:" in out, (rc, out, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(fuzz_override(), max_size=2))
+def test_fuzz_compare_overrides_fail_closed(tmp_path, monkeypatch, capsys, overrides):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(FUZZ_CONFIG))
+    argv = ["compare", "--config", "config.json"]
+    for override in overrides:
+        argv += override
+    assert_fails_closed(main(argv), capsys)
+
+
+def test_fuzz_compare_base_config_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(FUZZ_CONFIG))
+    assert main(["compare", "--config", "config.json"]) == 0
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzz_ingest_schema_fails_closed(tmp_path, capsys, data):
+    schema = json.loads(json.dumps(SCHEMA))
+    paths = sorted(path for path, _ in dotted_paths(schema))
+    *parents, last = data.draw(st.sampled_from(paths) | FUZZ_TEXT).split(".")
+    node = schema
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(FUZZ_JSON)
+    if data.draw(st.booleans()):
+        schema = data.draw(FUZZ_JSON)  # a whole document of any shape
+    csv_path, schema_path = write_ingest_fixture(tmp_path, INGEST_ROWS, schema)
+    rc = main(["ingest", "--input", csv_path, "--schema", schema_path])
+    assert_fails_closed(rc, capsys)

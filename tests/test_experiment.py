@@ -17,7 +17,7 @@ import chunkfuse.scoring as scoring
 import chunkfuse.training as training
 from chunkfuse.chunker import ChunkingConfig
 from chunkfuse.corpus import SECTION_ORDER, GeneratorConfig, TaskSpec
-from chunkfuse.errors import ChunkfuseError, ConfigError
+from chunkfuse.errors import ChunkfuseError, ConfigError, DataError
 from chunkfuse.experiment import (
     _TOP_LEVEL_KEYS,
     ComparisonReport,
@@ -248,6 +248,19 @@ class TestConfigFromJson:
             ExperimentConfig.from_json_dict(doc)
         assert err.value.exit_code == 1
 
+    @pytest.mark.parametrize("kind, key", [
+        ("linear", "checkpoint"), ("pattern", "pattern"),
+        ("remote", "endpoint"), ("mock", "probs"),
+    ])
+    def test_scorer_metadata_holds_only_the_key_its_kind_reads(self, tmp_path, kind, key):
+        doc = self.base_doc(tmp_path)
+        doc["methods"] = ["aggregation"]
+        doc["scorers"] = [{"scorer_id": "s", "kind": kind, "metadata": {key: "x"}}]
+        assert ExperimentConfig.from_json_dict(doc).scorers[0].metadata == {key: "x"}
+        doc["scorers"][0]["metadata"]["checkpiont"] = "x"
+        with pytest.raises(ConfigError, match="checkpiont"):
+            ExperimentConfig.from_json_dict(doc)
+
     def test_trainer_block_round_trips(self, tmp_path):
         doc = self.base_doc(tmp_path)
         doc["trainer"] = {"learning_rate": 0.05, "max_epochs": 7}
@@ -277,12 +290,12 @@ FULL_DOCS = [
         ],
         "methods": ["baseline", "ensemble_aggregation"],
         "output_dir": "out",
-        "chunking": {"capacity": 510, "overlap": 50, "cls_id": 2, "sep_id": 3},
+        "chunking": {"capacity": 510, "overlap": 50},
         "fusion": {"model_weights": [0.3, 0.7]},
         "trainer": {
             "learning_rate": 0.01, "weight_decay": 0.01, "max_epochs": 3,
             "early_stop_delta": 0.0001, "early_stop_patience": 3,
-            "accumulation_steps": 2, "warmup_steps": 5, "batch_size": 8, "seed": 0,
+            "accumulation_steps": 2, "warmup_steps": 5, "batch_size": 8,
         },
         "split_ratios": [0.7, 0.1, 0.2],
         "vocab_size": 600,
@@ -417,7 +430,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "pattern, vocab_size",
-        [("zzzqqq zzzqqq", 5000), ("auto", 8)],  # 8: room for 4 filler words only
+        # 8: room for 4 filler words only
+        [("zzzqqq zzzqqq", 5000), ("SIG0 zzzqqq.", 5000), ("auto", 8)],
     )
     def test_pattern_outside_vocabulary_yields_error_rows(self, tmp_path, pattern, vocab_size):
         config = small_config(
@@ -439,7 +453,51 @@ class TestRunExperiment:
         assert pattern_row.macro_auroc is None and pattern_row.error_code == 1
         assert "not in the vocabulary" in pattern_row.error
 
+    def test_pattern_tokens_are_normalized_like_note_text(self, tmp_path):
+        config = small_config(
+            tmp_path,
+            data_source=SyntheticSource(
+                GeneratorConfig(num_docs=40, min_tokens=600, max_tokens=900)
+            ),
+            scorers=tuple(
+                ScorerDescriptor(
+                    scorer_id=sid, kind=ScorerKind.PATTERN, num_classes=2,
+                    metadata={"pattern": pattern},
+                )
+                for sid, pattern in (("plain", "sig0 sig1 sig2"), ("as-written", "SIG0 Sig1, sig2."))
+            ),
+            methods=(Method.AGGREGATION,),
+        )
+        plain, written = run_experiment(config).rows
+        assert plain.error is None and written.error is None
+        assert written.macro_auroc == plain.macro_auroc == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("num_docs, ratios, empty", [
+        (1, (0.7, 0.1, 0.2), "test"),
+        (40, (1.0, 0.0, 0.0), "test"),
+        (40, (0.0, 0.0, 1.0), "train"),
+    ])
+    def test_empty_split_is_data_error(self, tmp_path, num_docs, ratios, empty):
+        config = small_config(
+            tmp_path,
+            data_source=SyntheticSource(
+                GeneratorConfig(num_docs=num_docs, min_tokens=80, max_tokens=160)
+            ),
+            split_ratios=ratios,
+        )
+        message = f"the {empty} split is empty: {num_docs} labeled notes split by ratios {list(ratios)}"
+        with pytest.raises(DataError, match=re.escape(message)) as err:
+            prepare_data(config)
+        assert err.value.exit_code == 2
+
     def test_unreachable_remote_scorer_yields_error_rows_only(self, tmp_path):
+        self.check_remote_error_rows(tmp_path, "http://127.0.0.1:9", code=3)
+
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:9", "abc", ""])
+    def test_endpoint_without_scheme_yields_config_error_rows(self, tmp_path, endpoint):
+        self.check_remote_error_rows(tmp_path, endpoint, code=1)
+
+    def check_remote_error_rows(self, tmp_path, endpoint, code):
         config = small_config(
             tmp_path,
             scorers=(
@@ -448,7 +506,7 @@ class TestRunExperiment:
                     scorer_id="dead",
                     kind=ScorerKind.REMOTE,
                     num_classes=2,
-                    metadata={"endpoint": "http://127.0.0.1:9"},
+                    metadata={"endpoint": endpoint},
                 ),
             ),
             methods=(Method.BASELINE, Method.ENSEMBLE_AGGREGATION),
@@ -464,8 +522,8 @@ class TestRunExperiment:
             row = by_key[key]
             assert row.macro_auroc is None
             assert "dead" in row.error
-            assert row.error_code == 3
-        assert report.worst_error_code() == 3
+            assert row.error_code == code
+        assert report.worst_error_code() == code
 
     def test_degenerate_test_labels_yield_metric_error_row(self, tmp_path):
         config = small_config(

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkfuse.errors import ContractError, DegenerateClassError, MetricUndefinedError
+from chunkfuse.errors import (
+    ContractError,
+    DataError,
+    DegenerateClassError,
+    MetricUndefinedError,
+)
 from chunkfuse.metrics import RocReport, auc, format_percent, macro_auroc, roc_curve
 
 
@@ -185,11 +190,15 @@ def test_roc_csv_lists_the_curve(tmp_path):
     )
     path = tmp_path / "roc.csv"
     report.write_roc_csv(1, path)
+    raw = path.read_bytes()
+    assert raw.startswith(b"fpr,tpr\r\n") and raw.count(b"\n") == raw.count(b"\r\n")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "fpr,tpr"
     assert len(lines) == len(report.roc_points[1]) + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0
+    with pytest.raises(DataError, match="cannot write ROC curve"):
+        report.write_roc_csv(1, tmp_path / "absent" / "roc.csv")
 
 
 def test_format_percent_two_decimals():
