@@ -42,6 +42,7 @@ from .experiment import (
 )
 from .metrics import format_percent
 from .remote import StubScorerServer
+from .scoring import parse_probs
 
 logger = logging.getLogger(__name__)
 
@@ -194,7 +195,7 @@ def cmd_serve_mock(args: argparse.Namespace, extras: list[str]) -> int:
     _reject_extras(extras)
     score_fn = None
     if args.probs:
-        probs = [float(p) for p in args.probs.split(",")]
+        probs = parse_probs(args.probs, "--probs")
         if len(probs) != args.num_classes:
             raise ConfigError(
                 f"--probs has {len(probs)} values for {args.num_classes} classes"

@@ -39,31 +39,23 @@ class TaskSpec:
     """Classification target: binary outcome or four stay-length bins."""
 
     task_kind: TaskKind
-    num_classes: int
-    los_bin_edges: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        expected = 2 if self.task_kind is TaskKind.MORTALITY else 4
-        if self.num_classes != expected:
-            raise ContractError(
-                f"{self.task_kind.value} requires {expected} classes,"
-                f" got {self.num_classes}"
-            )
-        if any(a >= b for a, b in zip(self.los_bin_edges, self.los_bin_edges[1:])):
-            raise ContractError("los_bin_edges must be strictly increasing")
+    @property
+    def num_classes(self) -> int:
+        return 2 if self.task_kind is TaskKind.MORTALITY else 4
+
+    @property
+    def los_bin_edges(self) -> tuple[float, ...]:
+        # Upper edges are inclusive: <=3, (3,7], (7,14], >14 days.
+        return () if self.task_kind is TaskKind.MORTALITY else (3.0, 7.0, 14.0)
 
     @classmethod
     def mortality(cls) -> "TaskSpec":
-        return cls(task_kind=TaskKind.MORTALITY, num_classes=2)
+        return cls(TaskKind.MORTALITY)
 
     @classmethod
     def length_of_stay(cls) -> "TaskSpec":
-        # Upper edges are inclusive: <=3, (3,7], (7,14], >14 days.
-        return cls(
-            task_kind=TaskKind.LENGTH_OF_STAY,
-            num_classes=4,
-            los_bin_edges=(3.0, 7.0, 14.0),
-        )
+        return cls(TaskKind.LENGTH_OF_STAY)
 
 
 def assemble_note(sections: dict[str, str]) -> str:
@@ -78,21 +70,17 @@ def assemble_note(sections: dict[str, str]) -> str:
 
 @dataclass(frozen=True)
 class ClinicalNote:
-    """One admission note. ``assembled_text`` is derived and kept coherent
-    with ``sections``; construction recomputes it when omitted."""
+    """One admission note. ``assembled_text`` is derived from ``sections``
+    at construction and is not an argument."""
 
     note_id: str
     sections: dict[str, str]
-    assembled_text: str = ""
+    assembled_text: str = field(init=False)
     mortality_label: int | None = None  # 0 = death, 1 = living
     los_days: float | None = None
 
     def __post_init__(self) -> None:
-        expected = assemble_note(self.sections)
-        if not self.assembled_text:
-            object.__setattr__(self, "assembled_text", expected)
-        elif self.assembled_text != expected:
-            raise ContractError(f"note {self.note_id}: assembled_text out of sync")
+        object.__setattr__(self, "assembled_text", assemble_note(self.sections))
         if self.mortality_label is not None and self.mortality_label not in (0, 1):
             raise InvalidLabelError(
                 f"note {self.note_id}: mortality label must be 0 or 1"
@@ -181,53 +169,63 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> IngestResult:
 
     Section columns absent from the header are treated as empty (warned
     once); rows whose label values are present but unparseable are
-    skipped and counted instead of failing the whole file.
+    skipped and counted instead of failing the whole file. A path that
+    is missing, is not a readable file, or does not hold UTF-8 CSV is a
+    DataError naming it.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        if schema.id_column not in header:
-            raise SchemaError(f"{path}: id column {schema.id_column!r} not in header")
-        missing = tuple(
-            col
-            for col in (schema.section_columns[k] for k in SECTION_ORDER)
-            if col not in header
-        )
-        if missing:
-            logger.warning("%s: section columns absent, treated as empty: %s",
-                           path, ", ".join(missing))
-        notes: list[ClinicalNote] = []
-        skipped = 0
-        for row in reader:
-            try:
-                mortality = (
-                    _parse_mortality(row[schema.mortality_column])
-                    if schema.mortality_column and schema.mortality_column in header
-                    else None
-                )
-                los = (
-                    _parse_los(row[schema.los_column])
-                    if schema.los_column and schema.los_column in header
-                    else None
-                )
-            except ValueError:
-                skipped += 1
-                continue
-            sections = {
-                kind: row.get(schema.section_columns[kind]) or ""
-                for kind in SECTION_ORDER
-            }
-            notes.append(
-                ClinicalNote(
-                    note_id=row[schema.id_column],
-                    sections=sections,
-                    mortality_label=mortality,
-                    los_days=los,
-                )
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            return _read_notes(path, csv.DictReader(handle), schema)
+    except FileNotFoundError as err:
+        raise DataError(f"input file not found: {path}") from err
+    except OSError as err:  # a directory, no permission
+        raise DataError(f"cannot read input file {path}: {err}") from err
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise DataError(f"{path} is not a UTF-8 CSV file: {err}") from err
+
+
+def _read_notes(path: Path, reader: csv.DictReader, schema: CsvSchema) -> IngestResult:
+    header = reader.fieldnames or []
+    if schema.id_column not in header:
+        raise SchemaError(f"{path}: id column {schema.id_column!r} not in header")
+    missing = tuple(
+        col
+        for col in (schema.section_columns[k] for k in SECTION_ORDER)
+        if col not in header
+    )
+    if missing:
+        logger.warning("%s: section columns absent, treated as empty: %s",
+                       path, ", ".join(missing))
+    notes: list[ClinicalNote] = []
+    skipped = 0
+    for row in reader:
+        try:
+            mortality = (
+                _parse_mortality(row[schema.mortality_column])
+                if schema.mortality_column and schema.mortality_column in header
+                else None
             )
+            los = (
+                _parse_los(row[schema.los_column])
+                if schema.los_column and schema.los_column in header
+                else None
+            )
+        except ValueError:
+            skipped += 1
+            continue
+        sections = {
+            kind: row.get(schema.section_columns[kind]) or ""
+            for kind in SECTION_ORDER
+        }
+        notes.append(
+            ClinicalNote(
+                note_id=row[schema.id_column],
+                sections=sections,
+                mortality_label=mortality,
+                los_days=los,
+            )
+        )
     return IngestResult(notes=notes, skipped_rows=skipped, missing_columns=missing)
 
 

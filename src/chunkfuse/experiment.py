@@ -63,6 +63,7 @@ from .scoring import (
     ScorerDescriptor,
     ScorerKind,
     TrainerConfig,
+    parse_probs,
     pool_windows,
     score_chunks,
 )
@@ -356,12 +357,7 @@ def _build_scorer(
             raise ConfigError(
                 f"mock scorer {descriptor.scorer_id} needs metadata.probs"
             )
-        try:
-            values = [float(p) for p in probs.split(",")]
-        except ValueError as err:
-            raise ConfigError(
-                f"mock scorer {descriptor.scorer_id}: probs {probs!r} are not numbers"
-            ) from err
+        values = parse_probs(probs, f"mock scorer {descriptor.scorer_id}: probs")
         return MockScorer.constant(descriptor.scorer_id, values)
     if descriptor.kind is ScorerKind.PATTERN:
         ids = _pattern_ids(descriptor, config, vocab)

@@ -8,10 +8,13 @@ Wire protocol (JSON over HTTP, UTF-8):
   with one score row per chunk, in request order.
 
 The client splits oversized batches per the server's advertised limit,
-may issue the sub-batches concurrently, and reassembles results in input
-order. Score rows whose sum strays from 1 by at most 1e-4 are
-renormalized with a warning; anything worse, or a non-finite entry, is
-a protocol violation, not a value to be repaired.
+sends up to ``MAX_WORKERS`` sub-batches at once, and reassembles results
+in input order. Each request waits ``TIMEOUT_S`` seconds and is tried
+``MAX_ATTEMPTS`` times on network failures and 5xx replies. A reply that
+is not a JSON object, or ``/info`` fields that are not integers, are
+protocol violations. Score rows whose sum strays from 1 by at most 1e-4
+are renormalized with a warning; anything worse, or a non-finite entry,
+is a protocol violation, not a value to be repaired.
 
 ``StubScorerServer`` is the bundled in-process test double; the CLI's
 ``serve-mock`` command exposes it on a real port.
@@ -22,9 +25,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
-import math
 import threading
-import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -35,31 +36,30 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chunker import Chunk
-from .errors import ContractError, ProtocolError, TransportError
+from .errors import ContractError, ProtocolError, TransportError, conforms
 from .scoring import ScorerDescriptor, ScorerKind
 
 logger = logging.getLogger(__name__)
 
 SIMPLEX_TOLERANCE = 1e-4
+TIMEOUT_S = 10.0  # per request
+MAX_ATTEMPTS = 3  # retries follow at once; there is no backoff
+MAX_WORKERS = 4  # sub-batches in flight at once
 
 
-def _http_json(
-    url: str,
-    payload: dict | None,
-    timeout: float,
-    max_attempts: int,
-    backoff_seconds: float,
-) -> dict:
-    """One JSON request with retries on network failures and 5xx."""
+def _http_json(url: str, payload: dict | None) -> dict:
+    """One JSON request with retries on network failures and 5xx. A body
+    that is not JSON, or JSON that is not an object, is a ProtocolError."""
     body = None if payload is None else json.dumps(payload).encode()
     last: TransportError | None = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         request = urllib.request.Request(
             url, data=body, headers={"Content-Type": "application/json"}
         )
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return json.loads(response.read().decode())
+            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
+                raw = response.read()
+            break
         except urllib.error.HTTPError as err:
             last = TransportError(
                 f"{url} returned HTTP {err.code}", url=url, status=err.code,
@@ -72,37 +72,49 @@ def _http_json(
             last = TransportError(
                 f"{url} unreachable: {err}", url=url, status=None, attempts=attempt
             )
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ProtocolError(f"{url} returned non-JSON body") from err
-        if attempt < max_attempts and backoff_seconds > 0:
-            time.sleep(backoff_seconds * attempt)
-    raise last
-
-
-def _validate_row(row: object, num_classes: int, url: str) -> list[float]:
-    if not isinstance(row, list) or len(row) != num_classes:
-        raise ProtocolError(
-            f"{url}: score row has {len(row) if isinstance(row, list) else 'no'}"
-            f" entries, expected {num_classes}"
-        )
+    else:
+        raise last
     try:
-        values = [float(v) for v in row]
-    except (TypeError, ValueError) as err:
-        raise ProtocolError(f"{url}: non-numeric score entry in {row}") from err
-    if not all(map(math.isfinite, values)):
-        raise ProtocolError(f"{url}: non-finite score entry in {values}")
-    if any(v < 0.0 or v > 1.0 + SIMPLEX_TOLERANCE for v in values):
-        raise ProtocolError(f"{url}: score entry outside [0, 1]: {values}")
-    total = sum(values)
-    if abs(total - 1.0) > SIMPLEX_TOLERANCE:
+        reply = json.loads(raw.decode())
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, digit limit
+        raise ProtocolError(f"{url} returned non-JSON body") from err
+    if not isinstance(reply, dict):
+        raise ProtocolError(f"{url} returned a JSON {type(reply).__name__}, not an object")
+    return reply
+
+
+def _score_rows(scores: object, num_chunks: int, num_classes: int, url: str) -> np.ndarray:
+    """One reply's ``scores`` as a (chunks, classes) array, checked whole.
+    Rows within SIMPLEX_TOLERANCE of summing to 1 are renormalized, each by
+    its own sum; any other departure from a distribution is a ProtocolError."""
+    if not isinstance(scores, list):
+        raise ProtocolError(f"{url}: reply lacks a 'scores' list")
+    if len(scores) != num_chunks:
+        raise ProtocolError(f"{url}: {len(scores)} score rows for {num_chunks} chunks")
+    expected = (num_chunks, num_classes)
+    try:
+        rows = np.array(scores, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ProtocolError(f"{url}: score rows are not a {expected} array of numbers") from err
+    if rows.shape != expected:
+        raise ProtocolError(f"{url}: score rows of shape {rows.shape}, expected {expected}")
+    if not np.isfinite(rows).all():
+        raise ProtocolError(f"{url}: non-finite score entry")
+    if ((rows < 0.0) | (rows > 1.0 + SIMPLEX_TOLERANCE)).any():
+        raise ProtocolError(f"{url}: score entry outside [0, 1]")
+    totals = rows.sum(axis=1)
+    worst = int(np.abs(totals - 1.0).argmax())
+    if abs(totals[worst] - 1.0) > SIMPLEX_TOLERANCE:
         raise ProtocolError(
-            f"{url}: scores sum to {total:.6f}, beyond the"
+            f"{url}: scores sum to {totals[worst]:.6f}, beyond the"
             f" {SIMPLEX_TOLERANCE} tolerance"
         )
-    if total != 1.0:
-        logger.warning("%s: renormalizing score row summing to %.6f", url, total)
-        values = [v / total for v in values]
-    return values
+    drifting = totals != 1.0
+    if drifting.any():
+        logger.warning("%s: renormalizing %d score rows not summing to 1",
+                       url, int(drifting.sum()))
+        rows[drifting] /= totals[drifting, None]
+    return rows
 
 
 @dataclass
@@ -117,31 +129,16 @@ class RemoteScorer:
     endpoint: str
     task: str
     max_batch: int
-    timeout: float = 10.0
-    max_attempts: int = 3
-    backoff_seconds: float = 0.0
-    max_concurrency: int = 4
 
     @classmethod
     def connect(
-        cls,
-        endpoint: str,
-        task: str,
-        num_classes: int,
-        scorer_id: str = "remote",
-        timeout: float = 10.0,
-        max_attempts: int = 3,
-        backoff_seconds: float = 0.0,
+        cls, endpoint: str, task: str, num_classes: int, scorer_id: str = "remote"
     ) -> "RemoteScorer":
         endpoint = endpoint.rstrip("/")
-        info = _http_json(
-            endpoint + "/info", None, timeout, max_attempts, backoff_seconds
-        )
-        try:
-            server_classes = int(info["num_classes"])
-            max_batch = int(info["max_batch"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise ProtocolError(f"{endpoint}/info: malformed capability reply {info}") from err
+        info = _http_json(endpoint + "/info", None)
+        server_classes, max_batch = info.get("num_classes"), info.get("max_batch")
+        if not (conforms(int, server_classes) and conforms(int, max_batch)):
+            raise ProtocolError(f"{endpoint}/info: malformed capability reply {info}")
         if server_classes != num_classes:
             raise ContractError(
                 f"server scores {server_classes} classes, task needs {num_classes}"
@@ -158,32 +155,17 @@ class RemoteScorer:
             endpoint=endpoint,
             task=task,
             max_batch=max_batch,
-            timeout=timeout,
-            max_attempts=max_attempts,
-            backoff_seconds=backoff_seconds,
         )
 
-    def _score_sub_batch(self, chunks: Sequence[Chunk]) -> list[list[float]]:
+    def _score_sub_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         url = self.endpoint + "/score"
-        reply = _http_json(
-            url,
-            {
-                "task": self.task,
-                "num_classes": self.descriptor.num_classes,
-                "chunks": [{"ids": list(c.ids)} for c in chunks],
-            },
-            self.timeout,
-            self.max_attempts,
-            self.backoff_seconds,
-        )
-        scores = reply.get("scores")
-        if not isinstance(scores, list):
-            raise ProtocolError(f"{url}: reply lacks a 'scores' list: {reply}")
-        if len(scores) != len(chunks):
-            raise ProtocolError(
-                f"{url}: {len(scores)} score rows for {len(chunks)} chunks"
-            )
-        return [_validate_row(r, self.descriptor.num_classes, url) for r in scores]
+        num_classes = self.descriptor.num_classes
+        reply = _http_json(url, {
+            "task": self.task,
+            "num_classes": num_classes,
+            "chunks": [{"ids": list(c.ids)} for c in chunks],
+        })
+        return _score_rows(reply.get("scores"), len(chunks), num_classes, url)
 
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         if not chunks:
@@ -192,23 +174,19 @@ class RemoteScorer:
             chunks[i : i + self.max_batch]
             for i in range(0, len(chunks), self.max_batch)
         ]
-        if len(parts) == 1:
-            return np.array(self._score_sub_batch(parts[0]))
-        # Sub-batches may land on the server in any order; executor.map
-        # reassembles replies in input order regardless.
-        workers = min(self.max_concurrency, len(parts))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(self._score_sub_batch, parts))
-        return np.array([row for part in results for row in part])
+        # Sub-batches may land on the server in any order; pool.map
+        # returns their replies in input order regardless.
+        with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(parts))) as pool:
+            return np.concatenate(list(pool.map(self._score_sub_batch, parts)))
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    server: "._StubHTTPServer"
+    server: "_StubHTTPServer"
 
     def log_message(self, *args) -> None:  # silence per-request stderr noise
         pass
 
-    def _reply(self, status: int, payload: dict) -> None:
+    def _reply(self, status: int, payload: object) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -232,7 +210,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length).decode())
         with stub.lock:
-            stub.requests.append(body)
+            stub.batch_sizes.append(len(body["chunks"]))
         override = stub.respond
         if override is not None:
             status, payload = override(body)
@@ -256,15 +234,16 @@ class StubScorerServer:
 
     ``score_fn`` maps a chunk's id list to one score row; ``respond``
     (when set) overrides the whole /score reply with (status, payload),
-    which is how tests inject failures.
+    which is how tests inject failures. ``batch_sizes`` records the chunk
+    count of each /score request, not its body.
     """
 
     num_classes: int = 2
     max_batch: int = 64
     score_fn: Callable[[list[int]], list[float]] | None = None
-    respond: Callable[[dict], tuple[int, dict]] | None = None
+    respond: Callable[[dict], tuple[int, object]] | None = None
     port: int = 0
-    requests: list[dict] = field(default_factory=list)
+    batch_sizes: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.score_fn is None:

@@ -25,12 +25,25 @@ from scipy import sparse
 
 from .chunker import Chunk
 from .corpus import find_pattern
-from .errors import ConfigError, ContractError, ScorerError, read_json, write_text
+from .errors import (
+    ConfigError,
+    ContractError,
+    ScorerError,
+    as_object,
+    build_block,
+    read_json,
+    write_text,
+)
 from .tokenizer import FIRST_TEXT_ID
 
 # Windows featurized per np.unique call. Blocks bound the int64 id and key
 # arrays; one flat array for a whole test split raises peak memory.
 _BLOCK_WINDOWS = 128
+
+# The pattern scorer's row for a window that holds its pattern, and for one
+# that does not.
+PATTERN_HIT = (0.1, 0.9)
+PATTERN_MISS = (0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -122,6 +135,15 @@ class TrainerConfig:
             raise ConfigError("early_stop_patience must be >= 1")
 
 
+def parse_probs(text: str, what: str) -> tuple[float, ...]:
+    """A comma-separated probability row such as ``"0.6,0.4"``; values
+    that are not numbers are a ConfigError naming ``what``."""
+    try:
+        return tuple(float(p) for p in text.split(","))
+    except ValueError as err:
+        raise ConfigError(f"{what} {text!r} are not numbers") from err
+
+
 class ChunkScorer(Protocol):
     descriptor: ScorerDescriptor
 
@@ -192,8 +214,6 @@ class PatternScorer:
 
     descriptor: ScorerDescriptor
     pattern_ids: tuple[int, ...]
-    hit: tuple[float, float] = (0.1, 0.9)
-    miss: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self) -> None:
         if not self.pattern_ids:
@@ -203,7 +223,7 @@ class PatternScorer:
 
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         rows = [
-            self.hit if find_pattern(c.ids[1:-1], self.pattern_ids) else self.miss
+            PATTERN_HIT if find_pattern(c.ids[1:-1], self.pattern_ids) else PATTERN_MISS
             for c in chunks
         ]
         return np.array(rows, dtype=np.float64).reshape(len(chunks), 2)
@@ -324,6 +344,9 @@ class LinearScorer:
         try:
             k, v = doc["num_classes"], doc["vocab_size"]
             config = doc.get("trainer_config")
+            if config is not None:
+                what = f"checkpoint {path} trainer_config"
+                config = build_block(what, TrainerConfig, as_object(config, what))
             return cls(
                 descriptor=ScorerDescriptor(
                     scorer_id=doc.get("scorer_id", "linear"),
@@ -332,9 +355,9 @@ class LinearScorer:
                 ),
                 weights=np.array(doc["weights"], dtype=np.float64).reshape(k, v),
                 bias=np.array(doc["bias"], dtype=np.float64),
-                trainer_config=None if config is None else TrainerConfig(**config),
+                trainer_config=config,
                 best_val_auroc=doc.get("best_val_auroc"),
                 vocab_sha256=doc.get("vocab_sha256"),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError, ContractError) as err:
             raise ConfigError(f"malformed checkpoint {path}: {err!r}") from err

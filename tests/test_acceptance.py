@@ -414,7 +414,7 @@ def test_a8_remote_protocol_round_trip_and_error_paths(caplog):
         assert len(vectors) == 1_000
         for ch, vec in zip(chunks, vectors):
             assert vec == pytest.approx(score_fn(list(ch.ids)), abs=1e-12)
-        batches = sorted(len(r["chunks"]) for r in server.requests if "chunks" in r)
+        batches = sorted(server.batch_sizes)
         assert max(batches) <= 64
 
     probe = chunks[0]

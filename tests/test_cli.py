@@ -99,6 +99,15 @@ def write_ingest_fixture(tmp_path, rows, schema) -> tuple[str, str]:
     return str(csv_path), str(schema_path)
 
 
+def make_unreadable(tmp_path, csv_path, how) -> str:
+    """A directory in place of the CSV, or the CSV with one cell's bytes not UTF-8."""
+    if how == "directory":
+        (tmp_path / "notes_dir").mkdir()
+        return str(tmp_path / "notes_dir")
+    Path(csv_path).write_bytes(Path(csv_path).read_bytes().replace(b"fever", b"\xff\xfe"))
+    return csv_path
+
+
 class TestIngest:
     def write_fixture(self, tmp_path, rows, **schema_changes) -> tuple[str, str]:
         return write_ingest_fixture(tmp_path, rows, {**SCHEMA, **schema_changes})
@@ -138,6 +147,15 @@ class TestIngest:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, unreadable):
+        csv_path, schema_path = self.write_fixture(tmp_path, INGEST_ROWS)
+        bad = make_unreadable(tmp_path, csv_path, unreadable)
+        rc = main(["ingest", "--input", bad, "--schema", schema_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err and "Traceback" not in err
 
     def test_all_rows_skipped_is_data_error(self, tmp_path, capsys):
         csv_path, schema_path = self.write_fixture(tmp_path, [
@@ -180,6 +198,16 @@ class TestCompare:
         rc = main(["compare", "--config", config])
         assert rc == 3
         assert "error:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+    def test_unreadable_csv_data_path_exits_2(self, tmp_path, capsys, unreadable):
+        csv_path, _ = write_ingest_fixture(tmp_path, INGEST_ROWS, SCHEMA)
+        bad = make_unreadable(tmp_path, csv_path, unreadable)
+        config = base_config(tmp_path, data={"kind": "csv", "path": bad, "schema": SCHEMA})
+        rc = main(["compare", "--config", config])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err and "Traceback" not in err
 
     def test_degenerate_labels_exit_code(self, tmp_path):
         config = base_config(
@@ -307,9 +335,10 @@ class TestServeMock:
         assert result["rc"] == 0
 
     def test_probs_must_match_class_count(self, capsys):
-        rc = main(["serve-mock", "--probs", "0.2,0.3,0.5"])
-        assert rc == 1
-        assert "--probs" in capsys.readouterr().err
+        for probs in ("0.2,0.3,0.5", "a,b"):  # too wide, not numbers
+            rc = main(["serve-mock", "--probs", probs])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: --probs")
 
 
 # A compare config that runs in well under a second: a mock and a pattern

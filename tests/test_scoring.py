@@ -303,6 +303,25 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def valid_checkpoint() -> dict:
+    return {
+        "vocab_size": 3, "num_classes": 2, "scorer_id": "l0",
+        "weights": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], "bias": [0.1, -0.1],
+        "trainer_config": dict(vars(TrainerConfig(seed=3))), "best_val_auroc": 0.75,
+        "vocab_sha256": "ab" * 32,
+    }
+
+
+def with_doc(**changes) -> str:
+    return json.dumps({**valid_checkpoint(), **changes})
+
+
+def with_trainer(**changes) -> str:
+    doc = valid_checkpoint()
+    doc["trainer_config"].update(changes)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text, match", [
     (None, "not found"),
     ("{not json", "not valid JSON"),
@@ -312,6 +331,15 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
                     "bias": [0.0, 0.0]}),
         "reshape",
     ),
+    pytest.param(with_trainer(max_epochs=2.5), "max_epochs must be a valid int",
+                 id="float-max-epochs"),
+    pytest.param(with_trainer(learning_rate="fast"), "learning_rate", id="str-rate"),
+    pytest.param(with_doc(trainer_config=[1, 2]), "must be a JSON object",
+                 id="list-trainer-config"),
+    pytest.param(with_doc(weights=[10**400] + [0.0] * 5), "OverflowError",
+                 id="huge-weight"),
+    pytest.param(with_doc(bias=[0.0] * 3), "inconsistent with 2 classes", id="wide-bias"),
+    pytest.param(with_doc(num_classes=1), "at least 2 classes", id="one-class"),
 ])
 def test_malformed_checkpoint_is_config_error(tmp_path, text, match):
     path = tmp_path / "scorer.ckpt.json"
@@ -319,6 +347,46 @@ def test_malformed_checkpoint_is_config_error(tmp_path, text, match):
         path.write_text(text)
     with pytest.raises(ConfigError, match=match):
         LinearScorer.load(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10**400, -1, 0, 2.5, "0.5"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_mutated_checkpoint_loads_or_is_config_error(tmp_path_factory, data):
+    """Replace, delete or add one value anywhere in a valid checkpoint:
+    load either succeeds or raises ConfigError, never anything else."""
+    doc = valid_checkpoint()
+    node = doc
+    while True:  # walk down a random path, stopping at some container
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or data.draw(st.booleans()):
+            break
+        node = child
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        node[key] = data.draw(JSON_VALUES)
+    elif action == "delete":
+        del node[key]
+    elif isinstance(node, dict):
+        node[data.draw(st.text(max_size=6))] = data.draw(JSON_VALUES)
+    else:
+        node.append(data.draw(JSON_VALUES))
+    path = tmp_path_factory.mktemp("ckpt") / "scorer.ckpt.json"
+    path.write_text(json.dumps(doc))
+    try:
+        LinearScorer.load(path)
+    except ConfigError:
+        pass
 
 
 @settings(max_examples=100)
