@@ -2,9 +2,9 @@
 
 Long token sequences are cut into fixed-capacity windows that advance
 left to right by ``capacity - overlap`` positions, so consecutive chunks
-share exactly ``overlap`` content tokens. Each window is framed with a
-leading [CLS] id and a trailing [SEP] id (the tokenizer's reserved ids);
-the final window keeps its natural length instead of being padded.
+share exactly ``overlap`` tokens; the final window keeps its natural
+length instead of being padded. A window is a span over its note's id
+tuple; its framed ids, [CLS] + content + [SEP], are built on demand.
 """
 
 from __future__ import annotations
@@ -42,48 +42,37 @@ class ChunkingConfig:
 
 @dataclass(frozen=True)
 class Chunk:
-    """One framed window: ids = [CLS_ID, *content, SEP_ID].
-
-    ``start``/``end`` give the half-open content span in the source
-    sequence, so ``ids[1:-1] == token_ids[start:end]``.
-    """
+    """One window: the span ``[start, end)`` of ``source``, its note's id
+    tuple, which every window of the note shares and none copies."""
 
     index: int
     start: int
     end: int
-    ids: tuple[int, ...] = field(repr=False)
+    source: tuple[int, ...] = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    @property
+    def content(self) -> tuple[int, ...]:
+        return self.source[self.start : self.end]
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return (CLS_ID, *self.content, SEP_ID)
 
 
 def chunk(token_ids: list[int] | tuple[int, ...], config: ChunkingConfig) -> list[Chunk]:
-    """Split ``token_ids`` into framed overlapping windows.
+    """Split ``token_ids`` into overlapping windows.
 
-    An empty sequence still yields one chunk holding only the frame, so
-    every note produces at least one scoreable unit. A new window is
-    emitted only while it would contain at least one unseen token; the
-    final window is left at its natural length.
+    Window ``k`` starts at ``k * stride`` and a new window is started only
+    while it would hold at least one unseen token; the final window keeps
+    its natural length. An empty sequence still yields the one window
+    ``(0, 0)``, so every note produces at least one scoreable unit.
     """
-    n = len(token_ids)
-    if n == 0:
-        return [Chunk(index=0, start=0, end=0, ids=(CLS_ID, SEP_ID))]
-    chunks: list[Chunk] = []
-    start = 0
-    while True:
-        end = min(start + config.capacity, n)
-        content = tuple(token_ids[start:end])
-        chunks.append(
-            Chunk(
-                index=len(chunks),
-                start=start,
-                end=end,
-                ids=(CLS_ID, *content, SEP_ID),
-            )
-        )
-        if end >= n:
-            return chunks
-        start += config.stride
+    source = tuple(token_ids)  # a tuple is shared as is, not copied
+    n = len(source)
+    return [
+        Chunk(index=i, start=start, end=min(start + config.capacity, n), source=source)
+        for i, start in enumerate(range(0, max(n - config.overlap, 1), config.stride))
+    ]
 
 
 def coverage_check(
@@ -91,27 +80,27 @@ def coverage_check(
 ) -> None:
     """Verify that ``chunks`` tile ``token_ids`` per the window contract.
 
-    Raises ContractError on any violation: bad framing, spans that do not
-    match the source, gaps, wrong overlap width, or a short interior
-    window. Used as a self-check after chunking untrusted inputs.
+    Raises ContractError unless every window is over this sequence, the
+    first starts at 0, the last ends at its end, neighbours overlap by
+    exactly ``overlap``, interior windows are at full capacity and end
+    before the sequence does, and the last is no wider than capacity.
+    Span arithmetic only, so the pipeline runs it on every chunked note.
     """
     n = len(token_ids)
     if not chunks:
         raise ContractError("chunking must produce at least one chunk")
-    if n == 0:
-        only = chunks[0]
-        if len(chunks) != 1 or only.ids != (CLS_ID, SEP_ID):
-            raise ContractError("empty input must yield exactly one frame-only chunk")
-        return
-    for c in chunks:
-        if c.ids[0] != CLS_ID or c.ids[-1] != SEP_ID:
-            raise ContractError(f"chunk {c.index} is missing its frame")
-        if c.ids[1:-1] != tuple(token_ids[c.start : c.end]):
-            raise ContractError(f"chunk {c.index} content does not match its span")
-    if chunks[0].start != 0:
+    source = chunks[0].source
+    if any(c.source is not source for c in chunks) or (
+        source is not token_ids and source != tuple(token_ids)
+    ):
+        raise ContractError("chunks are not windows over this sequence")
+    first, last = chunks[0], chunks[-1]
+    if first.start != 0:
         raise ContractError("first chunk must start at position 0")
-    if chunks[-1].end != n:
+    if last.end != n:
         raise ContractError("last chunk must end at the sequence end")
+    if last.end - last.start > config.capacity:
+        raise ContractError(f"last chunk {last.index} is wider than capacity")
     for left, right in zip(chunks, chunks[1:]):
         if left.end - right.start != config.overlap:
             raise ContractError(
@@ -120,3 +109,5 @@ def coverage_check(
             )
         if left.end - left.start != config.capacity:
             raise ContractError(f"interior chunk {left.index} is not at full capacity")
+        if left.end >= n:
+            raise ContractError(f"chunk {right.index} holds no unseen token")

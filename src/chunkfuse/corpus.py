@@ -170,8 +170,8 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> IngestResult:
     Section columns absent from the header are treated as empty (warned
     once); rows whose label values are present but unparseable are
     skipped and counted instead of failing the whole file. A path that
-    is missing, is not a readable file, or does not hold UTF-8 CSV is a
-    DataError naming it.
+    is missing, is not a readable file, or does not hold UTF-8 CSV, and a
+    row with fewer cells than the header, are a DataError naming it.
     """
     path = Path(path)
     try:
@@ -200,6 +200,8 @@ def _read_notes(path: Path, reader: csv.DictReader, schema: CsvSchema) -> Ingest
     notes: list[ClinicalNote] = []
     skipped = 0
     for row in reader:
+        if None in row.values():  # csv.DictReader's filler for a missing cell
+            raise DataError(f"{path}: line {reader.line_num} has fewer cells than the header")
         try:
             mortality = (
                 _parse_mortality(row[schema.mortality_column])

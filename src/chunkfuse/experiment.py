@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
-from .chunker import Chunk, ChunkingConfig, chunk
+from .chunker import Chunk, ChunkingConfig, chunk, coverage_check
 from .corpus import (
     ClinicalNote,
     CsvSchema,
@@ -364,9 +365,15 @@ def _build_scorer(
         return PatternScorer.for_pattern(descriptor.scorer_id, ids)
     if descriptor.kind is ScorerKind.REMOTE:
         endpoint = descriptor.metadata.get("endpoint", "")
-        if not endpoint.startswith(("http://", "https://")):
+        try:
+            parts = urlsplit(endpoint)
+            parts.port  # raises unless the port is absent or a number in 0-65535
+        except ValueError:
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(
                 f"remote scorer {descriptor.scorer_id} needs an http(s) metadata.endpoint"
+                f" with a host and a valid port, got {endpoint!r}"
             )
         return RemoteScorer.connect(
             endpoint,
@@ -541,13 +548,12 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     scorers, failures = build_scorers(config, prepared)
 
     # Chunk each test note once, then score per scorer in one flat batch.
-    chunk_lists: list[list[Chunk]] = [
-        chunk(
-            tokenize(n.assembled_text, prepared.vocab).ids,
-            config.chunking,
-        )
-        for n in test_notes
-    ]
+    chunk_lists: list[list[Chunk]] = []
+    for note in test_notes:
+        ids = tokenize(note.assembled_text, prepared.vocab).ids
+        windows = chunk(ids, config.chunking)
+        coverage_check(ids, windows, config.chunking)
+        chunk_lists.append(windows)
     flat = [c for chunks in chunk_lists for c in chunks]
     offsets = np.cumsum([0] + [len(c) for c in chunk_lists])
     columns: dict[str, list[np.ndarray]] = {}

@@ -86,7 +86,6 @@ class RocReport:
     per_class_auc: list[float]
     macro_auc: float
     roc_points: dict[int, list[tuple[float, float]]]
-    n_samples: int
     skipped_classes: list[int]
 
     def write_roc_csv(self, class_index: int, path) -> None:
@@ -101,15 +100,12 @@ class RocReport:
 def macro_auroc(prob_vectors, labels, num_classes: int) -> RocReport:
     """One-vs-rest AUC per class, averaged with equal class weight.
 
-    ``prob_vectors`` is a sequence of per-class probability rows (anything
-    with a ``probs`` attribute or array-like). Classes without both a
-    positive and a negative example are skipped with a warning and excluded
-    from the macro mean; if every class is degenerate the metric is
-    undefined.
+    ``prob_vectors`` is a ``(samples, num_classes)`` array-like of
+    probability rows. Classes without both a positive and a negative
+    example are skipped with a warning and excluded from the macro mean;
+    if every class is degenerate the metric is undefined.
     """
-    rows = np.asarray(
-        [np.asarray(getattr(v, "probs", v), dtype=float) for v in prob_vectors]
-    )
+    rows = np.asarray(prob_vectors, dtype=float)
     y = np.asarray(labels)
     if rows.ndim != 2 or rows.shape[1] != num_classes:
         raise ContractError(
@@ -146,7 +142,6 @@ def macro_auroc(prob_vectors, labels, num_classes: int) -> RocReport:
         per_class_auc=per_class,
         macro_auc=float(np.mean(evaluated)),
         roc_points=points,
-        n_samples=len(y),
         skipped_classes=skipped,
     )
 

@@ -5,7 +5,8 @@ Wire protocol (JSON over HTTP, UTF-8):
 - ``GET /info`` -> ``{"max_batch": int, "num_classes": int}``
 - ``POST /score`` with ``{"task": str, "num_classes": int,
   "chunks": [{"ids": [int, ...]}, ...]}`` -> ``{"scores": [[p, ...], ...]}``
-  with one score row per chunk, in request order.
+  with one score row per chunk, in request order. Chunk ids are framed,
+  ``[CLS_ID, *content, SEP_ID]``: the one place windows are framed.
 
 The client splits oversized batches per the server's advertised limit,
 sends up to ``MAX_WORKERS`` sub-batches at once, and reassembles results

@@ -1,5 +1,5 @@
-"""Chunk scorers: a batch of framed chunks in, a (chunks, classes) array
-of probability rows out.
+"""Chunk scorers: a batch of chunks in, a (chunks, classes) array of
+probability rows out.
 
 Four implementations share the contract: a trainable linear bag-of-tokens
 model (desk-scale stand-in for a fine-tuned encoder), a remote HTTP
@@ -223,7 +223,7 @@ class PatternScorer:
 
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         rows = [
-            PATTERN_HIT if find_pattern(c.ids[1:-1], self.pattern_ids) else PATTERN_MISS
+            PATTERN_HIT if find_pattern(c.content, self.pattern_ids) else PATTERN_MISS
             for c in chunks
         ]
         return np.array(rows, dtype=np.float64).reshape(len(chunks), 2)
@@ -241,20 +241,21 @@ class PatternScorer:
 def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix:
     """Bag-of-token-id counts, one CSR row per chunk: the one featurizer.
 
-    Reserved ids (the frame, UNK) count for nothing; an id at or past
-    ``vocab_size`` raises ContractError. Windows are counted in blocks of
-    ``_BLOCK_WINDOWS`` with one ``np.unique`` over ``row * vocab_size + id``
-    keys, which yields each row's columns in ascending order: the same
-    float counts in the same order as a per-row dict count, so
-    ``features @ W.T`` is bit-for-bit the same.
+    Only a chunk's content is counted, never a frame, and reserved ids
+    (UNK) count for nothing; an id at or past ``vocab_size`` raises
+    ContractError. Windows are counted in blocks of ``_BLOCK_WINDOWS``
+    with one ``np.unique`` over ``row * vocab_size + id`` keys, which
+    yields each row's columns in ascending order: the same float counts
+    in the same order as a per-row dict count, so ``features @ W.T`` is
+    bit-for-bit the same.
     """
     empty = np.empty(0, np.int64)
     rows, cols, counts = [empty], [empty], [empty]
     for lo in range(0, len(chunks), _BLOCK_WINDOWS):
         block = chunks[lo : lo + _BLOCK_WINDOWS]
-        lengths = [len(c.ids) for c in block]
+        lengths = [c.end - c.start for c in block]
         ids = np.fromiter(
-            chain.from_iterable(c.ids for c in block), dtype=np.int64, count=sum(lengths)
+            chain.from_iterable(c.content for c in block), dtype=np.int64, count=sum(lengths)
         )
         outside = ids >= vocab_size
         if outside.any():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .chunker import ChunkingConfig, chunk
+from .chunker import ChunkingConfig, chunk, coverage_check
 from .corpus import ClinicalNote
 from .errors import DataError, NumericDivergenceError
 from .metrics import macro_auroc
@@ -61,7 +61,9 @@ def build_labeled_chunks(
         raise DataError(f"{len(notes)} notes but {len(labels)} labels")
     windows, counts = [], []
     for note in notes:
-        note_windows = chunk(tokenize(note.assembled_text, vocab).ids, chunking)
+        ids = tokenize(note.assembled_text, vocab).ids
+        note_windows = chunk(ids, chunking)
+        coverage_check(ids, note_windows, chunking)
         windows.extend(note_windows)
         counts.append(len(note_windows))
     return TrainingSplit(

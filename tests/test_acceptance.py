@@ -404,7 +404,7 @@ def test_a8_remote_protocol_round_trip_and_error_paths(caplog):
 
     def make_chunk(rng) -> Chunk:
         content = tuple(rng.randint(4, 300) for _ in range(rng.randint(1, 40)))
-        return Chunk(index=0, start=0, end=len(content), ids=(2, *content, 3))
+        return Chunk(index=0, start=0, end=len(content), source=content)
 
     rng = random.Random(8)
     chunks = [make_chunk(rng) for _ in range(1_000)]

@@ -1,12 +1,29 @@
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chunkfuse.chunker import Chunk, ChunkingConfig, chunk, coverage_check
 from chunkfuse.errors import ConfigError, ContractError
 from chunkfuse.tokenizer import CLS_ID, SEP_ID
+
+
+def copying_chunk(token_ids, config):
+    """The loop ``chunk`` replaced, kept as its oracle: it walked the windows
+    and copied each one's framed ids. Returns ``(start, end, ids)`` triples."""
+    n = len(token_ids)
+    if n == 0:
+        return [(0, 0, (CLS_ID, SEP_ID))]
+    windows = []
+    start = 0
+    while True:
+        end = min(start + config.capacity, n)
+        windows.append((start, end, (CLS_ID, *token_ids[start:end], SEP_ID)))
+        if end >= n:
+            return windows
+        start += config.stride
 
 
 def expected_count(n, capacity, overlap):
@@ -44,17 +61,21 @@ def test_non_int_fields_are_config_errors(field, value):
 
 def test_thousand_token_spans():
     cfg = ChunkingConfig()
-    chunks = chunk(list(range(100, 1100)), cfg)
+    ids = tuple(range(100, 1100))
+    chunks = chunk(ids, cfg)
     assert [(c.start, c.end) for c in chunks] == [(0, 510), (460, 970), (920, 1000)]
+    assert all(c.source is ids for c in chunks)  # shared, not copied
     assert [c.index for c in chunks] == [0, 1, 2]
-    assert len(chunks[0]) == 512  # 510 content tokens plus the frame
-    assert len(chunks[-1]) == 82
+    assert len(chunks[0].ids) == 512  # 510 content tokens plus the frame
+    assert len(chunks[-1].ids) == 82
+    assert chunks[1].content == tuple(range(560, 1070))
 
 
 def test_empty_input_yields_frame_only_chunk():
     cfg = ChunkingConfig()
     chunks = chunk([], cfg)
-    assert chunks == [Chunk(index=0, start=0, end=0, ids=(2, 3))]
+    assert chunks == [Chunk(index=0, start=0, end=0, source=())]
+    assert chunks[0].content == () and chunks[0].ids == (2, 3)
     coverage_check([], chunks, cfg)
 
 
@@ -85,9 +106,9 @@ def test_chunking_contract_properties(ids, geom):
     if ids:
         assert len(chunks) == expected_count(len(ids), capacity, overlap)
         # stitching spans back together with overlaps dropped recovers the input
-        rebuilt = list(chunks[0].ids[1:-1])
+        rebuilt = list(chunks[0].content)
         for c in chunks[1:]:
-            rebuilt.extend(c.ids[1 + cfg.overlap : -1])
+            rebuilt.extend(c.content[cfg.overlap :])
         assert rebuilt == ids
         assert 0 < chunks[-1].end - chunks[-1].start <= capacity
     else:
@@ -99,25 +120,66 @@ def test_chunking_contract_properties(ids, geom):
 def test_zero_overlap_partitions_input(ids):
     cfg = ChunkingConfig(capacity=7, overlap=0)
     chunks = chunk(ids, cfg)
-    flat = [t for c in chunks for t in c.ids[1:-1]]
+    flat = [t for c in chunks for t in c.content]
     assert flat == ids
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(4, 30000), max_size=400),
+    st.integers(1, 60).flatmap(lambda cap: st.tuples(st.just(cap), st.integers(0, cap - 1))),
+)
+@example([], (5, 2))  # empty input
+@example(list(range(4, 14)), (10, 3))  # n == capacity
+@example(list(range(4, 7)), (8, 5))  # n <= overlap
+@example(list(range(4, 7)), (8, 3))  # n == overlap
+@example(list(range(4, 40)), (5, 4))  # stride 1
+def test_spans_and_derived_ids_match_copying_oracle(ids, geom):
+    cfg = ChunkingConfig(capacity=geom[0], overlap=geom[1])
+    chunks = chunk(ids, cfg)
+    want = copying_chunk(ids, cfg)
+    assert [(c.start, c.end) for c in chunks] == [(s, e) for s, e, _ in want]
+    assert [c.index for c in chunks] == list(range(len(want)))
+    assert [c.ids for c in chunks] == [framed for _, _, framed in want]
+    assert [c.content for c in chunks] == [framed[1:-1] for _, _, framed in want]
+    # every window refers to one shared tuple of the note's ids
+    assert all(c.source is chunks[0].source for c in chunks)
+    assert chunks[0].source == tuple(ids)
+
+
+def spans(source, pairs):
+    return [Chunk(index=i, start=s, end=e, source=source) for i, (s, e) in enumerate(pairs)]
 
 
 def test_coverage_check_rejects_tampering():
     cfg = ChunkingConfig(capacity=5, overlap=2)
-    ids = list(range(10, 22))
+    ids = tuple(range(10, 22))
     chunks = chunk(ids, cfg)
-    with pytest.raises(ContractError):
-        coverage_check(ids, chunks[:-1], cfg)
-    with pytest.raises(ContractError):
-        coverage_check(ids, [], cfg)
-    broken = list(chunks)
-    c = broken[0]
-    broken[0] = Chunk(index=c.index, start=c.start, end=c.end, ids=c.ids[:-1] + (99,))
-    with pytest.raises(ContractError):
-        coverage_check(ids, broken, cfg)
-    wrong_span = list(chunks)
-    c = wrong_span[1]
-    wrong_span[1] = Chunk(index=c.index, start=c.start + 1, end=c.end, ids=c.ids)
-    with pytest.raises(ContractError):
-        coverage_check(ids, wrong_span, cfg)
+    assert [(c.start, c.end) for c in chunks] == [(0, 5), (3, 8), (6, 11), (9, 12)]
+    coverage_check(ids, chunks, cfg)
+    coverage_check(list(ids), chunks, cfg)  # the same ids as a list
+    coverage_check(ids, chunk(tuple(list(ids)), cfg), cfg)  # an equal copy
+    short = ids[:5]
+    other = tuple(range(30, 42))  # another note of the same length
+    mixed = list(chunks)
+    mixed[2] = dataclasses.replace(mixed[2], source=other)
+    tampered = [
+        ("not windows over this sequence", ids, chunk(other, cfg)),
+        ("not windows over this sequence", ids, mixed),
+        ("at least one chunk", ids, []),
+        ("end at the sequence end", ids, chunks[:-1]),
+        # a gap: the second window dropped
+        ("overlap by -1", ids, spans(ids, [(0, 5), (6, 11), (9, 12)])),
+        ("overlap by 1", ids, spans(ids, [(0, 5), (4, 9), (7, 12)])),
+        # overlaps of 2 on both sides of a 4-token interior window
+        ("interior chunk 2 is not at full capacity", ids,
+         spans(ids, [(0, 5), (3, 8), (6, 10), (8, 12)])),
+        ("first chunk must start", ids, spans(ids, [(1, 5), (3, 8), (6, 11), (9, 12)])),
+        ("last chunk must end", ids, spans(ids, [(0, 5), (3, 8), (6, 11), (9, 11)])),
+        ("wider than capacity", ids, spans(ids, [(0, 5), (3, 12)])),
+        # a trailing window inside the one before it
+        ("chunk 1 holds no unseen token", short, spans(short, [(0, 5), (3, 5)])),
+    ]
+    for message, sequence, windows in tampered:
+        with pytest.raises(ContractError, match=message):
+            coverage_check(sequence, windows, cfg)

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, overrides, exit codes."""
 
+import csv
+import io
 import json
 import threading
 import time
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from chunkfuse.chunker import Chunk
 from chunkfuse.cli import main
-from chunkfuse.corpus import SECTION_ORDER
+from chunkfuse.corpus import SECTION_ORDER, CsvSchema, ingest_csv
+from chunkfuse.errors import ChunkfuseError
 from chunkfuse.remote import RemoteScorer
 
 
@@ -329,7 +332,7 @@ class TestServeMock:
             time.sleep(0.02)
         endpoint = endpoint_file.read_text().strip()
         scorer = RemoteScorer.connect(endpoint, "mortality", 2)
-        vectors = scorer.score_batch([Chunk(index=0, start=0, end=1, ids=(2, 7, 3))])
+        vectors = scorer.score_batch([Chunk(index=0, start=0, end=1, source=(7,))])
         assert [round(p, 6) for p in vectors[0]] == [0.25, 0.75]
         thread.join(timeout=10)
         assert result["rc"] == 0
@@ -461,3 +464,52 @@ def test_fuzz_ingest_schema_fails_closed(tmp_path, capsys, data):
     csv_path, schema_path = write_ingest_fixture(tmp_path, INGEST_ROWS, schema)
     rc = main(["ingest", "--input", csv_path, "--schema", schema_path])
     assert_fails_closed(rc, capsys)
+
+
+# Cells with separators, quotes, newlines, numbers and labels out of range.
+FUZZ_CELLS = st.sampled_from(["", "0", "1", "2", "3.5", "-1", "nan", "x", "chest pain"]) | st.text(
+    alphabet='ab01.,"\n\r ', max_size=8
+)
+
+
+@st.composite
+def fuzz_csv(draw) -> str:
+    """CSV text whose header drops and reorders schema columns and may add
+    others, followed by rows of any cell count."""
+    columns = ["note_id"] + [k.lower() for k in SECTION_ORDER] + ["died", "los"]
+    header = draw(st.lists(st.sampled_from(columns + ["extra"]), unique=True, max_size=14))
+    rows = draw(st.lists(
+        st.lists(FUZZ_CELLS, max_size=len(header) + 2), max_size=4
+    ))
+    text = io.StringIO()
+    csv.writer(text).writerows([header] + rows)
+    return text.getvalue()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_csv())
+def test_fuzz_ingest_csv_fails_closed(tmp_path, capsys, text):
+    csv_path = tmp_path / "notes.csv"
+    csv_path.write_text(text, newline="")
+    try:
+        result = ingest_csv(csv_path, CsvSchema(**SCHEMA))
+    except ChunkfuseError:
+        pass
+    else:
+        assert all(isinstance(note.note_id, str) for note in result.notes)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(SCHEMA))
+    rc = main(["ingest", "--input", str(csv_path), "--schema", str(schema_path)])
+    assert_fails_closed(rc, capsys)
+    assert rc <= 2
+
+
+def test_short_row_is_data_error_naming_its_line(tmp_path, capsys):
+    csv_path, schema_path = write_ingest_fixture(
+        tmp_path, [INGEST_ROWS[0], ["n1", "chest"]], SCHEMA
+    )
+    rc = main(["ingest", "--input", csv_path, "--schema", schema_path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{csv_path}: line 3 has fewer cells than the header" in err

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chunkfuse.experiment as experiment
 import chunkfuse.scoring as scoring
 import chunkfuse.training as training
 from chunkfuse.chunker import ChunkingConfig
 from chunkfuse.corpus import SECTION_ORDER, GeneratorConfig, TaskSpec
-from chunkfuse.errors import ChunkfuseError, ConfigError, DataError
+from chunkfuse.errors import ChunkfuseError, ConfigError, ContractError, DataError
 from chunkfuse.experiment import (
     _TOP_LEVEL_KEYS,
     ComparisonReport,
@@ -493,7 +494,9 @@ class TestRunExperiment:
     def test_unreachable_remote_scorer_yields_error_rows_only(self, tmp_path):
         self.check_remote_error_rows(tmp_path, "http://127.0.0.1:9", code=3)
 
-    @pytest.mark.parametrize("endpoint", ["127.0.0.1:9", "abc", ""])
+    @pytest.mark.parametrize("endpoint", [
+        "127.0.0.1:9", "abc", "", "http://127.0.0.1:abc", "http://127.0.0.1:99999", "http://",
+    ])
     def test_endpoint_without_scheme_yields_config_error_rows(self, tmp_path, endpoint):
         self.check_remote_error_rows(tmp_path, endpoint, code=1)
 
@@ -524,6 +527,28 @@ class TestRunExperiment:
             assert "dead" in row.error
             assert row.error_code == code
         assert report.worst_error_code() == code
+
+    @pytest.mark.parametrize("module", [experiment, training])
+    def test_a_dropped_last_window_stops_the_run(self, tmp_path, monkeypatch, module):
+        # the test split is chunked in experiment, train/validation in training
+        real = module.chunk
+
+        def dropping(ids, config):
+            windows = real(ids, config)
+            return windows[:-1] if len(windows) > 1 else windows
+
+        monkeypatch.setattr(module, "chunk", dropping)
+        linear = ScorerDescriptor(scorer_id="lin", kind=ScorerKind.LINEAR, num_classes=2)
+        config = small_config(
+            tmp_path,
+            scorers=(linear,) if module is training else small_config(tmp_path).scorers,
+            methods=(Method.BASELINE,),
+            chunking=ChunkingConfig(capacity=30, overlap=5),
+            trainer=TrainerConfig(max_epochs=1),
+        )
+        with pytest.raises(ContractError, match="last chunk must end") as raised:
+            run_experiment(config)
+        assert raised.value.exit_code == 1
 
     def test_degenerate_test_labels_yield_metric_error_row(self, tmp_path):
         config = small_config(

@@ -175,15 +175,6 @@ def test_all_classes_degenerate_is_undefined():
         macro_auroc(vectors, [1, 1, 1], num_classes=2)
 
 
-def test_accepts_objects_with_probs_attribute():
-    class Vec:
-        def __init__(self, probs):
-            self.probs = probs
-
-    report = macro_auroc([Vec([0.2, 0.8]), Vec([0.9, 0.1])], [1, 0], num_classes=2)
-    assert report.macro_auc == 1.0
-
-
 def test_roc_csv_lists_the_curve(tmp_path):
     report = macro_auroc(
         np.array([[0.2, 0.8], [0.9, 0.1], [0.4, 0.6]]), [1, 0, 1], num_classes=2

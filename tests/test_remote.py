@@ -13,7 +13,7 @@ from chunkfuse.scoring import score_chunks
 
 
 def make_chunk(i):
-    return Chunk(index=i, start=0, end=1, ids=(2, 1000 + i, 3))
+    return Chunk(index=i, start=0, end=1, source=(1000 + i,))
 
 
 def id_scores(ids):

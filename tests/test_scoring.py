@@ -25,8 +25,9 @@ from chunkfuse.scoring import (
 )
 
 
-def framed(ids):
-    return Chunk(index=0, start=0, end=len(ids), ids=(2, *ids, 3))
+def window(ids):
+    """A note's one window holding all of ``ids``."""
+    return Chunk(index=0, start=0, end=len(ids), source=tuple(ids))
 
 
 def test_probability_vector_validation():
@@ -59,9 +60,9 @@ def test_mock_table_lookup():
         descriptor=ScorerDescriptor(scorer_id="m", kind=ScorerKind.MOCK, num_classes=2),
         table={0: (0.2, 0.8)},
     )
-    assert scorer.score_batch([framed([5, 6])]).tolist() == [[0.2, 0.8]]
+    assert scorer.score_batch([window([5, 6])]).tolist() == [[0.2, 0.8]]
     with pytest.raises(ContractError):  # no entry, no default
-        scorer.score_batch([Chunk(index=3, start=0, end=1, ids=(2, 5, 3))])
+        scorer.score_batch([Chunk(index=3, start=0, end=1, source=(5,))])
 
 
 def test_mock_width_mismatch_rejected():
@@ -70,7 +71,7 @@ def test_mock_width_mismatch_rejected():
         table={0: (0.5, 0.5)},
     )
     with pytest.raises(ContractError):
-        scorer.score_batch([framed([4])])
+        scorer.score_batch([window([4])])
 
 
 def test_zero_weight_linear_is_uniform():
@@ -79,28 +80,30 @@ def test_zero_weight_linear_is_uniform():
         weights=np.zeros((4, 20)),
         bias=np.zeros(4),
     )
-    assert scorer.score_batch([framed([4, 5, 6])]).tolist() == [[0.25] * 4]
+    assert scorer.score_batch([window([4, 5, 6])]).tolist() == [[0.25] * 4]
 
 
 def test_csr_counts_skip_reserved_ids():
-    # the frame (ids 2 and 3) and UNK (id 1) count for nothing
-    counts = chunks_to_csr([framed([4, 4, 7, 1])], vocab_size=10).toarray()
+    # UNK (id 1) counts for nothing
+    counts = chunks_to_csr([window([4, 4, 7, 1])], vocab_size=10).toarray()
     assert counts.tolist() == [[0, 0, 0, 0, 2, 0, 0, 1, 0, 0]]
     with pytest.raises(ContractError):
-        chunks_to_csr([framed([12])], vocab_size=10)
+        chunks_to_csr([window([12])], vocab_size=10)
 
 
 def test_csr_matches_dense_counts():
-    chunks = [framed([4, 5, 5]), framed([9, 1]), framed([])]
+    chunks = [window([4, 5, 5]), window([9, 1]), window([])]
     dense = np.zeros((3, 12))
     dense[0, 4], dense[0, 5], dense[1, 9] = 1, 2, 1
     assert np.array_equal(chunks_to_csr(chunks, 12).toarray(), dense)
     with pytest.raises(ContractError):
-        chunks_to_csr([framed([99])], 12)
+        chunks_to_csr([window([99])], 12)
 
 
 def reference_csr(chunks, vocab_size):
-    """The per-token dict count ``chunks_to_csr`` replaced, kept as its oracle."""
+    """The per-token dict count ``chunks_to_csr`` replaced, kept as its oracle.
+    It counts the framed ids, as the featurizer did before it read only the
+    content: the frame's reserved ids must count for nothing either way."""
     data, indices, indptr = [], [], [0]
     for c in chunks:
         row = {}
@@ -137,7 +140,7 @@ def assert_same_csr(got, want):
 )
 def test_csr_matches_dict_count_oracle(vocab_size, windows, block):
     # ids up to 45 may pass the vocabulary: then both must name the same id
-    chunks = [framed(w) for w in windows]
+    chunks = [window(w) for w in windows]
     with patch.object(scoring, "_BLOCK_WINDOWS", block):
         try:
             want = reference_csr(chunks, vocab_size)
@@ -152,16 +155,16 @@ def test_csr_matches_dict_count_oracle(vocab_size, windows, block):
 def test_csr_matches_oracle_across_full_blocks():
     rng = np.random.default_rng(0)
     chunks = [
-        framed(rng.integers(0, 50, size=rng.integers(0, 60)).tolist())
+        window(rng.integers(0, 50, size=rng.integers(0, 60)).tolist())
         for _ in range(2 * scoring._BLOCK_WINDOWS + 5)
     ]
-    # frame-only, reserved ids only, and the last id of the vocabulary
-    chunks += [framed([]), framed([1, 2, 3, 0]), framed([49, 49, 4])]
+    # empty, reserved ids only, and the last id of the vocabulary
+    chunks += [window([]), window([1, 2, 3, 0]), window([49, 49, 4])]
     got = chunks_to_csr(chunks, 50)
     assert_same_csr(got, reference_csr(chunks, 50))
     assert got[-1, 49] == 2.0 and got[-2].nnz == 0 and got[-3].nnz == 0
     # the first id past the vocabulary in window order is the one named
-    late = chunks + [framed([4, 60, 70]), framed([55])]
+    late = chunks + [window([4, 60, 70]), window([55])]
     with pytest.raises(ContractError, match="^token id 60 outside vocabulary of 50$"):
         chunks_to_csr(late, 50)
 
@@ -185,7 +188,7 @@ def test_linear_scores_match_manual_softmax():
         weights=weights,
         bias=np.array([0.1, -0.1]),
     )
-    (got,) = scorer.score_batch([framed([4, 4, 5])])
+    (got,) = scorer.score_batch([window([4, 4, 5])])
     logits = np.array([2 * 1.0 + 0.1, 1 * 2.0 - 0.1])
     want = np.exp(logits) / np.exp(logits).sum()
     assert got == pytest.approx(tuple(want), abs=1e-12)
@@ -198,7 +201,7 @@ def test_linear_batch_equals_single_scoring():
         weights=rng.normal(size=(3, 15)),
         bias=rng.normal(size=3),
     )
-    chunks = [framed(list(rng.integers(4, 15, size=8))) for _ in range(5)]
+    chunks = [window(list(rng.integers(4, 15, size=8))) for _ in range(5)]
     batched = score_chunks(scorer, chunks)
     assert batched.shape == (5, 3)
     for row, c in zip(batched, chunks):
@@ -228,12 +231,12 @@ class FixedScorer:
 ])
 def test_score_chunks_rejects_non_distributions(rows):
     with pytest.raises(ScorerError, match="'fixed'"):
-        score_chunks(FixedScorer(rows), [framed([4])])
+        score_chunks(FixedScorer(rows), [window([4])])
 
 
 def test_score_chunks_keeps_rows_inside_tolerance():
     rows = [[0.5, 0.5 + 5e-7], [-5e-10, 1.0]]
-    got = score_chunks(FixedScorer(rows), [framed([4]), framed([5])])
+    got = score_chunks(FixedScorer(rows), [window([4]), window([5])])
     assert got.tolist() == rows
 
 
@@ -246,7 +249,7 @@ def test_nan_weight_is_caught_where_scores_leave_the_scorer():
         bias=np.zeros(2),
     )
     with pytest.raises(ScorerError, match="'lin' scored row 1 "):
-        score_chunks(scorer, [framed([5]), framed([4])])
+        score_chunks(scorer, [window([5]), window([4])])
 
 
 def test_weight_shape_validation():
@@ -263,7 +266,7 @@ def test_weight_shape_validation():
 def test_pattern_scorer_detects_contiguous_sequence():
     scorer = PatternScorer.for_pattern("p", [7, 8, 9])
     got = scorer.score_batch(
-        [framed([4, 7, 8, 9, 5]), framed([7, 8, 4, 9]), framed([9, 8, 7])]
+        [window([4, 7, 8, 9, 5]), window([7, 8, 4, 9]), window([9, 8, 7])]
     )
     # whole, broken, reordered
     assert got.tolist() == [[0.1, 0.9], [0.5, 0.5], [0.5, 0.5]]
@@ -404,5 +407,5 @@ def test_linear_outputs_always_on_simplex(num_classes, ids, seed):
         weights=rng.normal(scale=5.0, size=(num_classes, 31)),
         bias=rng.normal(scale=5.0, size=num_classes),
     )
-    probs = score_chunks(scorer, [framed(ids)])  # raises off the simplex
+    probs = score_chunks(scorer, [window(ids)])  # raises off the simplex
     assert probs.shape == (1, num_classes)
