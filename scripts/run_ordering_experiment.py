@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from chunkfuse.corpus import GeneratorConfig, TaskSpec
+from chunkfuse.corpus import GeneratorConfig, TaskKind
 from chunkfuse.experiment import (
     ExperimentConfig,
     Method,
@@ -49,7 +49,7 @@ def main() -> int:
     wins = 0
     for seed in range(args.num_seeds):
         config = ExperimentConfig(
-            task=TaskSpec.mortality(),
+            task=TaskKind.MORTALITY,
             data_source=SyntheticSource(
                 GeneratorConfig(
                     num_docs=args.num_docs,

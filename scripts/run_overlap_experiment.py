@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chunkfuse.chunker import ChunkingConfig
-from chunkfuse.corpus import GeneratorConfig, TaskSpec
+from chunkfuse.corpus import GeneratorConfig, TaskKind
 from chunkfuse.experiment import (
     ExperimentConfig,
     Method,
@@ -40,7 +40,7 @@ def parse_args() -> argparse.Namespace:
 
 def run_one(args: argparse.Namespace, seed: int, overlap: int) -> float:
     config = ExperimentConfig(
-        task=TaskSpec.mortality(),
+        task=TaskKind.MORTALITY,
         data_source=SyntheticSource(
             GeneratorConfig(
                 num_docs=args.num_docs,

@@ -45,7 +45,6 @@ class Chunk:
     """One window: the span ``[start, end)`` of ``source``, its note's id
     tuple, which every window of the note shares and none copies."""
 
-    index: int
     start: int
     end: int
     source: tuple[int, ...] = field(repr=False)
@@ -70,8 +69,8 @@ def chunk(token_ids: list[int] | tuple[int, ...], config: ChunkingConfig) -> lis
     source = tuple(token_ids)  # a tuple is shared as is, not copied
     n = len(source)
     return [
-        Chunk(index=i, start=start, end=min(start + config.capacity, n), source=source)
-        for i, start in enumerate(range(0, max(n - config.overlap, 1), config.stride))
+        Chunk(start=start, end=min(start + config.capacity, n), source=source)
+        for start in range(0, max(n - config.overlap, 1), config.stride)
     ]
 
 
@@ -100,14 +99,14 @@ def coverage_check(
     if last.end != n:
         raise ContractError("last chunk must end at the sequence end")
     if last.end - last.start > config.capacity:
-        raise ContractError(f"last chunk {last.index} is wider than capacity")
-    for left, right in zip(chunks, chunks[1:]):
+        raise ContractError(f"last chunk {len(chunks) - 1} is wider than capacity")
+    for i, (left, right) in enumerate(zip(chunks, chunks[1:])):
         if left.end - right.start != config.overlap:
             raise ContractError(
-                f"chunks {left.index}/{right.index} overlap by {left.end - right.start},"
+                f"chunks {i}/{i + 1} overlap by {left.end - right.start},"
                 f" expected {config.overlap}"
             )
         if left.end - left.start != config.capacity:
-            raise ContractError(f"interior chunk {left.index} is not at full capacity")
+            raise ContractError(f"interior chunk {i} is not at full capacity")
         if left.end >= n:
-            raise ContractError(f"chunk {right.index} holds no unseen token")
+            raise ContractError(f"chunk {i + 1} holds no unseen token")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -30,32 +31,19 @@ SECTION_ORDER = ("CC", "PI", "MH", "AM", "AL", "PE", "FH", "SH")
 
 
 class TaskKind(Enum):
+    """Classification target: binary outcome or four stay-length bins."""
+
     MORTALITY = "mortality"
     LENGTH_OF_STAY = "length_of_stay"
 
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """Classification target: binary outcome or four stay-length bins."""
-
-    task_kind: TaskKind
-
     @property
     def num_classes(self) -> int:
-        return 2 if self.task_kind is TaskKind.MORTALITY else 4
+        return 2 if self is TaskKind.MORTALITY else 4
 
     @property
     def los_bin_edges(self) -> tuple[float, ...]:
         # Upper edges are inclusive: <=3, (3,7], (7,14], >14 days.
-        return () if self.task_kind is TaskKind.MORTALITY else (3.0, 7.0, 14.0)
-
-    @classmethod
-    def mortality(cls) -> "TaskSpec":
-        return cls(TaskKind.MORTALITY)
-
-    @classmethod
-    def length_of_stay(cls) -> "TaskSpec":
-        return cls(TaskKind.LENGTH_OF_STAY)
+        return () if self is TaskKind.MORTALITY else (3.0, 7.0, 14.0)
 
 
 def assemble_note(sections: dict[str, str]) -> str:
@@ -85,21 +73,24 @@ class ClinicalNote:
             raise InvalidLabelError(
                 f"note {self.note_id}: mortality label must be 0 or 1"
             )
-        if self.los_days is not None and self.los_days < 0:
-            raise InvalidLabelError(f"note {self.note_id}: negative los_days")
+        if self.los_days is not None and not 0 <= self.los_days < math.inf:
+            raise InvalidLabelError(
+                f"note {self.note_id}: los_days must be finite and non-negative,"
+                f" got {self.los_days}"
+            )
 
 
-def derive_los_class(los_days: float, spec: TaskSpec) -> int:
+def derive_los_class(los_days: float, task: TaskKind) -> int:
     """Bin a stay length into a class index, upper edges inclusive."""
-    if spec.task_kind is not TaskKind.LENGTH_OF_STAY:
-        raise ContractError("derive_los_class needs a length-of-stay TaskSpec")
-    if los_days < 0:
-        raise InvalidLabelError(f"negative los_days: {los_days}")
-    return bisect_left(spec.los_bin_edges, los_days)
+    if task is not TaskKind.LENGTH_OF_STAY:
+        raise ContractError("derive_los_class needs the length-of-stay task")
+    if not 0 <= los_days < math.inf:
+        raise InvalidLabelError(f"los_days must be finite and non-negative, got {los_days}")
+    return bisect_left(task.los_bin_edges, los_days)
 
 
 def filter_for_task(
-    notes: Sequence[ClinicalNote], spec: TaskSpec
+    notes: Sequence[ClinicalNote], task: TaskKind
 ) -> tuple[list[ClinicalNote], list[int]]:
     """Keep only notes labeled for the task; return them with class indices.
 
@@ -109,7 +100,7 @@ def filter_for_task(
     kept: list[ClinicalNote] = []
     labels: list[int] = []
     for note in notes:
-        if spec.task_kind is TaskKind.MORTALITY:
+        if task is TaskKind.MORTALITY:
             if note.mortality_label is None:
                 continue
             kept.append(note)
@@ -118,7 +109,7 @@ def filter_for_task(
             if note.los_days is None:
                 continue
             kept.append(note)
-            labels.append(derive_los_class(note.los_days, spec))
+            labels.append(derive_los_class(note.los_days, task))
     return kept, labels
 
 
@@ -159,8 +150,8 @@ def _parse_los(raw: str) -> float | None:
     if not text:
         return None
     value = float(text)
-    if value < 0:
-        raise ValueError(f"negative los_days: {value}")
+    if not 0 <= value < math.inf:  # nan fails both comparisons
+        raise ValueError(f"los_days must be finite and non-negative: {value}")
     return value
 
 
@@ -239,21 +230,20 @@ class DatasetSplit:
 
 
 def split_dataset(
-    notes: Sequence, ratios: tuple[float, float, float], seed: int
+    ids: Sequence[str], ratios: tuple[float, float, float], seed: int
 ) -> DatasetSplit:
-    """Shuffle and partition into train/validation/test.
+    """Shuffle note ids and partition them into train/validation/test.
 
     Sizes follow largest-remainder apportionment, so each realized size
-    is within one note of its exact proportional share. Accepts notes or
-    bare id strings.
+    is within one note of its exact proportional share.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios}")
     if any(r < 0 for r in ratios):
         raise ConfigError(f"split ratios must be non-negative, got {ratios}")
-    if not notes:
+    if not ids:
         raise ContractError("cannot split an empty corpus")
-    ids = [getattr(n, "note_id", n) for n in notes]
+    ids = list(ids)
     if len(set(ids)) != len(ids):
         raise DataError("duplicate note ids in corpus")
     rng = random.Random(seed)

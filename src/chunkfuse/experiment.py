@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
-from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .corpus import (
     CsvSchema,
     GeneratorConfig,
     TaskKind,
-    TaskSpec,
     filter_for_task,
     generate_synthetic_corpus,
     ingest_csv,
@@ -50,7 +48,6 @@ from .errors import (
     as_object,
     build_block,
     make_dir,
-    read_json,
     write_text,
 )
 from .fusion import FusionSpec
@@ -103,7 +100,7 @@ class CsvSource:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    task: TaskSpec
+    task: TaskKind
     data_source: SyntheticSource | CsvSource
     scorers: tuple[ScorerDescriptor, ...]
     methods: tuple[Method, ...]
@@ -140,15 +137,6 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         return _config_from_dict(doc)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return _config_from_dict(read_json(path, "config"))
-
-
-_TASKS = {
-    TaskKind.MORTALITY.value: TaskSpec.mortality,
-    TaskKind.LENGTH_OF_STAY.value: TaskSpec.length_of_stay,
-}
 
 _TOP_LEVEL_KEYS = {
     "task", "data", "scorers", "methods", "output_dir", "chunking", "fusion",
@@ -164,9 +152,12 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
     for key in ("task", "data", "scorers", "methods", "output_dir"):
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
-    if not isinstance(doc["task"], str) or doc["task"] not in _TASKS:
-        raise ConfigError(f"unknown task {doc['task']!r}; use one of {sorted(_TASKS)}")
-    task = _TASKS[doc["task"]]()
+    try:
+        task = TaskKind(doc["task"])
+    except ValueError as err:
+        raise ConfigError(
+            f"unknown task {doc['task']!r}; use one of {sorted(t.value for t in TaskKind)}"
+        ) from err
 
     data = as_object(doc["data"], "data")
     kind = data.pop("kind", None)
@@ -364,20 +355,9 @@ def _build_scorer(
         ids = _pattern_ids(descriptor, config, vocab)
         return PatternScorer.for_pattern(descriptor.scorer_id, ids)
     if descriptor.kind is ScorerKind.REMOTE:
-        endpoint = descriptor.metadata.get("endpoint", "")
-        try:
-            parts = urlsplit(endpoint)
-            parts.port  # raises unless the port is absent or a number in 0-65535
-        except ValueError:
-            parts = None
-        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ConfigError(
-                f"remote scorer {descriptor.scorer_id} needs an http(s) metadata.endpoint"
-                f" with a host and a valid port, got {endpoint!r}"
-            )
         return RemoteScorer.connect(
-            endpoint,
-            config.task.task_kind.value,
+            descriptor.metadata.get("endpoint", ""),
+            config.task.value,
             config.task.num_classes,
             scorer_id=descriptor.scorer_id,
         )
@@ -467,7 +447,9 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         raise DataError("no notes carry a label for the requested task")
     label_by_id = {n.note_id: lab for n, lab in zip(kept, labels)}
     note_by_id = {n.note_id: n for n in kept}
-    split = split_dataset(kept, config.split_ratios, child_seed(config.seed, "split"))
+    split = split_dataset(
+        [n.note_id for n in kept], config.split_ratios, child_seed(config.seed, "split")
+    )
     for name in ("train", "test"):
         if not getattr(split, name):
             raise DataError(
@@ -596,7 +578,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     rows = tuple(evaluate_row(spec) for spec in _row_plan(config))
 
     report = ComparisonReport(
-        task=config.task.task_kind.value,
+        task=config.task.value,
         seed=config.seed,
         sizes=prepared.sizes,
         rows=rows,

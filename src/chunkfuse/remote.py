@@ -33,11 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from .chunker import Chunk
-from .errors import ContractError, ProtocolError, TransportError, conforms
+from .errors import ConfigError, ContractError, ProtocolError, TransportError, conforms
 from .scoring import ScorerDescriptor, ScorerKind
 
 logger = logging.getLogger(__name__)
@@ -122,8 +123,8 @@ def _score_rows(scores: object, num_chunks: int, num_classes: int, url: str) -> 
 class RemoteScorer:
     """Client for one remote scoring endpoint.
 
-    Construct via :meth:`connect`, which probes ``/info`` and pins the
-    server's batch limit and class count.
+    Construct via :meth:`connect`, which checks the endpoint, probes
+    ``/info`` and pins the server's batch limit and class count.
     """
 
     descriptor: ScorerDescriptor
@@ -135,6 +136,16 @@ class RemoteScorer:
     def connect(
         cls, endpoint: str, task: str, num_classes: int, scorer_id: str = "remote"
     ) -> "RemoteScorer":
+        try:
+            parts = urlsplit(endpoint)
+            parts.port  # raises unless the port is absent or a number in 0-65535
+        except ValueError:
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(
+                f"remote scorer {scorer_id} needs an http(s) metadata.endpoint"
+                f" with a host and a valid port, got {endpoint!r}"
+            )
         endpoint = endpoint.rstrip("/")
         info = _http_json(endpoint + "/info", None)
         server_classes, max_batch = info.get("num_classes"), info.get("max_batch")

@@ -3,7 +3,7 @@ probability rows out.
 
 Four implementations share the contract: a trainable linear bag-of-tokens
 model (desk-scale stand-in for a fine-tuned encoder), a remote HTTP
-scorer (see remote.py), a table-driven mock for tests, and a pattern
+scorer (see remote.py), a constant mock for tests, and a pattern
 detector that fires on a contiguous token-id subsequence. The linear
 scorer is order-blind within a chunk; the pattern scorer exists to
 exercise behaviors that depend on token adjacency, such as signals
@@ -175,23 +175,13 @@ def score_chunks(scorer: ChunkScorer, chunks: Sequence[Chunk]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MockScorer:
-    """Deterministic lookup by chunk index; unlisted indices get the default."""
+    """The same probability row for every window."""
 
     descriptor: ScorerDescriptor
-    table: dict[int, tuple[float, ...]]
-    default: tuple[float, ...] | None = None
+    probs: tuple[float, ...]
 
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
-        width = self.descriptor.num_classes
-        rows = []
-        for c in chunks:
-            probs = self.table.get(c.index, self.default)
-            if probs is None:
-                raise ContractError(f"mock has no entry for chunk index {c.index}")
-            if len(probs) != width:
-                raise ContractError(f"mock table width {len(probs)} != {width} classes")
-            rows.append(probs)
-        return np.array(rows, dtype=np.float64).reshape(len(chunks), width)
+        return np.tile(np.asarray(self.probs, dtype=np.float64), (len(chunks), 1))
 
     @classmethod
     def constant(cls, scorer_id: str, probs: Sequence[float]) -> "MockScorer":
@@ -199,8 +189,7 @@ class MockScorer:
             descriptor=ScorerDescriptor(
                 scorer_id=scorer_id, kind=ScorerKind.MOCK, num_classes=len(probs)
             ),
-            table={},
-            default=tuple(probs),
+            probs=tuple(probs),
         )
 
 

@@ -17,7 +17,7 @@ from scipy import sparse
 from chunkfuse.chunker import Chunk, ChunkingConfig, chunk, coverage_check
 from chunkfuse.corpus import (
     GeneratorConfig,
-    TaskSpec,
+    TaskKind,
     derive_los_class,
     generate_synthetic_corpus,
     split_dataset,
@@ -152,7 +152,7 @@ def test_a2_fusion_algebra_on_random_matrices():
 
 def _linear_pair_config(seed: int, out_dir) -> ExperimentConfig:
     return ExperimentConfig(
-        task=TaskSpec.mortality(),
+        task=TaskKind.MORTALITY,
         data_source=SyntheticSource(
             GeneratorConfig(
                 num_docs=2_000,
@@ -207,7 +207,7 @@ def test_a3_aggregation_beats_truncation_and_ensembling_loses_nothing(tmp_path):
 
 def _straddle_config(seed: int, overlap: int, out_dir) -> ExperimentConfig:
     return ExperimentConfig(
-        task=TaskSpec.mortality(),
+        task=TaskKind.MORTALITY,
         data_source=SyntheticSource(
             GeneratorConfig(
                 num_docs=1_000,
@@ -376,11 +376,10 @@ def _unit(n: int, i: int, h: float) -> np.ndarray:
 
 
 def test_a7_los_bins_and_split_apportionment():
-    spec = TaskSpec.length_of_stay()
     for step in range(61):
         days = step * 0.5
         expected = 0 if days <= 3 else 1 if days <= 7 else 2 if days <= 14 else 3
-        assert derive_los_class(days, spec) == expected, days
+        assert derive_los_class(days, TaskKind.LENGTH_OF_STAY) == expected, days
 
     total = 48_684
     wanted = (33_954, 4_908, 9_822)
@@ -404,7 +403,7 @@ def test_a8_remote_protocol_round_trip_and_error_paths(caplog):
 
     def make_chunk(rng) -> Chunk:
         content = tuple(rng.randint(4, 300) for _ in range(rng.randint(1, 40)))
-        return Chunk(index=0, start=0, end=len(content), source=content)
+        return Chunk(start=0, end=len(content), source=content)
 
     rng = random.Random(8)
     chunks = [make_chunk(rng) for _ in range(1_000)]

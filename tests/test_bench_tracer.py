@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from chunkfuse.chunker import ChunkingConfig
-from chunkfuse.corpus import GeneratorConfig, TaskSpec
+from chunkfuse.corpus import GeneratorConfig, TaskKind
 from chunkfuse.experiment import ExperimentConfig, Method, SyntheticSource, run_experiment
 from chunkfuse.remote import StubScorerServer
 from chunkfuse.scoring import ScorerDescriptor, ScorerKind, TrainerConfig
@@ -41,7 +41,7 @@ def test_traced_run_matches_plain_run_and_fills_every_layer(tmp_path, capsys):
     per_layer = {metric["name"] for metric in declared["per_layer"]}
     with StubScorerServer(num_classes=2, max_batch=8, score_fn=id_sum_scores) as server:
         config = ExperimentConfig(
-            task=TaskSpec.mortality(),
+            task=TaskKind.MORTALITY,
             data_source=SyntheticSource(
                 GeneratorConfig(num_docs=40, min_tokens=80, max_tokens=160)
             ),

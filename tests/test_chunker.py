@@ -65,7 +65,6 @@ def test_thousand_token_spans():
     chunks = chunk(ids, cfg)
     assert [(c.start, c.end) for c in chunks] == [(0, 510), (460, 970), (920, 1000)]
     assert all(c.source is ids for c in chunks)  # shared, not copied
-    assert [c.index for c in chunks] == [0, 1, 2]
     assert len(chunks[0].ids) == 512  # 510 content tokens plus the frame
     assert len(chunks[-1].ids) == 82
     assert chunks[1].content == tuple(range(560, 1070))
@@ -74,7 +73,7 @@ def test_thousand_token_spans():
 def test_empty_input_yields_frame_only_chunk():
     cfg = ChunkingConfig()
     chunks = chunk([], cfg)
-    assert chunks == [Chunk(index=0, start=0, end=0, source=())]
+    assert chunks == [Chunk(start=0, end=0, source=())]
     assert chunks[0].content == () and chunks[0].ids == (2, 3)
     coverage_check([], chunks, cfg)
 
@@ -139,7 +138,6 @@ def test_spans_and_derived_ids_match_copying_oracle(ids, geom):
     chunks = chunk(ids, cfg)
     want = copying_chunk(ids, cfg)
     assert [(c.start, c.end) for c in chunks] == [(s, e) for s, e, _ in want]
-    assert [c.index for c in chunks] == list(range(len(want)))
     assert [c.ids for c in chunks] == [framed for _, _, framed in want]
     assert [c.content for c in chunks] == [framed[1:-1] for _, _, framed in want]
     # every window refers to one shared tuple of the note's ids
@@ -148,7 +146,7 @@ def test_spans_and_derived_ids_match_copying_oracle(ids, geom):
 
 
 def spans(source, pairs):
-    return [Chunk(index=i, start=s, end=e, source=source) for i, (s, e) in enumerate(pairs)]
+    return [Chunk(start=s, end=e, source=source) for s, e in pairs]
 
 
 def test_coverage_check_rejects_tampering():

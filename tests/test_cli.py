@@ -233,6 +233,12 @@ class TestCompare:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_invalid_json_config_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert main(["compare", "--config", str(path)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [
         {"parallel_rows": True},
         {"fusion": {"aggregation": "mean"}},
@@ -332,7 +338,7 @@ class TestServeMock:
             time.sleep(0.02)
         endpoint = endpoint_file.read_text().strip()
         scorer = RemoteScorer.connect(endpoint, "mortality", 2)
-        vectors = scorer.score_batch([Chunk(index=0, start=0, end=1, source=(7,))])
+        vectors = scorer.score_batch([Chunk(start=0, end=1, source=(7,))])
         assert [round(p, 6) for p in vectors[0]] == [0.25, 0.75]
         thread.join(timeout=10)
         assert result["rc"] == 0

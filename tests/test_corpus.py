@@ -8,7 +8,7 @@ from chunkfuse.corpus import (
     ClinicalNote,
     CsvSchema,
     GeneratorConfig,
-    TaskSpec,
+    TaskKind,
     assemble_note,
     derive_los_class,
     filter_for_task,
@@ -62,32 +62,34 @@ def test_note_caches_assembly_and_checks_coherence():
 def test_note_label_validation():
     with pytest.raises(InvalidLabelError):
         ClinicalNote(note_id="n", sections=sections(), mortality_label=2)
-    with pytest.raises(InvalidLabelError):
-        ClinicalNote(note_id="n", sections=sections(), los_days=-1.0)
+    for days in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidLabelError):
+            ClinicalNote(note_id="n", sections=sections(), los_days=days)
 
 
-def test_task_spec_factories():
-    assert TaskSpec.mortality().num_classes == 2
-    los = TaskSpec.length_of_stay()
+def test_task_kind_properties():
+    assert TaskKind.MORTALITY.num_classes == 2
+    assert TaskKind.MORTALITY.los_bin_edges == ()
+    los = TaskKind.LENGTH_OF_STAY
     assert los.num_classes == 4
     assert los.los_bin_edges == (3.0, 7.0, 14.0)
 
 
 def test_los_bins_match_documented_boundaries():
-    spec = TaskSpec.length_of_stay()
+    los = TaskKind.LENGTH_OF_STAY
     cases = {0.0: 0, 3.0: 0, 3.5: 1, 7.0: 1, 7.1: 2, 14.0: 2, 14.5: 3, 100.0: 3}
     for days, expected in cases.items():
-        assert derive_los_class(days, spec) == expected, days
-    with pytest.raises(InvalidLabelError):
-        derive_los_class(-0.5, spec)
+        assert derive_los_class(days, los) == expected, days
+    for days in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidLabelError):
+            derive_los_class(days, los)
     with pytest.raises(ContractError):
-        derive_los_class(1.0, TaskSpec.mortality())
+        derive_los_class(1.0, TaskKind.MORTALITY)
 
 
 @given(st.lists(st.floats(0, 60, allow_nan=False), min_size=2, max_size=40))
 def test_los_class_monotone(days):
-    spec = TaskSpec.length_of_stay()
-    classes = [derive_los_class(d, spec) for d in sorted(days)]
+    classes = [derive_los_class(d, TaskKind.LENGTH_OF_STAY) for d in sorted(days)]
     assert classes == sorted(classes)
     assert all(0 <= c <= 3 for c in classes)
 
@@ -99,10 +101,10 @@ def test_filter_for_task_drops_unlabeled():
         ClinicalNote(note_id="c", sections=sections(), mortality_label=0,
                      los_days=20.0),
     ]
-    kept, labels = filter_for_task(notes, TaskSpec.mortality())
+    kept, labels = filter_for_task(notes, TaskKind.MORTALITY)
     assert [n.note_id for n in kept] == ["a", "c"]
     assert labels == [1, 0]
-    kept, labels = filter_for_task(notes, TaskSpec.length_of_stay())
+    kept, labels = filter_for_task(notes, TaskKind.LENGTH_OF_STAY)
     assert [n.note_id for n in kept] == ["b", "c"]
     assert labels == [1, 3]
 
@@ -148,10 +150,15 @@ def test_ingest_skips_unparseable_labels(tmp_path):
         ["n2", "b", "", "", "", "", "", "", "", "2", ""],
         ["n3", "c", "", "", "", "", "", "", "", "", "-4"],
         ["n4", "d", "", "", "", "", "", "", "", "0", "1"],
+        # a non-finite stay has no length-of-stay bin
+        ["n5", "e", "", "", "", "", "", "", "", "", "nan"],
+        ["n6", "f", "", "", "", "", "", "", "", "", "NaN"],
+        ["n7", "g", "", "", "", "", "", "", "", "", "inf"],
+        ["n8", "h", "", "", "", "", "", "", "", "", "-inf"],
     ]
     write_csv(path, header, rows)
     result = ingest_csv(path, SCHEMA)
-    assert result.skipped_rows == 3
+    assert result.skipped_rows == 7
     assert [n.note_id for n in result.notes] == ["n4"]
 
 
@@ -193,14 +200,6 @@ def test_split_determinism_and_partition():
     combined = set(a.train) | set(a.validation) | set(a.test)
     assert combined == set(ids)
     assert len(a.train) + len(a.validation) + len(a.test) == 101
-
-
-def test_split_accepts_notes():
-    notes = [ClinicalNote(note_id=f"n{i}", sections=sections()) for i in range(5)]
-    split = split_dataset(notes, (0.6, 0.2, 0.2), seed=1)
-    assert sorted(split.train + split.validation + split.test) == sorted(
-        n.note_id for n in notes
-    )
 
 
 def test_split_config_errors():

@@ -17,7 +17,7 @@ import chunkfuse.experiment as experiment
 import chunkfuse.scoring as scoring
 import chunkfuse.training as training
 from chunkfuse.chunker import ChunkingConfig
-from chunkfuse.corpus import SECTION_ORDER, GeneratorConfig, TaskSpec
+from chunkfuse.corpus import SECTION_ORDER, GeneratorConfig, TaskKind
 from chunkfuse.errors import ChunkfuseError, ConfigError, ContractError, DataError
 from chunkfuse.experiment import (
     _TOP_LEVEL_KEYS,
@@ -52,7 +52,7 @@ def mock_descriptor(scorer_id: str, probs: str, num_classes: int = 2) -> ScorerD
 
 def small_config(tmp_path, **overrides) -> ExperimentConfig:
     defaults = dict(
-        task=TaskSpec.mortality(),
+        task=TaskKind.MORTALITY,
         data_source=SyntheticSource(
             GeneratorConfig(num_docs=40, min_tokens=80, max_tokens=160)
         ),
@@ -165,6 +165,14 @@ class TestConfigFromJson:
         with pytest.raises(ConfigError, match="readmission"):
             ExperimentConfig.from_json_dict(doc)
 
+    @pytest.mark.parametrize("task", [["mortality"], None, 3, {"task": "mortality"}])
+    def test_non_string_task_rejected(self, tmp_path, task):
+        doc = self.base_doc(tmp_path)
+        doc["task"] = task
+        with pytest.raises(ConfigError, match="unknown task .*use one of") as raised:
+            ExperimentConfig.from_json_dict(doc)
+        assert raised.value.exit_code == 1
+
     def test_unknown_method_rejected(self, tmp_path):
         doc = self.base_doc(tmp_path)
         doc["methods"] = ["baseline", "stacking"]
@@ -194,16 +202,6 @@ class TestConfigFromJson:
         doc["data"] = {"kind": "parquet"}
         with pytest.raises(ConfigError, match="parquet"):
             ExperimentConfig.from_json_dict(doc)
-
-    def test_from_file_reports_invalid_json(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            ExperimentConfig.from_file(path)
-
-    def test_from_file_reports_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            ExperimentConfig.from_file(tmp_path / "absent.json")
 
     @pytest.mark.parametrize("key, value", [
         ("data", [["kind", "synthetic"]]),
@@ -672,7 +670,7 @@ def test_readme_config_table_lists_exactly_the_parsed_keys():
 class TestTrainedScorersEndToEnd:
     def linear_config(self, tmp_path, out: str, **overrides) -> ExperimentConfig:
         defaults = dict(
-            task=TaskSpec.mortality(),
+            task=TaskKind.MORTALITY,
             data_source=SyntheticSource(
                 GeneratorConfig(num_docs=80, min_tokens=80, max_tokens=160)
             ),

@@ -53,11 +53,16 @@ def pipeline_probs(method, note, scorers, vocab):
     return tuple(probs), len(chunks)
 
 
-def table_mock(scorer_id, table):
-    return MockScorer(
-        descriptor=ScorerDescriptor(scorer_id, ScorerKind.MOCK, num_classes=2),
-        table=table,
-    )
+class WindowTable:
+    """A fake scorer giving window ``k`` (default geometry) the row ``rows[k]``."""
+
+    def __init__(self, scorer_id, rows):
+        self.descriptor = ScorerDescriptor(scorer_id, ScorerKind.MOCK, num_classes=2)
+        self.rows = rows
+
+    def score_batch(self, chunks):
+        stride = ChunkingConfig().stride
+        return np.array([self.rows[c.start // stride] for c in chunks])
 
 
 def test_aggregate_is_elementwise_mean():
@@ -188,7 +193,7 @@ def test_predict_short_note_single_scorer():
 def test_predict_three_chunk_note_averages_mock_table():
     vocab = build_vocabulary(["fi"], max_size=5)
     note = note_with(" ".join(["fi"] * 1000))
-    scorer = table_mock("m", {0: (1.0, 0.0), 1: (0.0, 1.0), 2: (1.0, 0.0)})
+    scorer = WindowTable("m", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
     probs, num_chunks = pipeline_probs(Method.AGGREGATION, note, [scorer], vocab)
     assert num_chunks == 3
     assert probs == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
@@ -197,9 +202,9 @@ def test_predict_three_chunk_note_averages_mock_table():
 def test_duplicate_scorers_change_nothing():
     vocab = build_vocabulary(["fi"], max_size=5)
     note = note_with(" ".join(["fi"] * 700))
-    table = {0: (0.2, 0.8), 1: (0.6, 0.4)}
-    solo = [table_mock("a", table)]
-    duo = [table_mock("a", table), table_mock("b", table)]
+    rows = [(0.2, 0.8), (0.6, 0.4)]
+    solo = [WindowTable("a", rows)]
+    duo = [WindowTable("a", rows), WindowTable("b", rows)]
     for single, fused in (
         (Method.AGGREGATION, Method.ENSEMBLE_AGGREGATION),
         (Method.BASELINE, Method.ENSEMBLE),
@@ -222,7 +227,7 @@ def test_truncation_matches_full_pipeline_on_short_note():
 def test_truncation_sees_only_first_chunk():
     vocab = build_vocabulary(["fi"], max_size=5)
     note = note_with(" ".join(["fi"] * 1000))
-    scorer = table_mock("m", {0: (0.9, 0.1), 1: (0.0, 1.0), 2: (0.0, 1.0)})
+    scorer = WindowTable("m", [(0.9, 0.1), (0.0, 1.0), (0.0, 1.0)])
     probs, num_chunks = pipeline_probs(Method.BASELINE, note, [scorer], vocab)
     assert probs == (0.9, 0.1)
     assert num_chunks == 3  # the later windows exist but are not used

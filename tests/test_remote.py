@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from chunkfuse import remote
 from chunkfuse.chunker import Chunk
-from chunkfuse.errors import ContractError, ProtocolError, ScorerError, TransportError
+from chunkfuse.errors import (
+    ConfigError,
+    ContractError,
+    ProtocolError,
+    ScorerError,
+    TransportError,
+)
 from chunkfuse.remote import RemoteScorer, StubScorerServer
 from chunkfuse.scoring import score_chunks
 
 
 def make_chunk(i):
-    return Chunk(index=i, start=0, end=1, source=(1000 + i,))
+    return Chunk(start=0, end=1, source=(1000 + i,))
 
 
 def id_scores(ids):
@@ -53,6 +59,18 @@ def test_malformed_info_reply():
             setattr(stub, field, value)  # /info now emits a non-integer
             with pytest.raises(ProtocolError, match="malformed capability"):
                 connect(stub)
+
+
+@pytest.mark.parametrize("endpoint", [
+    "http://127.0.0.1:abc", "http://127.0.0.1:99999", "ftp://x", "http://", "127.0.0.1:9", "",
+])
+def test_bad_endpoint_is_config_error_before_any_request(monkeypatch, endpoint):
+    def no_request(url, payload):
+        raise AssertionError(f"request sent to {url}")
+
+    monkeypatch.setattr(remote, "_http_json", no_request)
+    with pytest.raises(ConfigError, match="needs an http"):
+        RemoteScorer.connect(endpoint, "mortality", 2, scorer_id="r")
 
 
 def test_unreachable_server_is_transport_error():

@@ -27,7 +27,7 @@ from chunkfuse.scoring import (
 
 def window(ids):
     """A note's one window holding all of ``ids``."""
-    return Chunk(index=0, start=0, end=len(ids), source=tuple(ids))
+    return Chunk(start=0, end=len(ids), source=tuple(ids))
 
 
 def test_probability_vector_validation():
@@ -55,23 +55,21 @@ def test_descriptor_needs_two_classes():
         ScorerDescriptor(scorer_id="x", kind=ScorerKind.MOCK, num_classes=1)
 
 
-def test_mock_table_lookup():
-    scorer = MockScorer(
-        descriptor=ScorerDescriptor(scorer_id="m", kind=ScorerKind.MOCK, num_classes=2),
-        table={0: (0.2, 0.8)},
-    )
-    assert scorer.score_batch([window([5, 6])]).tolist() == [[0.2, 0.8]]
-    with pytest.raises(ContractError):  # no entry, no default
-        scorer.score_batch([Chunk(index=3, start=0, end=1, source=(5,))])
+def test_constant_mock_scores_every_window_alike():
+    scorer = MockScorer.constant("m", (0.2, 0.8))
+    windows = chunk(list(range(4, 30)), ChunkingConfig(capacity=10, overlap=2))
+    assert len(windows) == 3
+    assert score_chunks(scorer, windows).tolist() == [[0.2, 0.8]] * 3
+    assert score_chunks(scorer, []).shape == (0, 2)
 
 
 def test_mock_width_mismatch_rejected():
     scorer = MockScorer(
         descriptor=ScorerDescriptor(scorer_id="m", kind=ScorerKind.MOCK, num_classes=3),
-        table={0: (0.5, 0.5)},
+        probs=(0.5, 0.5),
     )
-    with pytest.raises(ContractError):
-        scorer.score_batch([window([4])])
+    with pytest.raises(ScorerError, match="shape"):
+        score_chunks(scorer, [window([4])])
 
 
 def test_zero_weight_linear_is_uniform():
