@@ -21,7 +21,6 @@ from chunkfuse.corpus import GeneratorConfig, TaskKind
 from chunkfuse.experiment import (
     ExperimentConfig,
     Method,
-    SyntheticSource,
     run_experiment,
 )
 from chunkfuse.scoring import ScorerDescriptor, ScorerKind, TrainerConfig
@@ -50,12 +49,10 @@ def main() -> int:
     for seed in range(args.num_seeds):
         config = ExperimentConfig(
             task=TaskKind.MORTALITY,
-            data_source=SyntheticSource(
-                GeneratorConfig(
-                    num_docs=args.num_docs,
-                    min_tokens=args.min_tokens,
-                    max_tokens=args.max_tokens,
-                )
+            data=GeneratorConfig(
+                num_docs=args.num_docs,
+                min_tokens=args.min_tokens,
+                max_tokens=args.max_tokens,
             ),
             scorers=tuple(
                 ScorerDescriptor(sid, ScorerKind.LINEAR, 2) for sid in scorer_ids

@@ -21,7 +21,6 @@ from chunkfuse.corpus import GeneratorConfig, TaskKind
 from chunkfuse.experiment import (
     ExperimentConfig,
     Method,
-    SyntheticSource,
     run_experiment,
 )
 from chunkfuse.scoring import ScorerDescriptor, ScorerKind
@@ -41,16 +40,14 @@ def parse_args() -> argparse.Namespace:
 def run_one(args: argparse.Namespace, seed: int, overlap: int) -> float:
     config = ExperimentConfig(
         task=TaskKind.MORTALITY,
-        data_source=SyntheticSource(
-            GeneratorConfig(
-                num_docs=args.num_docs,
-                min_tokens=1500,
-                max_tokens=3000,
-                signal_length=args.signal_length,
-                placement="boundary",
-                boundary_period=510,
-                straddle_prob=args.straddle_prob,
-            )
+        data=GeneratorConfig(
+            num_docs=args.num_docs,
+            min_tokens=1500,
+            max_tokens=3000,
+            signal_length=args.signal_length,
+            placement="boundary",
+            boundary_period=510,
+            straddle_prob=args.straddle_prob,
         ),
         scorers=(
             ScorerDescriptor(

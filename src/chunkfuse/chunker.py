@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ContractError, conforms
+from .errors import ConfigError, ContractError, config_block
 from .tokenizer import CLS_ID, SEP_ID
 
 
-@dataclass(frozen=True)
+@config_block
 class ChunkingConfig:
     """Window geometry."""
 
@@ -23,10 +23,6 @@ class ChunkingConfig:
     overlap: int = 50
 
     def __post_init__(self) -> None:
-        for name in ("capacity", "overlap"):
-            value = getattr(self, name)
-            if not conforms(int, value):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {self.capacity}")
         if not 0 <= self.overlap < self.capacity:

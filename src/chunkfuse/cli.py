@@ -193,6 +193,12 @@ def cmd_compare(args: argparse.Namespace, extras: list[str]) -> int:
 
 def cmd_serve_mock(args: argparse.Namespace, extras: list[str]) -> int:
     _reject_extras(extras)
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"--port must be in [0, 65535], got {args.port}")
+    if args.num_classes < 2:
+        raise ConfigError(f"--num-classes must be at least 2, got {args.num_classes}")
+    if args.max_batch < 1:
+        raise ConfigError(f"--max-batch must be at least 1, got {args.max_batch}")
     score_fn = None
     if args.probs:
         probs = parse_probs(args.probs, "--probs")
@@ -201,12 +207,15 @@ def cmd_serve_mock(args: argparse.Namespace, extras: list[str]) -> int:
                 f"--probs has {len(probs)} values for {args.num_classes} classes"
             )
         score_fn = lambda ids: list(probs)  # noqa: E731
-    server = StubScorerServer(
-        num_classes=args.num_classes,
-        max_batch=args.max_batch,
-        score_fn=score_fn,
-        port=args.port,
-    ).start()
+    try:
+        server = StubScorerServer(
+            num_classes=args.num_classes,
+            max_batch=args.max_batch,
+            score_fn=score_fn,
+            port=args.port,
+        ).start()
+    except OSError as err:  # the port is taken or may not be bound
+        raise ConfigError(f"--port {args.port}: cannot serve on it: {err}") from err
     try:
         print(f"serving {server.endpoint} (classes={args.num_classes},"
               f" max_batch={args.max_batch})")

@@ -20,7 +20,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, ContractError, DataError, InvalidLabelError, SchemaError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DataError,
+    InvalidLabelError,
+    SchemaError,
+    config_block,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +120,7 @@ def filter_for_task(
     return kept, labels
 
 
-@dataclass(frozen=True)
+@config_block
 class CsvSchema:
     """Maps note fields to CSV column names."""
 
@@ -312,7 +319,7 @@ def find_pattern(tokens: Sequence, pattern: Sequence) -> list[int]:
     return hits
 
 
-@dataclass(frozen=True)
+@config_block
 class GeneratorConfig:
     """Synthetic corpus shape.
 
@@ -345,11 +352,16 @@ class GeneratorConfig:
             )
         if not 0.0 <= self.positive_fraction <= 1.0:
             raise ConfigError("positive_fraction must be in [0, 1]")
+        if self.filler_vocab_size < 1:
+            raise ConfigError("filler_vocab_size must be positive")
         if self.placement not in ("uniform", "boundary"):
             raise ConfigError(f"unknown placement mode: {self.placement!r}")
         if self.placement == "boundary":
             if not 0.0 <= self.straddle_prob <= 1.0:
                 raise ConfigError("straddle_prob must be in [0, 1]")
+            if self.signal_length == 1 and self.straddle_prob > 0:
+                raise ConfigError("a 1-token signal cannot straddle a boundary;"
+                                  " set straddle_prob 0 or signal_length > 1")
             if self.min_tokens <= self.boundary_period:
                 raise ConfigError(
                     "boundary placement needs min_tokens > boundary_period"

@@ -5,6 +5,8 @@ Each family maps to a CLI exit code: config errors exit 1, data errors 2,
 scorer/transport errors 3, undefined metrics 4.
 """
 
+import dataclasses
+import enum
 import json
 import sys
 import types
@@ -116,7 +118,7 @@ def conforms(hint, value) -> bool:
     """Whether a config value fits its field's type. An int field takes
     an int but not a bool or a float; a float field takes a finite int or
     float; a str field a string. Tuples, dicts and unions are checked
-    element by element; other types are left to their constructors."""
+    element by element; any other class by ``isinstance``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint in (int, str):
         return type(value) is hint
@@ -127,7 +129,7 @@ def conforms(hint, value) -> bool:
     if origin in (typing.Union, types.UnionType):
         return any(conforms(arm, value) for arm in args)
     if origin is tuple:
-        if not isinstance(value, (list, tuple)):
+        if not isinstance(value, tuple):
             return False
         arms = args[:1] * len(value) if args[-1:] == (...,) else args
         return len(arms) == len(value) and all(map(conforms, arms, value))
@@ -135,7 +137,29 @@ def conforms(hint, value) -> bool:
         return isinstance(value, dict) and all(
             conforms(args[0], k) and conforms(args[1], v) for k, v in value.items()
         )
-    return True
+    return isinstance(value, hint)
+
+
+def config_block(cls):
+    """Make ``cls`` a frozen dataclass whose fields are checked against
+    their types (``conforms``) whenever a block is constructed, before the
+    class's own ``__post_init__``; a misfit is a ConfigError naming it."""
+    own_checks = getattr(cls, "__post_init__", None)
+    hints: dict = {}  # resolved on first use, once every name they cite exists
+
+    def __post_init__(self) -> None:
+        if not hints:
+            hints.update(typing.get_type_hints(cls))
+        for name, hint in hints.items():
+            value = getattr(self, name)
+            if not conforms(hint, value):
+                shown = hint.__name__ if isinstance(hint, type) else hint
+                raise ConfigError(f"{name} must be a valid {shown}, got {value!r}")
+        if own_checks is not None:
+            own_checks(self)
+
+    cls.__post_init__ = __post_init__
+    return dataclasses.dataclass(frozen=True)(cls)
 
 
 def as_object(value, what: str) -> dict:
@@ -145,18 +169,37 @@ def as_object(value, what: str) -> dict:
     return dict(value)
 
 
+def from_json(name: str, hint, value):
+    """A JSON value read as its field's type: an enum field takes one of its
+    values, a block field (or a tuple of them, or one that may be None) is
+    built from its object, and lists become tuples. Anything else is left
+    for the block's own type check."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        legal = [member.value for member in hint]
+        if value not in legal:  # compared, never hashed: a list value is refused too
+            raise ConfigError(f"unknown {name} {value!r}; use one of {sorted(legal)}")
+        return hint(value)
+    if dataclasses.is_dataclass(hint):
+        return build_block(name, hint, as_object(value, name))
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        (arm,) = (a for a in args if a is not type(None))
+        return None if value is None else from_json(name, arm, value)
+    if origin is tuple and isinstance(value, list):
+        arms = args[:1] * len(value) if args[-1:] == (...,) else args
+        if len(arms) == len(value):
+            return tuple(from_json(name, arm, item) for arm, item in zip(arms, value))
+    return value
+
+
 def build_block(kind: str, factory, fields: dict):
-    """Construct a config block after checking each value against the
-    block's field type (``conforms``); JSON lists become tuples. Every
+    """Construct a config block from a JSON object, each value read as its
+    field's type (``from_json``); the block checks the result itself. Every
     config block, in a config file or from a CLI command, is built here."""
     hints = typing.get_type_hints(factory)
     for name, value in fields.items():
-        hint = hints.get(name)  # an unknown name conforms; the factory rejects it
-        if not conforms(hint, value):
-            shown = hint.__name__ if hint in (int, float, str) else hint
-            raise ConfigError(f"{kind}.{name} must be a valid {shown}, got {value!r}")
-        if typing.get_origin(hint) is tuple:
-            fields[name] = tuple(value)
+        if name in hints:  # an unknown name is left for the factory to refuse
+            fields[name] = from_json(name, hints[name], value)
     try:
         return factory(**fields)
     except TypeError as err:

@@ -47,6 +47,8 @@ from .errors import (
     MetricUndefinedError,
     as_object,
     build_block,
+    config_block,
+    from_json,
     make_dir,
     write_text,
 )
@@ -87,21 +89,16 @@ METHOD_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class SyntheticSource:
-    generator: GeneratorConfig
-
-
-@dataclass(frozen=True)
+@config_block
 class CsvSource:
     path: str
     schema: CsvSchema
 
 
-@dataclass(frozen=True)
+@config_block
 class ExperimentConfig:
     task: TaskKind
-    data_source: SyntheticSource | CsvSource
+    data: GeneratorConfig | CsvSource
     scorers: tuple[ScorerDescriptor, ...]
     methods: tuple[Method, ...]
     output_dir: str
@@ -135,83 +132,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        return _config_from_dict(doc)
-
-
-_TOP_LEVEL_KEYS = {
-    "task", "data", "scorers", "methods", "output_dir", "chunking", "fusion",
-    "trainer", "split_ratios", "vocab_size", "seed",
-}
-
-
-def _config_from_dict(doc: dict) -> ExperimentConfig:
-    doc = as_object(doc, "config root")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("task", "data", "scorers", "methods", "output_dir"):
-        if key not in doc:
-            raise ConfigError(f"config is missing required key {key!r}")
-    try:
-        task = TaskKind(doc["task"])
-    except ValueError as err:
-        raise ConfigError(
-            f"unknown task {doc['task']!r}; use one of {sorted(t.value for t in TaskKind)}"
-        ) from err
-
-    data = as_object(doc["data"], "data")
-    kind = data.pop("kind", None)
-    if kind == "synthetic":
-        source: SyntheticSource | CsvSource = SyntheticSource(
-            generator=build_block("data", GeneratorConfig, data)
-        )
-    elif kind == "csv":
-        schema = as_object(data.get("schema"), "data.schema")
-        data["schema"] = build_block("schema", CsvSchema, schema)
-        source = build_block("data", CsvSource, data)
-    else:
-        raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {kind!r}")
-
-    try:
-        methods = tuple(Method(m) for m in doc["methods"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad methods {doc['methods']!r}: {err}") from err
-
-    if not isinstance(doc["scorers"], list):
-        raise ConfigError(f"scorers must be a list, got {doc['scorers']!r}")
-    scorers = []
-    for entry in doc["scorers"]:
-        entry = as_object(entry, "scorer entry")
-        unknown = set(entry) - {"scorer_id", "kind", "metadata"}
-        if unknown:
-            raise ConfigError(f"unknown scorer keys: {sorted(unknown)}")
-        try:
-            entry["kind"] = ScorerKind(entry.get("kind"))
-        except ValueError as err:
-            raise ConfigError(f"unknown scorer kind {entry.get('kind')!r}") from err
-        metadata = as_object(entry.get("metadata", {}), "scorer metadata")
-        entry["metadata"] = {str(k): str(v) for k, v in metadata.items()}
-        entry["num_classes"] = task.num_classes
-        scorers.append(build_block("scorer", ScorerDescriptor, entry))
-
-    blocks = {
-        key: build_block(key, factory, as_object(doc[key], key))
-        for key, factory in (
-            ("chunking", ChunkingConfig), ("fusion", FusionSpec), ("trainer", TrainerConfig)
-        )
-        if key in doc
-    }
-    if "seed" in doc.get("trainer", {}):  # each trained scorer's seed derives from it
-        raise ConfigError("trainer.seed is not read; set the top-level seed")
-    plain = {k: doc[k] for k in ("output_dir", "split_ratios", "vocab_size", "seed") if k in doc}
-    return build_block("config", ExperimentConfig, {
-        "task": task,
-        "data_source": source,
-        "scorers": tuple(scorers),
-        "methods": methods,
-        **blocks,
-        **plain,
-    })
+        """Build a config from its JSON form with ``build_block``, after the
+        steps the field types cannot say: ``data.kind`` picks the source
+        block, each scorer entry gets the task's class count, and a
+        ``trainer.seed`` is refused (each trained scorer's seed derives from
+        the top-level one)."""
+        doc = as_object(doc, "config root")
+        data = as_object(doc.get("data"), "data")
+        kind = data.pop("kind", None)
+        if kind not in ("synthetic", "csv"):
+            raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {kind!r}")
+        source = GeneratorConfig if kind == "synthetic" else CsvSource
+        doc["data"] = build_block("data", source, data)
+        if isinstance(doc.get("scorers"), list):
+            classes = from_json("task", TaskKind, doc.get("task")).num_classes
+            doc["scorers"] = [
+                dict(as_object(entry, "scorer entry"), num_classes=classes)
+                for entry in doc["scorers"]
+            ]
+        if "seed" in as_object(doc.get("trainer", {}), "trainer"):
+            raise ConfigError("trainer.seed is not read; set the top-level seed")
+        return build_block("config", cls, doc)
 
 
 @dataclass(frozen=True)
@@ -302,11 +243,9 @@ def emit_report(
 
 
 def _load_notes(config: ExperimentConfig) -> list[ClinicalNote]:
-    if isinstance(config.data_source, SyntheticSource):
-        return generate_synthetic_corpus(
-            config.data_source.generator, child_seed(config.seed, "data")
-        )
-    result = ingest_csv(config.data_source.path, config.data_source.schema)
+    if isinstance(config.data, GeneratorConfig):
+        return generate_synthetic_corpus(config.data, child_seed(config.seed, "data"))
+    result = ingest_csv(config.data.path, config.data.schema)
     if result.skipped_rows:
         logger.warning("ingest skipped %d rows with bad labels", result.skipped_rows)
     return result.notes
@@ -321,8 +260,8 @@ def _pattern_ids(
     spec = descriptor.metadata.get("pattern", "auto")
     if spec != "auto":
         tokens = normalize(spec)
-    elif isinstance(config.data_source, SyntheticSource):
-        tokens = signal_pattern(config.data_source.generator.signal_length)
+    elif isinstance(config.data, GeneratorConfig):
+        tokens = signal_pattern(config.data.signal_length)
     else:
         raise ConfigError("pattern 'auto' needs a synthetic data source")
     missing = [t for t in tokens if t not in vocab.token_to_id]

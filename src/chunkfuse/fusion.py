@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, config_block
 from .scoring import ProbabilityVector
 
 
@@ -60,7 +60,7 @@ class PredictionMatrix:
         )
 
 
-@dataclass(frozen=True)
+@config_block
 class FusionSpec:
     """Per-model weights, normalized at construction, so any finite
     non-negative vector with positive mass is accepted."""
@@ -70,8 +70,8 @@ class FusionSpec:
     def __post_init__(self) -> None:
         if not self.model_weights:
             raise ContractError("model_weights must be non-empty")
-        if not all(0 <= w < math.inf for w in self.model_weights):
-            raise ContractError(f"model weights must be finite and >= 0: {self.model_weights}")
+        if min(self.model_weights) < 0:  # the type rule has refused NaN and the infinities
+            raise ContractError(f"model weights must be >= 0: {self.model_weights}")
         total = sum(self.model_weights)
         if not 0 < total < math.inf:
             raise ContractError("model weights must have positive, finite mass")

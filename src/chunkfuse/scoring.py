@@ -31,6 +31,7 @@ from .errors import (
     ScorerError,
     as_object,
     build_block,
+    config_block,
     read_json,
     write_text,
 )
@@ -81,7 +82,7 @@ METADATA_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@config_block
 class ScorerDescriptor:
     """Identity and wiring of one ensemble member."""
 
@@ -99,7 +100,7 @@ class ScorerDescriptor:
                               f" got keys {sorted(self.metadata)}")
 
 
-@dataclass(frozen=True)
+@config_block
 class TrainerConfig:
     """Optimization settings for the linear scorer.
 

@@ -13,16 +13,15 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
 
-from .errors import ContractError, DataError, write_text
+from .errors import ContractError
 
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
 SEP_ID = 3
 
-# Header order doubles as the id assignment in serialized files.
+# A special token's id is its position here.
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]")
 # Text tokens take the ids after the reserved ones; reserved ids carry no features.
 FIRST_TEXT_ID = len(SPECIAL_TOKENS)
@@ -68,23 +67,9 @@ class Vocabulary:
         ordered = sorted(self.token_to_id, key=self.token_to_id.get)
         return "\n".join(SPECIAL_TOKENS + tuple(ordered)) + "\n"
 
-    def save(self, path: str | Path) -> None:
-        """One token per line; the line number is the id."""
-        write_text(path, self._text(), "vocabulary")
-
     def sha256(self) -> str:
-        """Hex sha256 of the tokens in id order: the UTF-8 text ``save`` writes."""
+        """Hex sha256 of the UTF-8 text of the tokens in id order, one per line."""
         return hashlib.sha256(self._text().encode()).hexdigest()
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text().splitlines()
-        if tuple(lines[:FIRST_TEXT_ID]) != SPECIAL_TOKENS:
-            raise DataError(f"{path}: missing or reordered special-token header")
-        tokens = lines[FIRST_TEXT_ID:]
-        if len(set(tokens)) != len(tokens):
-            raise DataError(f"{path}: duplicate tokens in vocabulary file")
-        return cls(token_to_id={tok: i for i, tok in enumerate(tokens, FIRST_TEXT_ID)})
 
 
 def build_vocabulary(corpus: list[str], max_size: int) -> Vocabulary:

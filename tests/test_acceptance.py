@@ -26,7 +26,6 @@ from chunkfuse.errors import ProtocolError
 from chunkfuse.experiment import (
     ExperimentConfig,
     Method,
-    SyntheticSource,
     _note_probs,
     run_experiment,
 )
@@ -153,15 +152,13 @@ def test_a2_fusion_algebra_on_random_matrices():
 def _linear_pair_config(seed: int, out_dir) -> ExperimentConfig:
     return ExperimentConfig(
         task=TaskKind.MORTALITY,
-        data_source=SyntheticSource(
-            GeneratorConfig(
-                num_docs=2_000,
-                min_tokens=1_500,
-                max_tokens=3_000,
-                signal_length=12,
-                positive_fraction=0.5,
-                placement="uniform",
-            )
+        data=GeneratorConfig(
+            num_docs=2_000,
+            min_tokens=1_500,
+            max_tokens=3_000,
+            signal_length=12,
+            positive_fraction=0.5,
+            placement="uniform",
         ),
         scorers=(
             ScorerDescriptor("lin-a", ScorerKind.LINEAR, 2),
@@ -208,17 +205,15 @@ def test_a3_aggregation_beats_truncation_and_ensembling_loses_nothing(tmp_path):
 def _straddle_config(seed: int, overlap: int, out_dir) -> ExperimentConfig:
     return ExperimentConfig(
         task=TaskKind.MORTALITY,
-        data_source=SyntheticSource(
-            GeneratorConfig(
-                num_docs=1_000,
-                min_tokens=1_500,
-                max_tokens=3_000,
-                signal_length=60,
-                positive_fraction=0.5,
-                placement="boundary",
-                boundary_period=510,
-                straddle_prob=0.5,
-            )
+        data=GeneratorConfig(
+            num_docs=1_000,
+            min_tokens=1_500,
+            max_tokens=3_000,
+            signal_length=60,
+            positive_fraction=0.5,
+            placement="boundary",
+            boundary_period=510,
+            straddle_prob=0.5,
         ),
         scorers=(
             ScorerDescriptor(

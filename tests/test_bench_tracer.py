@@ -13,7 +13,7 @@ from pathlib import Path
 
 from chunkfuse.chunker import ChunkingConfig
 from chunkfuse.corpus import GeneratorConfig, TaskKind
-from chunkfuse.experiment import ExperimentConfig, Method, SyntheticSource, run_experiment
+from chunkfuse.experiment import ExperimentConfig, Method, run_experiment
 from chunkfuse.remote import StubScorerServer
 from chunkfuse.scoring import ScorerDescriptor, ScorerKind, TrainerConfig
 
@@ -42,9 +42,7 @@ def test_traced_run_matches_plain_run_and_fills_every_layer(tmp_path, capsys):
     with StubScorerServer(num_classes=2, max_batch=8, score_fn=id_sum_scores) as server:
         config = ExperimentConfig(
             task=TaskKind.MORTALITY,
-            data_source=SyntheticSource(
-                GeneratorConfig(num_docs=40, min_tokens=80, max_tokens=160)
-            ),
+            data=GeneratorConfig(num_docs=40, min_tokens=80, max_tokens=160),
             scorers=tuple(
                 ScorerDescriptor(scorer_id=sid, kind=kind, num_classes=2, metadata=meta)
                 for sid, kind, meta in (

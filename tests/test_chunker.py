@@ -54,7 +54,7 @@ def test_invalid_configs_rejected():
 @pytest.mark.parametrize("value", [30.5, 8.0, True, "8", None])
 def test_non_int_fields_are_config_errors(field, value):
     # a Python caller gets exit code 1 here, not a TypeError mid-run
-    with pytest.raises(ConfigError, match=f"^{field} must be an int") as raised:
+    with pytest.raises(ConfigError, match=f"^{field} must be a valid int") as raised:
         ChunkingConfig(**{"capacity": 30, "overlap": 5, field: value})
     assert raised.value.exit_code == 1
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import socket
 import threading
 import time
 from pathlib import Path
@@ -342,6 +343,22 @@ class TestServeMock:
         assert [round(p, 6) for p in vectors[0]] == [0.25, 0.75]
         thread.join(timeout=10)
         assert result["rc"] == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--port", "99999"), ("--port", "-1"), ("--num-classes", "0"),
+        ("--num-classes", "1"), ("--max-batch", "0"),
+    ])
+    def test_bad_flag_exits_1_naming_it(self, capsys, flag, value):
+        assert main(["serve-mock", "--serve-seconds", "0", flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+    def test_port_in_use_exits_1(self, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = str(taken.getsockname()[1])
+            assert main(["serve-mock", "--serve-seconds", "0", "--port", port]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --port {port}: ")
 
     def test_probs_must_match_class_count(self, capsys):
         for probs in ("0.2,0.3,0.5", "a,b"):  # too wide, not numbers

@@ -273,6 +273,23 @@ def test_generator_config_errors():
                         placement="boundary", boundary_period=510)
 
 
+@pytest.mark.parametrize("changes", [
+    # a 1-token signal has no offset that crosses a boundary
+    {"signal_length": 1, "placement": "boundary", "straddle_prob": 1.0},
+    {"filler_vocab_size": 0},
+])
+def test_generator_refuses_what_it_cannot_generate(changes):
+    with pytest.raises(ConfigError) as raised:
+        GeneratorConfig(num_docs=4, min_tokens=600, max_tokens=700, **changes)
+    assert raised.value.exit_code == 1
+
+
+def test_one_token_signal_may_avoid_boundaries():
+    config = GeneratorConfig(num_docs=4, min_tokens=600, max_tokens=700, signal_length=1,
+                             placement="boundary", straddle_prob=0.0)
+    assert len(generate_synthetic_corpus(config, seed=0)) == 4
+
+
 def test_full_document_scan_separates_classes_perfectly():
     config = GeneratorConfig(num_docs=120, min_tokens=150, max_tokens=300)
     notes = generate_synthetic_corpus(config, seed=13)

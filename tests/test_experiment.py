@@ -10,23 +10,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import chunkfuse.experiment as experiment
 import chunkfuse.scoring as scoring
 import chunkfuse.training as training
 from chunkfuse.chunker import ChunkingConfig
-from chunkfuse.corpus import SECTION_ORDER, GeneratorConfig, TaskKind
-from chunkfuse.errors import ChunkfuseError, ConfigError, ContractError, DataError
+from chunkfuse.corpus import SECTION_ORDER, CsvSchema, GeneratorConfig, TaskKind
+from chunkfuse.errors import (
+    ChunkfuseError,
+    ConfigError,
+    ContractError,
+    DataError,
+    build_block,
+    conforms,
+    read_json,
+)
 from chunkfuse.experiment import (
-    _TOP_LEVEL_KEYS,
     ComparisonReport,
+    CsvSource,
     ExperimentConfig,
     Method,
     ReportFormat,
     ReportRow,
-    SyntheticSource,
     _note_probs,
     emit_report,
     prepare_data,
@@ -53,9 +60,7 @@ def mock_descriptor(scorer_id: str, probs: str, num_classes: int = 2) -> ScorerD
 def small_config(tmp_path, **overrides) -> ExperimentConfig:
     defaults = dict(
         task=TaskKind.MORTALITY,
-        data_source=SyntheticSource(
-            GeneratorConfig(num_docs=40, min_tokens=80, max_tokens=160)
-        ),
+        data=GeneratorConfig(num_docs=40, min_tokens=80, max_tokens=160),
         scorers=(
             mock_descriptor("mock-a", "0.6,0.4"),
             mock_descriptor("mock-b", "0.3,0.7"),
@@ -141,8 +146,8 @@ class TestConfigFromJson:
     def test_happy_path(self, tmp_path):
         config = ExperimentConfig.from_json_dict(self.base_doc(tmp_path))
         assert config.task.num_classes == 2
-        assert isinstance(config.data_source, SyntheticSource)
-        assert config.data_source.generator.num_docs == 40
+        assert isinstance(config.data, GeneratorConfig)
+        assert config.data.num_docs == 40
         assert config.methods == (Method.BASELINE, Method.AGGREGATION)
         assert config.seed == 11
         assert config.scorers[0].num_classes == 2
@@ -215,6 +220,7 @@ class TestConfigFromJson:
         ("parallel_rows", True),
         ("split_ratios", [1.0]),
         ("split_ratios", ["a", "b", "c"]),
+        ("scorers", [{"scorer_id": "m1", "kind": "mock", "metadata": {"probs": 0.6}}]),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, key, value):
         doc = self.base_doc(tmp_path)
@@ -374,6 +380,69 @@ def test_config_fields_fail_closed(data):
     assert_numbers_sound(config)
 
 
+SCHEMA = CsvSchema(id_column="id", section_columns={k: k for k in SECTION_ORDER})
+SCORER = ScorerDescriptor(scorer_id="s", kind=ScorerKind.MOCK, num_classes=2)
+# Each config block with the fewest valid arguments it takes.
+BLOCKS = {
+    ChunkingConfig: {},
+    GeneratorConfig: {"num_docs": 5},
+    CsvSchema: {"id_column": "id", "section_columns": SCHEMA.section_columns},
+    CsvSource: {"path": "notes.csv", "schema": SCHEMA},
+    ScorerDescriptor: {"scorer_id": "s", "kind": ScorerKind.MOCK, "num_classes": 2},
+    TrainerConfig: {},
+    FusionSpec: {"model_weights": (1.0,)},
+    ExperimentConfig: {
+        "task": TaskKind.MORTALITY, "data": GeneratorConfig(num_docs=5),
+        "scorers": (SCORER,), "methods": (Method.BASELINE,), "output_dir": "out",
+    },
+}
+ODD_VALUES = st.sampled_from([
+    2.5, math.nan, True, None, "5", "mortality", b"5", [1], (1,), ("a",), (1.0, 2.0, 3.0),
+    {"probs": 1}, {"k": "v"}, TaskKind.MORTALITY, ScorerKind.MOCK, SCORER, SCHEMA,
+    ChunkingConfig(), object(),
+])
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=lambda block: block.__name__)
+def test_blocks_take_their_minimal_arguments(block):
+    block(**BLOCKS[block])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_python_built_block_refuses_a_wrongly_typed_field(data):
+    block = data.draw(st.sampled_from(list(BLOCKS)))
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(block)]))
+    value = data.draw(ODD_VALUES)
+    assume(not conforms(typing.get_type_hints(block)[name], value))
+    with pytest.raises(ConfigError, match=f"^{name} must be a valid") as raised:
+        block(**{**BLOCKS[block], name: value})
+    assert raised.value.exit_code == 1
+
+
+@pytest.mark.parametrize("block, name, value", [
+    (TrainerConfig, "max_epochs", 2.5),
+    (GeneratorConfig, "num_docs", "5"),
+    (ExperimentConfig, "task", "mortality"),
+    (ExperimentConfig, "split_ratios", [0.7, 0.1, 0.2]),
+])
+def test_python_built_block_type_examples(block, name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be a valid"):
+        block(**{**BLOCKS[block], name: value})
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").iterdir()),
+    ids=lambda path: path.name,
+)
+def test_shipped_config_files_parse(path):
+    doc = read_json(path, "config")
+    if path.name.startswith("csv_schema"):
+        assert isinstance(build_block("schema", CsvSchema, doc), CsvSchema)
+    else:
+        assert isinstance(ExperimentConfig.from_json_dict(doc), ExperimentConfig)
+
+
 class TestRunExperiment:
     def test_rows_follow_method_order_with_per_scorer_fanout(self, tmp_path):
         report = run_experiment(small_config(tmp_path))
@@ -409,9 +478,7 @@ class TestRunExperiment:
     def test_pattern_scorer_auto_finds_planted_signal(self, tmp_path):
         config = small_config(
             tmp_path,
-            data_source=SyntheticSource(
-                GeneratorConfig(num_docs=40, min_tokens=600, max_tokens=900)
-            ),
+            data=GeneratorConfig(num_docs=40, min_tokens=600, max_tokens=900),
             scorers=(
                 ScorerDescriptor(
                     scorer_id="pattern",
@@ -455,9 +522,7 @@ class TestRunExperiment:
     def test_pattern_tokens_are_normalized_like_note_text(self, tmp_path):
         config = small_config(
             tmp_path,
-            data_source=SyntheticSource(
-                GeneratorConfig(num_docs=40, min_tokens=600, max_tokens=900)
-            ),
+            data=GeneratorConfig(num_docs=40, min_tokens=600, max_tokens=900),
             scorers=tuple(
                 ScorerDescriptor(
                     scorer_id=sid, kind=ScorerKind.PATTERN, num_classes=2,
@@ -479,9 +544,7 @@ class TestRunExperiment:
     def test_empty_split_is_data_error(self, tmp_path, num_docs, ratios, empty):
         config = small_config(
             tmp_path,
-            data_source=SyntheticSource(
-                GeneratorConfig(num_docs=num_docs, min_tokens=80, max_tokens=160)
-            ),
+            data=GeneratorConfig(num_docs=num_docs, min_tokens=80, max_tokens=160),
             split_ratios=ratios,
         )
         message = f"the {empty} split is empty: {num_docs} labeled notes split by ratios {list(ratios)}"
@@ -551,11 +614,9 @@ class TestRunExperiment:
     def test_degenerate_test_labels_yield_metric_error_row(self, tmp_path):
         config = small_config(
             tmp_path,
-            data_source=SyntheticSource(
-                GeneratorConfig(
-                    num_docs=40, min_tokens=80, max_tokens=160,
-                    positive_fraction=0.0,
-                )
+            data=GeneratorConfig(
+                num_docs=40, min_tokens=80, max_tokens=160,
+                positive_fraction=0.0,
             ),
             scorers=(mock_descriptor("solo", "0.6,0.4"),),
             methods=(Method.BASELINE,),
@@ -664,16 +725,15 @@ def test_note_probs_matches_reference_fusion(
 def test_readme_config_table_lists_exactly_the_parsed_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Experiment config", 1)[1].split("\n## ", 1)[0]
-    assert set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M)) == _TOP_LEVEL_KEYS
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M)) == keys
 
 
 class TestTrainedScorersEndToEnd:
     def linear_config(self, tmp_path, out: str, **overrides) -> ExperimentConfig:
         defaults = dict(
             task=TaskKind.MORTALITY,
-            data_source=SyntheticSource(
-                GeneratorConfig(num_docs=80, min_tokens=80, max_tokens=160)
-            ),
+            data=GeneratorConfig(num_docs=80, min_tokens=80, max_tokens=160),
             scorers=(
                 ScorerDescriptor(scorer_id="lin", kind=ScorerKind.LINEAR, num_classes=2),
             ),

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkfuse.errors import ContractError, DataError
+from chunkfuse.errors import ContractError
 from chunkfuse.tokenizer import (
     CLS_ID,
     PAD_ID,
@@ -60,25 +62,11 @@ def test_tokenize_examples():
     assert tokenize("zzzunseen chest", vocab).ids == (UNK_ID, chest)
 
 
-def test_vocabulary_file_roundtrip(tmp_path):
+def test_sha256_is_the_digest_of_the_id_ordered_tokens():
+    # a checkpoint is bound to its vocabulary by this digest
     vocab = build_vocabulary(["gamma alpha beta gamma beta gamma"], max_size=20)
-    path = tmp_path / "vocab.txt"
-    vocab.save(path)
-    lines = path.read_text().splitlines()
-    assert lines[:4] == ["[PAD]", "[UNK]", "[CLS]", "[SEP]"]
-    assert lines[4] == "gamma"  # line number = id
-    assert Vocabulary.load(path) == vocab
-
-
-def test_load_rejects_bad_header_and_duplicates(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("[PAD]\n[CLS]\n[UNK]\n[SEP]\na\n")
-    with pytest.raises(DataError):
-        Vocabulary.load(bad)
-    dup = tmp_path / "dup.txt"
-    dup.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\na\na\n")
-    with pytest.raises(DataError):
-        Vocabulary.load(dup)
+    text = "[PAD]\n[UNK]\n[CLS]\n[SEP]\ngamma\nbeta\nalpha\n"
+    assert vocab.sha256() == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_vocabulary_rejects_sparse_ids():
