@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 import typing
@@ -199,6 +200,9 @@ def cmd_serve_mock(args: argparse.Namespace, extras: list[str]) -> int:
         raise ConfigError(f"--num-classes must be at least 2, got {args.num_classes}")
     if args.max_batch < 1:
         raise ConfigError(f"--max-batch must be at least 1, got {args.max_batch}")
+    seconds = args.serve_seconds
+    if seconds is not None and not (math.isfinite(seconds) and seconds >= 0):
+        raise ConfigError(f"--serve-seconds must be finite and at least 0, got {seconds}")
     score_fn = None
     if args.probs:
         probs = parse_probs(args.probs, "--probs")
@@ -222,11 +226,10 @@ def cmd_serve_mock(args: argparse.Namespace, extras: list[str]) -> int:
         sys.stdout.flush()
         if args.endpoint_file:
             write_text(args.endpoint_file, server.endpoint + "\n", "endpoint file")
-        if args.serve_seconds is not None:
-            time.sleep(args.serve_seconds)
-        else:
-            while True:  # interrupt to stop
-                time.sleep(3600)
+        # Hour-long sleeps: one sleep of over about 9.2e9 s overflows.
+        deadline = time.monotonic() + (math.inf if seconds is None else seconds)
+        while (left := deadline - time.monotonic()) > 0:  # interrupt to stop
+            time.sleep(min(left, 3600))
     except KeyboardInterrupt:
         pass
     finally:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import math
 import threading
 import urllib.error
 import urllib.request
@@ -258,6 +259,14 @@ class StubScorerServer:
     batch_sizes: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        limits = {"num_classes": (2, math.inf), "max_batch": (1, math.inf),
+                  "port": (0, 65535)}
+        for name, (low, high) in limits.items():
+            value = getattr(self, name)
+            if not (isinstance(value, int) and low <= value <= high):
+                raise ConfigError(
+                    f"{name} must be an int in [{low}, {high}], got {value!r}"
+                )
         if self.score_fn is None:
             uniform = [1.0 / self.num_classes] * self.num_classes
             self.score_fn = lambda ids: list(uniform)

@@ -7,6 +7,13 @@ every epoch the model is evaluated note-level (score all chunks of each
 validation note, average them, macro-AUROC over notes); training stops
 early once that score stops improving, and the best epoch's weights are
 what the caller gets back.
+
+The weights change only at optimizer steps, so the trainer works one
+segment at a time: the micro-batches up to the next step (or the epoch's
+end, where validation reads the weights) share one row gather, one
+forward and one backward product. Each element is summed in the same
+order as with one product per micro-batch, so the result is bit-identical
+to per-micro-batch training.
 """
 
 from __future__ import annotations
@@ -35,6 +42,12 @@ from .seeds import child_seed
 from .tokenizer import Vocabulary, tokenize
 
 logger = logging.getLogger(__name__)
+
+# Float64 cells one segment product may allocate, its block-diagonal D and
+# its gradient blocks together. A longer segment is split into several
+# products; the weights do not change inside a segment, so the split
+# changes no bit.
+_SEGMENT_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,22 +105,46 @@ def loss_and_grad(
     bias: np.ndarray,
     features: np.ndarray | sparse.csr_matrix,
     labels: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy over the batch and its analytic gradient.
+    batch_size: int | None = None,
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of each micro-batch and its analytic gradient.
+
+    The rows are consecutive micro-batches of ``batch_size`` rows, the last
+    possibly shorter. They share one forward product and one backward
+    product ``D @ features``, where the block-diagonal ``D`` holds each
+    micro-batch's ``delta.T`` in its own row block: every gradient element
+    sums the same products in the same order as one product per
+    micro-batch, and the added zeros change nothing. Returns the losses
+    ``(k,)``, weight gradients ``(k, classes, vocab)`` and bias gradients
+    ``(k, classes)``. With ``batch_size=None`` all rows are one micro-batch
+    and the leading axis is dropped: a float loss, ``(classes, vocab)`` and
+    ``(classes,)``.
 
     Weight decay is decoupled (applied at the optimizer step), so it is
     deliberately absent here; this is the pure data term.
     """
+    rows = len(labels)
+    classes = len(bias)
+    size = rows if batch_size is None else batch_size
+    starts = range(0, rows, size)
+    k = len(starts)
     probs = softmax_rows(np.asarray(features @ weights.T + bias))
-    batch = len(labels)
-    picked = probs[np.arange(batch), labels]
-    loss = float(-np.log(np.clip(picked, 1e-300, None)).mean())
+    nll = -np.log(np.clip(probs[np.arange(rows), labels], 1e-300, None))
     delta = probs
-    delta[np.arange(batch), labels] -= 1.0
-    delta /= batch
-    grad_w = np.asarray(delta.T @ features)
-    grad_b = delta.sum(axis=0)
-    return loss, grad_w, grad_b
+    delta[np.arange(rows), labels] -= 1.0
+    losses = np.empty(k)
+    grad_b = np.empty((k, classes))
+    block_diag = np.zeros((k * classes, rows))
+    for j, lo in enumerate(starts):
+        part = delta[lo : lo + size]
+        losses[j] = nll[lo : lo + size].mean()
+        part /= len(part)
+        grad_b[j] = part.sum(axis=0)
+        block_diag[j * classes : (j + 1) * classes, lo : lo + size] = part.T
+    grad_w = np.asarray(block_diag @ features).reshape(k, classes, -1)
+    if batch_size is None:
+        return float(losses[0]), grad_w[0], grad_b[0]
+    return losses, grad_w, grad_b
 
 
 class EarlyStopping:
@@ -153,6 +190,20 @@ class TrainingLog:
     seen_note_ids: frozenset[str] = field(repr=False)
 
 
+def _micro_batches_per_product(
+    classes: int, batch_size: int, vocab: int, accumulation_steps: int
+) -> int:
+    """Most micro-batches one ``loss_and_grad`` call takes: its ``D``
+    (``k * classes`` by ``k * batch_size``) and gradient blocks (``k *
+    classes`` by ``vocab``) stay within ``_SEGMENT_CELLS``; one always fits."""
+    k = 1
+    while k < accumulation_steps and (
+        (k + 1) * classes * ((k + 1) * batch_size + vocab) <= _SEGMENT_CELLS
+    ):
+        k += 1
+    return k
+
+
 def train_linear_scorer(
     train: TrainingSplit,
     validation: TrainingSplit,
@@ -194,22 +245,31 @@ def train_linear_scorer(
     acc_b = np.zeros_like(bias)
     current_lr = 0.0
 
+    per_product = _micro_batches_per_product(
+        num_classes, config.batch_size, features.shape[1], config.accumulation_steps
+    )
+
     for epoch in range(1, config.max_epochs + 1):
         order = rng_shuffle.permutation(n)
         losses = []
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            loss, grad_w, grad_b = loss_and_grad(
-                weights, bias, features[idx], flat_labels[idx]
+        lo = 0
+        while lo < n:  # one segment: up to the next optimizer step or epoch end
+            k = min(config.accumulation_steps - micro_in_window, per_product)
+            hi = min(n, lo + k * config.batch_size)
+            idx = order[lo:hi]
+            seg_losses, grads_w, grads_b = loss_and_grad(
+                weights, bias, features[idx], flat_labels[idx], config.batch_size
             )
-            if math.isnan(loss):
-                raise NumericDivergenceError(
-                    f"loss became NaN at optimizer step {opt_step}", step=opt_step
-                )
-            losses.append(loss)
-            acc_w += grad_w
-            acc_b += grad_b
-            micro_in_window += 1
+            lo = hi
+            for loss, grad_w, grad_b in zip(seg_losses, grads_w, grads_b):
+                if math.isnan(loss):
+                    raise NumericDivergenceError(
+                        f"loss became NaN at optimizer step {opt_step}", step=opt_step
+                    )
+                losses.append(float(loss))
+                acc_w += grad_w
+                acc_b += grad_b
+            micro_in_window += len(seg_losses)
             if micro_in_window == config.accumulation_steps:
                 opt_step += 1
                 current_lr = lr_schedule(

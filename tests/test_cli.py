@@ -7,11 +7,13 @@ import socket
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chunkfuse import cli
 from chunkfuse.chunker import Chunk
 from chunkfuse.cli import main
 from chunkfuse.corpus import SECTION_ORDER, CsvSchema, ingest_csv
@@ -351,6 +353,23 @@ class TestServeMock:
     def test_bad_flag_exits_1_naming_it(self, capsys, flag, value):
         assert main(["serve-mock", "--serve-seconds", "0", flag, value]) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_serve_seconds_exits_1_naming_it(self, capsys, value):
+        assert main(["serve-mock", "--serve-seconds", value]) == 1
+        assert capsys.readouterr().err.startswith("error: --serve-seconds ")
+
+    def test_huge_serve_seconds_sleeps_in_hours(self, monkeypatch):
+        slept = []
+
+        def sleep(seconds):
+            slept.append(seconds)
+            raise KeyboardInterrupt  # stops the server as ^C would
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=time.monotonic,
+                                                         sleep=sleep))
+        assert main(["serve-mock", "--serve-seconds", "1e12"]) == 0
+        assert slept == [3600]
 
     def test_port_in_use_exits_1(self, capsys):
         with socket.socket() as taken:

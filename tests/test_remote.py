@@ -40,6 +40,20 @@ def test_info_probe_and_fixed_vector_round_trip():
         assert out.tolist() == [[0.5, 0.5]] * 3
 
 
+@pytest.mark.parametrize("name, value", [
+    ("num_classes", 0), ("num_classes", 1), ("num_classes", 2.0), ("max_batch", 0),
+    ("port", -1), ("port", 65536),
+])
+def test_stub_refuses_bad_fields_before_binding(monkeypatch, name, value):
+    def no_bind(*args):
+        raise AssertionError("bound a socket")
+
+    monkeypatch.setattr(remote, "_StubHTTPServer", no_bind)
+    with pytest.raises(ConfigError, match=f"^{name} must be an int in ") as exc:
+        StubScorerServer(**{name: value})
+    assert exc.value.exit_code == 1
+
+
 def test_class_count_mismatch_rejected_at_connect():
     with StubScorerServer(num_classes=3) as stub:
         with pytest.raises(ContractError, match="3 classes"):

@@ -1,17 +1,26 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+from chunkfuse import training
 from chunkfuse.chunker import ChunkingConfig, chunk
 from chunkfuse.corpus import SECTION_ORDER, ClinicalNote
 from chunkfuse.errors import DataError, NumericDivergenceError
-from chunkfuse.metrics import auc
-from chunkfuse.scoring import TrainerConfig
+from chunkfuse.metrics import auc, macro_auroc
+from chunkfuse.scoring import TrainerConfig, pool_windows, softmax_rows
+from chunkfuse.seeds import child_seed
 from chunkfuse.tokenizer import build_vocabulary
 from chunkfuse.training import (
     EarlyStopping,
+    EpochStats,
+    TrainingLog,
+    TrainingSplit,
     build_labeled_chunks,
     loss_and_grad,
     lr_schedule,
@@ -184,14 +193,155 @@ def test_optimizer_step_count_matches_formula():
     assert log.seen_note_ids == {f"t{i}" for i in range(20)}
 
 
+def oracle_train(train, validation, num_classes, config):
+    """The trainer with one row gather, one forward and one backward product
+    per micro-batch: the reference the segment-batched trainer must match
+    bit for bit. Returns the best weights, bias and the training log."""
+    features = train.features
+    flat_labels = np.repeat(train.labels, train.window_counts)
+    rng_init = np.random.default_rng(child_seed(config.seed, "init"))
+    rng_shuffle = np.random.default_rng(child_seed(config.seed, "shuffle"))
+    weights = rng_init.normal(scale=0.01, size=(num_classes, features.shape[1]))
+    bias = np.zeros(num_classes)
+    n = features.shape[0]
+    total_steps = (math.ceil(n / config.batch_size) * config.max_epochs
+                   // config.accumulation_steps)
+    stopper = EarlyStopping(config.early_stop_delta, config.early_stop_patience)
+    best = (-math.inf, 0, weights.copy(), bias.copy())
+    epochs, stopped_early = [], False
+    opt_step = micro_in_window = 0
+    acc_w, acc_b = np.zeros_like(weights), np.zeros_like(bias)
+    lr = 0.0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng_shuffle.permutation(n)
+        losses = []
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo : lo + config.batch_size]
+            x, y = features[idx], flat_labels[idx]
+            batch = len(y)
+            probs = softmax_rows(np.asarray(x @ weights.T + bias))
+            picked = probs[np.arange(batch), y]
+            loss = float(-np.log(np.clip(picked, 1e-300, None)).mean())
+            if math.isnan(loss):
+                raise NumericDivergenceError(
+                    f"loss became NaN at optimizer step {opt_step}", step=opt_step
+                )
+            losses.append(loss)
+            delta = probs
+            delta[np.arange(batch), y] -= 1.0
+            delta /= batch
+            acc_w += np.asarray(delta.T @ x)
+            acc_b += delta.sum(axis=0)
+            micro_in_window += 1
+            if micro_in_window == config.accumulation_steps:
+                opt_step += 1
+                lr = lr_schedule(opt_step, config.learning_rate,
+                                 config.warmup_steps, total_steps)
+                weights -= lr * (acc_w / config.accumulation_steps)
+                weights -= lr * config.weight_decay * weights
+                bias -= lr * (acc_b / config.accumulation_steps)
+                acc_w[:] = 0.0
+                acc_b[:] = 0.0
+                micro_in_window = 0
+        window_probs = softmax_rows(np.asarray(validation.features @ weights.T + bias))
+        note_probs = pool_windows(window_probs, validation.window_counts)
+        val_auroc = macro_auroc(note_probs, validation.labels, num_classes).macro_auc
+        epochs.append(EpochStats(epoch, float(np.mean(losses)), val_auroc, lr))
+        if val_auroc > best[0]:
+            best = (val_auroc, epoch, weights.copy(), bias.copy())
+        if stopper.update(val_auroc):
+            stopped_early = True
+            break
+    log = TrainingLog(
+        epochs=tuple(epochs),
+        best_epoch=best[1],
+        best_val_auroc=best[0],
+        stopped_early=stopped_early,
+        total_optimizer_steps=opt_step,
+        seen_note_ids=frozenset(train.note_ids + validation.note_ids),
+    )
+    return best[2], best[3], log
+
+
+def random_split(rng, window_counts, labels, vocab):
+    rows = int(sum(window_counts))
+    return TrainingSplit(
+        note_ids=tuple(f"n{i}" for i in range(len(labels))),
+        labels=np.asarray(labels, dtype=np.int64),
+        window_counts=np.asarray(window_counts, dtype=np.int64),
+        features=sparse.csr_matrix(rng.poisson(0.8, size=(rows, vocab)).astype(float)),
+        vocab_sha256="v",
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    classes=st.integers(2, 4),
+    window_counts=st.lists(st.integers(1, 4), min_size=1, max_size=10),
+    batch_size=st.integers(1, 7),
+    accumulation_steps=st.integers(1, 6),
+    max_epochs=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.sampled_from([training._SEGMENT_CELLS, 1, 80]),
+)
+# 7 windows in batches of 3: a 1-row last batch, and optimizer steps every
+# 2 of an epoch's 3 micro-batches, so accumulation crosses epoch ends.
+@example(classes=2, window_counts=[3, 4], batch_size=3, accumulation_steps=2,
+         max_epochs=4, seed=0, cells=training._SEGMENT_CELLS)
+@example(classes=3, window_counts=[2, 2, 1, 4, 2], batch_size=2,
+         accumulation_steps=4, max_epochs=5, seed=1, cells=80)
+def test_segment_trainer_matches_per_micro_batch_oracle(
+    classes, window_counts, batch_size, accumulation_steps, max_epochs, seed, cells
+):
+    rng = np.random.default_rng(seed)
+    vocab = 9
+    train = random_split(
+        rng, window_counts, rng.integers(0, classes, len(window_counts)), vocab
+    )
+    val_labels = np.arange(2 * classes) % classes
+    validation = random_split(rng, [1, 2] * classes, val_labels, vocab)
+    config = TrainerConfig(learning_rate=0.5, max_epochs=max_epochs,
+                           batch_size=batch_size,
+                           accumulation_steps=accumulation_steps,
+                           warmup_steps=2, early_stop_patience=2, seed=seed)
+    weights, bias, oracle_log = oracle_train(train, validation, classes, config)
+    with mock.patch.object(training, "_SEGMENT_CELLS", cells):
+        scorer, log = train_linear_scorer(train, validation, classes, config)
+    assert np.array_equal(scorer.weights, weights)
+    assert np.array_equal(scorer.bias, bias)
+    assert log == oracle_log
+
+
+def test_segment_loss_and_grad_matches_one_call_per_micro_batch():
+    rng = np.random.default_rng(5)
+    for rows, size, classes in [(18, 18, 2), (40, 7, 3), (9, 4, 4), (5, 1, 2)]:
+        features = sparse.csr_matrix(rng.poisson(1.0, size=(rows, 12)).astype(float))
+        labels = rng.integers(0, classes, size=rows)
+        weights = rng.normal(size=(classes, 12))
+        bias = rng.normal(size=classes)
+        losses, grads_w, grads_b = loss_and_grad(weights, bias, features, labels, size)
+        starts = range(0, rows, size)
+        assert grads_w.shape == (len(starts), classes, 12)
+        for j, lo in enumerate(starts):
+            loss, grad_w, grad_b = loss_and_grad(
+                weights, bias, features[lo : lo + size], labels[lo : lo + size]
+            )
+            assert losses[j] == loss
+            assert np.array_equal(grads_w[j], grad_w)
+            assert np.array_equal(grads_b[j], grad_b)
+
+
 def test_nan_loss_raises_divergence_error():
     items = toy_separable()
     config = TrainerConfig(learning_rate=400.0, weight_decay=10.0, max_epochs=200,
                            batch_size=4, accumulation_steps=1, warmup_steps=1,
                            early_stop_patience=1000, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(NumericDivergenceError) as expected:
+        oracle_train(items, items, 2, config)
     with np.errstate(all="ignore"), pytest.raises(NumericDivergenceError) as exc:
         train_linear_scorer(items, items, 2, config)
-    assert exc.value.step >= 0
+    assert exc.value.step == expected.value.step
+    assert str(exc.value) == str(expected.value)
 
 
 def random_corpus(num_notes, rng, words):
