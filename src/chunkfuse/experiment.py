@@ -89,6 +89,10 @@ METHOD_LABELS = {
 }
 
 
+# Each trained scorer's seed derives from the top-level one.
+TRAINER_SEED_UNREAD = "trainer.seed is not read; set the top-level seed"
+
+
 @config_block
 class CsvSource:
     path: str
@@ -122,6 +126,8 @@ class ExperimentConfig:
             raise ConfigError("ensemble methods require at least 2 scorers")
         if any(s.num_classes != self.task.num_classes for s in self.scorers):
             raise ConfigError("scorer class counts must match the task")
+        if self.trainer.seed != 0:
+            raise ConfigError(TRAINER_SEED_UNREAD)
         if self.fusion is None:
             object.__setattr__(self, "fusion", FusionSpec.uniform(len(self.scorers)))
         elif len(self.fusion.model_weights) != len(self.scorers):
@@ -151,7 +157,7 @@ class ExperimentConfig:
                 for entry in doc["scorers"]
             ]
         if "seed" in as_object(doc.get("trainer", {}), "trainer"):
-            raise ConfigError("trainer.seed is not read; set the top-level seed")
+            raise ConfigError(TRAINER_SEED_UNREAD)
         return build_block("config", cls, doc)
 
 
@@ -205,41 +211,31 @@ class ComparisonReport:
         return max((r.error_code or 0 for r in self.rows), default=0)
 
 
-class ReportFormat(Enum):
-    JSON = "json"
-    MARKDOWN = "markdown"
-
-
-def emit_report(
-    report: ComparisonReport, fmt: ReportFormat, path: str | Path
-) -> Path:
-    """Render the comparison to one file; returns the path written."""
-    if fmt is ReportFormat.JSON:
-        text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    else:
-        lines = [
-            "| Category | Architecture | Overlap | Macro AUROC (%) |",
-            "| --- | --- | --- | --- |",
-        ]
-        for row in report.rows:
-            value = (
-                f"error: {row.error}"
-                if row.macro_auroc is None
-                else format_percent(row.macro_auroc)
-            )
-            overlap = "yes" if row.with_overlap else "no"
-            lines.append(
-                f"| {METHOD_LABELS[row.method]} | {' + '.join(row.scorer_ids)}"
-                f" | {overlap} | {value} |"
-            )
-        lines.append("")
-        lines.append(
-            f"task: {report.task}, seed: {report.seed}, sizes: {report.sizes}"
+def emit_report(report: ComparisonReport, output_dir: Path) -> None:
+    """Write the comparison as ``report.json`` and as the ``report.md``
+    table, which alone shows the wall clock."""
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    write_text(output_dir / "report.json", text, "report")
+    lines = [
+        "| Category | Architecture | Overlap | Macro AUROC (%) |",
+        "| --- | --- | --- | --- |",
+    ]
+    for row in report.rows:
+        value = (
+            f"error: {row.error}"
+            if row.macro_auroc is None
+            else format_percent(row.macro_auroc)
         )
-        if report.wall_clock_seconds is not None:
-            lines.append(f"wall clock: {report.wall_clock_seconds:.1f} s")
-        text = "\n".join(lines) + "\n"
-    return write_text(path, text, "report")
+        overlap = "yes" if row.with_overlap else "no"
+        lines.append(
+            f"| {METHOD_LABELS[row.method]} | {' + '.join(row.scorer_ids)}"
+            f" | {overlap} | {value} |"
+        )
+    lines.append("")
+    lines.append(f"task: {report.task}, seed: {report.seed}, sizes: {report.sizes}")
+    if report.wall_clock_seconds is not None:
+        lines.append(f"wall clock: {report.wall_clock_seconds:.1f} s")
+    write_text(output_dir / "report.md", "\n".join(lines) + "\n", "report")
 
 
 def _load_notes(config: ExperimentConfig) -> list[ClinicalNote]:
@@ -523,13 +519,9 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         rows=rows,
         wall_clock_seconds=time.perf_counter() - started,
     )
-    emit_report(report, ReportFormat.JSON, output_dir / "report.json")
-    emit_report(report, ReportFormat.MARKDOWN, output_dir / "report.md")
+    emit_report(report, output_dir)
     final = next((r for r in reversed(rows) if r.roc is not None), None)
     if final is not None:
-        for class_index in range(config.task.num_classes):
-            if class_index in final.roc.roc_points:
-                final.roc.write_roc_csv(
-                    class_index, output_dir / f"roc_class_{class_index}.csv"
-                )
+        for class_index in final.roc.roc_points:
+            final.roc.write_roc_csv(class_index, output_dir / f"roc_class_{class_index}.csv")
     return report

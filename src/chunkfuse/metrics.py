@@ -21,8 +21,9 @@ from .errors import ContractError, DegenerateClassError, MetricUndefinedError, w
 logger = logging.getLogger(__name__)
 
 
-def roc_curve(scores, labels) -> list[tuple[float, float]]:
-    """Return the ROC polyline as (FPR, TPR) pairs from (0, 0) to (1, 1).
+def roc_curve(scores, labels) -> np.ndarray:
+    """Return the ROC polyline as a ``(points, 2)`` array of (FPR, TPR)
+    rows from (0, 0) to (1, 1).
 
     ``labels`` must be binary (0/1) and contain at least one positive and
     one negative, otherwise a DegenerateClassError is raised carrying the
@@ -56,17 +57,14 @@ def roc_curve(scores, labels) -> list[tuple[float, float]]:
     tp = np.cumsum(y_sorted == 1)
     fp = np.cumsum(y_sorted == 0)
     last_of_group = np.append(s_sorted[1:] != s_sorted[:-1], True)
-    tpr = tp[last_of_group] / n_pos
-    fpr = fp[last_of_group] / n_neg
-
-    points = [(0.0, 0.0)]
-    points.extend((float(x), float(t)) for x, t in zip(fpr, tpr))
-    return points
+    curve = np.zeros((int(last_of_group.sum()) + 1, 2))
+    curve[1:, 0] = fp[last_of_group] / n_neg
+    curve[1:, 1] = tp[last_of_group] / n_pos
+    return curve
 
 
-def _area(points: list[tuple[float, float]]) -> float:
-    xs, ys = np.array(points).T
-    return float(np.trapezoid(ys, xs))
+def _area(curve: np.ndarray) -> float:
+    return float(np.trapezoid(curve[:, 1], curve[:, 0]))
 
 
 def auc(scores, labels) -> float:
@@ -78,22 +76,21 @@ def auc(scores, labels) -> float:
 class RocReport:
     """Per-class one-vs-rest AUCs and their macro average.
 
-    ``per_class_auc`` is indexed by class; classes skipped for lacking
-    positives or negatives hold NaN and are listed in ``skipped_classes``.
-    ``roc_points`` maps each evaluated class to its ROC polyline.
+    ``per_class_auc`` is indexed by class; a class skipped for lacking
+    positives or negatives holds NaN. ``roc_points`` maps each evaluated
+    class to its ``roc_curve`` array.
     """
 
     per_class_auc: list[float]
     macro_auc: float
-    roc_points: dict[int, list[tuple[float, float]]]
-    skipped_classes: list[int]
+    roc_points: dict[int, np.ndarray]
 
     def write_roc_csv(self, class_index: int, path) -> None:
         """Write the class's ROC points as a two-column fpr,tpr CSV."""
         text = io.StringIO()
         writer = csv.writer(text)
         writer.writerow(["fpr", "tpr"])
-        writer.writerows([repr(x), repr(t)] for x, t in self.roc_points[class_index])
+        writer.writerows(map(repr, row) for row in self.roc_points[class_index].tolist())
         write_text(path, text.getvalue(), "ROC curve")
 
 
@@ -119,19 +116,16 @@ def macro_auroc(prob_vectors, labels, num_classes: int) -> RocReport:
         raise ContractError(f"labels must lie in [0, {num_classes})")
 
     per_class: list[float] = []
-    points: dict[int, list[tuple[float, float]]] = {}
-    skipped: list[int] = []
+    points: dict[int, np.ndarray] = {}
     for c in range(num_classes):
         binary = (y == c).astype(int)
         try:
-            pts = roc_curve(rows[:, c], binary)
+            points[c] = roc_curve(rows[:, c], binary)
         except DegenerateClassError:
             logger.warning("class %d has no positives or no negatives; skipped", c)
-            skipped.append(c)
             per_class.append(float("nan"))
             continue
-        per_class.append(_area(pts))
-        points[c] = pts
+        per_class.append(_area(points[c]))
 
     evaluated = [a for a in per_class if not math.isnan(a)]
     if not evaluated:
@@ -142,7 +136,6 @@ def macro_auroc(prob_vectors, labels, num_classes: int) -> RocReport:
         per_class_auc=per_class,
         macro_auc=float(np.mean(evaluated)),
         roc_points=points,
-        skipped_classes=skipped,
     )
 
 

@@ -278,10 +278,17 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 def pool_windows(scores: np.ndarray, window_counts: Sequence[int]) -> np.ndarray:
     """Mean-pool window rows to note rows: note ``i`` owns the next
     ``window_counts[i]`` (at least one) rows of ``scores``, in note order.
-    Returns a ``(notes, classes)`` array; the one pooling kernel."""
+    Returns a ``(notes, classes)`` array; the one pooling kernel.
+
+    Each note's sum is centred on its first row, so identical rows pool to
+    exactly that row whatever their count: a plain ``sum / count`` can
+    differ from the row in the last bit, by an amount that depends on the
+    count, and the AUROC would rank that as signal."""
     counts = np.asarray(window_counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts
-    return np.add.reduceat(scores, starts, axis=0) / counts[:, None]
+    first = scores[starts]
+    offsets = np.add.reduceat(scores - np.repeat(first, counts, axis=0), starts, axis=0)
+    return first + offsets / counts[:, None]
 
 
 @dataclass(frozen=True)

@@ -63,13 +63,11 @@ class Vocabulary:
     def __len__(self) -> int:
         return FIRST_TEXT_ID + len(self.token_to_id)
 
-    def _text(self) -> str:
-        ordered = sorted(self.token_to_id, key=self.token_to_id.get)
-        return "\n".join(SPECIAL_TOKENS + tuple(ordered)) + "\n"
-
     def sha256(self) -> str:
         """Hex sha256 of the UTF-8 text of the tokens in id order, one per line."""
-        return hashlib.sha256(self._text().encode()).hexdigest()
+        ordered = sorted(self.token_to_id, key=self.token_to_id.get)
+        text = "\n".join(SPECIAL_TOKENS + tuple(ordered)) + "\n"
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def build_vocabulary(corpus: list[str], max_size: int) -> Vocabulary:

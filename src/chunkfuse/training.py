@@ -105,8 +105,8 @@ def loss_and_grad(
     bias: np.ndarray,
     features: np.ndarray | sparse.csr_matrix,
     labels: np.ndarray,
-    batch_size: int | None = None,
-) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    batch_size: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean cross-entropy of each micro-batch and its analytic gradient.
 
     The rows are consecutive micro-batches of ``batch_size`` rows, the last
@@ -116,17 +116,14 @@ def loss_and_grad(
     sums the same products in the same order as one product per
     micro-batch, and the added zeros change nothing. Returns the losses
     ``(k,)``, weight gradients ``(k, classes, vocab)`` and bias gradients
-    ``(k, classes)``. With ``batch_size=None`` all rows are one micro-batch
-    and the leading axis is dropped: a float loss, ``(classes, vocab)`` and
-    ``(classes,)``.
+    ``(k, classes)``.
 
     Weight decay is decoupled (applied at the optimizer step), so it is
     deliberately absent here; this is the pure data term.
     """
     rows = len(labels)
     classes = len(bias)
-    size = rows if batch_size is None else batch_size
-    starts = range(0, rows, size)
+    starts = range(0, rows, batch_size)
     k = len(starts)
     probs = softmax_rows(np.asarray(features @ weights.T + bias))
     nll = -np.log(np.clip(probs[np.arange(rows), labels], 1e-300, None))
@@ -136,14 +133,12 @@ def loss_and_grad(
     grad_b = np.empty((k, classes))
     block_diag = np.zeros((k * classes, rows))
     for j, lo in enumerate(starts):
-        part = delta[lo : lo + size]
-        losses[j] = nll[lo : lo + size].mean()
+        part = delta[lo : lo + batch_size]
+        losses[j] = nll[lo : lo + batch_size].mean()
         part /= len(part)
         grad_b[j] = part.sum(axis=0)
-        block_diag[j * classes : (j + 1) * classes, lo : lo + size] = part.T
+        block_diag[j * classes : (j + 1) * classes, lo : lo + batch_size] = part.T
     grad_w = np.asarray(block_diag @ features).reshape(k, classes, -1)
-    if batch_size is None:
-        return float(losses[0]), grad_w[0], grad_b[0]
     return losses, grad_w, grad_b
 
 

@@ -308,10 +308,13 @@ def test_a6_trainer_gradients_early_stop_and_determinism(tmp_path):
         labels = rng.integers(0, classes, size=batch)
         weights = rng.normal(scale=0.5, size=(classes, vocab))
         bias = rng.normal(scale=0.5, size=classes)
-        _, grad_w, grad_b = loss_and_grad(weights, bias, features, labels)
+        # One micro-batch of every row: entry 0 of each result.
+        _, (grad_w,), (grad_b,) = loss_and_grad(
+            weights, bias, features, labels, len(labels)
+        )
 
         def loss_at(w, b):
-            return loss_and_grad(w, b, features, labels)[0]
+            return loss_and_grad(w, b, features, labels, len(labels))[0][0]
 
         for index in np.ndindex(weights.shape):
             bumped = weights.copy()

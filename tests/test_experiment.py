@@ -32,7 +32,6 @@ from chunkfuse.experiment import (
     CsvSource,
     ExperimentConfig,
     Method,
-    ReportFormat,
     ReportRow,
     _note_probs,
     emit_report,
@@ -40,6 +39,7 @@ from chunkfuse.experiment import (
     run_experiment,
 )
 from chunkfuse.fusion import FusionSpec, PredictionMatrix, ensemble_fuse, weighted_fuse
+from chunkfuse.metrics import macro_auroc
 from chunkfuse.scoring import (
     ProbabilityVector,
     ScorerDescriptor,
@@ -121,6 +121,14 @@ class TestConfigInvariants:
     def test_fusion_weight_count_must_match_scorers(self, tmp_path):
         with pytest.raises(ConfigError, match="fusion weights"):
             small_config(tmp_path, fusion=FusionSpec(model_weights=(0.2, 0.3, 0.5)))
+
+    @pytest.mark.parametrize("seed", [5, 123])
+    def test_trainer_seed_is_refused(self, tmp_path, seed):
+        # each trained scorer's seed derives from the top-level one, so a
+        # trainer seed would be silently ignored
+        with pytest.raises(ConfigError, match="trainer.seed is not read") as exc:
+            small_config(tmp_path, trainer=TrainerConfig(seed=seed))
+        assert exc.value.exit_code == 1
 
     def test_default_fusion_is_uniform_and_tracks_overlap(self, tmp_path):
         config = small_config(tmp_path, chunking=ChunkingConfig(overlap=0))
@@ -460,7 +468,7 @@ class TestRunExperiment:
         report = run_experiment(small_config(tmp_path))
         for row in report.rows:
             assert row.error is None
-            assert row.macro_auroc == pytest.approx(0.5)
+            assert row.macro_auroc == 0.5
 
     def test_sizes_and_artifacts(self, tmp_path):
         config = small_config(tmp_path)
@@ -722,6 +730,28 @@ def test_note_probs_matches_reference_fusion(
             assert np.abs(np.asarray(probs) - want).max() <= 1e-12, method
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TaskKind), st.integers(1, 3), st.data())
+def test_constant_scorers_pool_to_exactly_chance(task, num_models, data):
+    # A scorer that gives every window the same row must give every note
+    # that row, whatever its window count, so no method ranks the notes.
+    classes = task.num_classes
+    counts = data.draw(st.lists(st.integers(1, 40), min_size=2, max_size=12))
+    labels = data.draw(
+        st.lists(st.integers(0, classes - 1), min_size=len(counts), max_size=len(counts))
+        .filter(lambda y: len(set(y)) > 1)
+    )
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    ids = [f"s{j}" for j in range(num_models)]
+    rows = {sid: data.draw(st.lists(unit, min_size=classes, max_size=classes)) for sid in ids}
+    columns = {sid: [np.tile(rows[sid], (k, 1)) for k in counts] for sid in ids}
+    weights = {sid: data.draw(st.floats(0.05, 1.0)) for sid in ids}
+    for method in Method:
+        fused = method in (Method.ENSEMBLE, Method.ENSEMBLE_AGGREGATION)
+        probs = _note_probs(method, ids if fused else ids[:1], columns, weights)
+        assert macro_auroc(probs, labels, classes).macro_auc == 0.5, method
+
+
 def test_readme_config_table_lists_exactly_the_parsed_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Experiment config", 1)[1].split("\n## ", 1)[0]
@@ -859,9 +889,7 @@ class TestEmitReport:
         )
 
     def test_markdown_table(self, tmp_path):
-        path = emit_report(
-            self.handmade_report(), ReportFormat.MARKDOWN, tmp_path / "report.md"
-        )
+        emit_report(self.handmade_report(), tmp_path)
         expected = (
             "| Category | Architecture | Overlap | Macro AUROC (%) |\n"
             "| --- | --- | --- | --- |\n"
@@ -875,13 +903,11 @@ class TestEmitReport:
             " sizes: {'train': 14, 'validation': 2, 'test': 4}\n"
             "wall clock: 1.2 s\n"
         )
-        assert path.read_text() == expected
+        assert (tmp_path / "report.md").read_text() == expected
 
     def test_json_excludes_wall_clock(self, tmp_path):
-        path = emit_report(
-            self.handmade_report(), ReportFormat.JSON, tmp_path / "report.json"
-        )
-        doc = json.loads(path.read_text())
+        emit_report(self.handmade_report(), tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["seed"] == 7
         assert doc["rows"][0]["macro_auroc_percent"] == "81.23"
         assert doc["rows"][3]["error"].startswith("scorer lin-b")

@@ -26,11 +26,13 @@ def pairwise_auc(scores, labels):
 
 
 def test_perfect_separation_curve():
-    assert roc_curve([0.9, 0.1], [1, 0]) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    curve = roc_curve([0.9, 0.1], [1, 0])
+    assert curve.dtype == np.float64
+    assert curve.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 
 
 def test_perfect_inversion_curve():
-    assert roc_curve([0.1, 0.9], [1, 0]) == [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    assert roc_curve([0.1, 0.9], [1, 0]).tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
 
 
 def test_canonical_four_point_curve_area():
@@ -106,11 +108,11 @@ def test_auc_invariant_under_increasing_transform(rows):
 @settings(max_examples=150)
 @given(score_label_sets)
 def test_curve_endpoints_and_monotonicity(rows):
-    pts = roc_curve([s for s, _ in rows], [y for _, y in rows])
-    assert pts[0] == (0.0, 0.0)
-    assert pts[-1] == (1.0, 1.0)
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        assert x1 >= x0 and y1 >= y0
+    curve = roc_curve([s for s, _ in rows], [y for _, y in rows])
+    assert curve.shape[1] == 2
+    assert curve[0].tolist() == [0.0, 0.0]
+    assert curve[-1].tolist() == [1.0, 1.0]
+    assert (np.diff(curve, axis=0) >= 0).all()
 
 
 def test_complement_symmetry_without_ties():
@@ -137,7 +139,7 @@ def test_one_hot_perfect_classifier():
     report = macro_auroc(vectors, labels, num_classes=4)
     assert report.macro_auc == 1.0
     assert report.per_class_auc == [1.0] * 4
-    assert report.skipped_classes == []
+    assert sorted(report.roc_points) == [0, 1, 2, 3]
 
 
 def test_macro_matches_per_class_oracle():
@@ -162,8 +164,8 @@ def test_absent_class_skipped_with_nan(caplog):
     vectors = raw / raw.sum(axis=1, keepdims=True)
     with caplog.at_level("WARNING"):
         report = macro_auroc(vectors, labels, num_classes=4)
-    assert report.skipped_classes == [2, 3]
-    assert math.isnan(report.per_class_auc[2]) and math.isnan(report.per_class_auc[3])
+    assert [math.isnan(a) for a in report.per_class_auc] == [False, False, True, True]
+    assert sorted(report.roc_points) == [0, 1]
     evaluated = [report.per_class_auc[0], report.per_class_auc[1]]
     assert report.macro_auc == pytest.approx(np.mean(evaluated))
     assert "skipped" in caplog.text
@@ -186,6 +188,7 @@ def test_roc_csv_lists_the_curve(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "fpr,tpr"
     assert len(lines) == len(report.roc_points[1]) + 1
+    assert lines[1:] == [f"{x!r},{t!r}" for x, t in report.roc_points[1].tolist()]
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0
     with pytest.raises(DataError, match="cannot write ROC curve"):

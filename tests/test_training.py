@@ -63,11 +63,14 @@ def test_gradient_matches_central_differences():
         bias = rng.normal(size=3)
         features = rng.poisson(1.0, size=(6, 10)).astype(float)
         labels = rng.integers(0, 3, size=6)
-        _, grad_w, grad_b = loss_and_grad(weights, bias, features, labels)
+        # One micro-batch of every row: entry 0 of each result.
+        _, (grad_w,), (grad_b,) = loss_and_grad(
+            weights, bias, features, labels, len(labels)
+        )
         h = 1e-6
 
         def loss_at(w, b):
-            return loss_and_grad(w, b, features, labels)[0]
+            return loss_and_grad(w, b, features, labels, len(labels))[0][0]
 
         for index in np.ndindex(weights.shape):
             bumped = weights.copy()
@@ -323,8 +326,9 @@ def test_segment_loss_and_grad_matches_one_call_per_micro_batch():
         starts = range(0, rows, size)
         assert grads_w.shape == (len(starts), classes, 12)
         for j, lo in enumerate(starts):
-            loss, grad_w, grad_b = loss_and_grad(
-                weights, bias, features[lo : lo + size], labels[lo : lo + size]
+            part = labels[lo : lo + size]
+            (loss,), (grad_w,), (grad_b,) = loss_and_grad(
+                weights, bias, features[lo : lo + size], part, len(part)
             )
             assert losses[j] == loss
             assert np.array_equal(grads_w[j], grad_w)
