@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import logging
 import math
 import random
 from bisect import bisect_left
@@ -29,12 +28,14 @@ from .errors import (
     config_block,
 )
 
-logger = logging.getLogger(__name__)
-
 # Fixed assembly order: chief complaint, present illness, medical history,
 # admission medications, allergies, physical exam, family history, social
 # history. Assembly and ingestion both key off this tuple.
 SECTION_ORDER = ("CC", "PI", "MH", "AM", "AL", "PE", "FH", "SH")
+
+
+# Upper edges of the length-of-stay bins, inclusive: <=3, (3,7], (7,14], >14 days.
+LOS_BIN_EDGES = (3.0, 7.0, 14.0)
 
 
 class TaskKind(Enum):
@@ -45,12 +46,14 @@ class TaskKind(Enum):
 
     @property
     def num_classes(self) -> int:
-        return 2 if self is TaskKind.MORTALITY else 4
+        return 2 if self is TaskKind.MORTALITY else len(LOS_BIN_EDGES) + 1
 
-    @property
-    def los_bin_edges(self) -> tuple[float, ...]:
-        # Upper edges are inclusive: <=3, (3,7], (7,14], >14 days.
-        return () if self is TaskKind.MORTALITY else (3.0, 7.0, 14.0)
+    def label(self, note: ClinicalNote) -> int | None:
+        """The note's class for this task, or None if it carries no label
+        for it; the one derivation of a class from a note."""
+        if self is TaskKind.MORTALITY:
+            return note.mortality_label
+        return None if note.los_days is None else bisect_left(LOS_BIN_EDGES, note.los_days)
 
 
 def assemble_note(sections: dict[str, str]) -> str:
@@ -71,7 +74,7 @@ class ClinicalNote:
     note_id: str
     sections: dict[str, str]
     assembled_text: str = field(init=False)
-    mortality_label: int | None = None  # 0 = death, 1 = living
+    mortality_label: int | None = None  # 1 = died in hospital, 0 = survived
     los_days: float | None = None
 
     def __post_init__(self) -> None:
@@ -87,15 +90,6 @@ class ClinicalNote:
             )
 
 
-def derive_los_class(los_days: float, task: TaskKind) -> int:
-    """Bin a stay length into a class index, upper edges inclusive."""
-    if task is not TaskKind.LENGTH_OF_STAY:
-        raise ContractError("derive_los_class needs the length-of-stay task")
-    if not 0 <= los_days < math.inf:
-        raise InvalidLabelError(f"los_days must be finite and non-negative, got {los_days}")
-    return bisect_left(task.los_bin_edges, los_days)
-
-
 def filter_for_task(
     notes: Sequence[ClinicalNote], task: TaskKind
 ) -> tuple[list[ClinicalNote], list[int]]:
@@ -107,16 +101,10 @@ def filter_for_task(
     kept: list[ClinicalNote] = []
     labels: list[int] = []
     for note in notes:
-        if task is TaskKind.MORTALITY:
-            if note.mortality_label is None:
-                continue
+        label = task.label(note)
+        if label is not None:
             kept.append(note)
-            labels.append(note.mortality_label)
-        else:
-            if note.los_days is None:
-                continue
-            kept.append(note)
-            labels.append(derive_los_class(note.los_days, task))
+            labels.append(label)
     return kept, labels
 
 
@@ -142,34 +130,22 @@ class IngestResult:
     missing_columns: tuple[str, ...]
 
 
-def _parse_mortality(raw: str) -> int | None:
-    text = raw.strip()
-    if not text:
-        return None
-    value = int(text)  # ValueError propagates to the row skipper
-    if value not in (0, 1):
-        raise ValueError(f"mortality label out of range: {value}")
-    return value
-
-
-def _parse_los(raw: str) -> float | None:
-    text = raw.strip()
-    if not text:
-        return None
-    value = float(text)
-    if not 0 <= value < math.inf:  # nan fails both comparisons
-        raise ValueError(f"los_days must be finite and non-negative: {value}")
-    return value
+def _cell(row: dict[str, str], column: str | None, kind: type) -> int | float | None:
+    """A label cell parsed as ``kind``; None for an unmapped or absent
+    column or a blank cell. A cell ``kind`` cannot parse is a ValueError."""
+    text = (row.get(column) or "").strip() if column else ""
+    return kind(text) if text else None
 
 
 def ingest_csv(path: str | Path, schema: CsvSchema) -> IngestResult:
     """Read one note per CSV row.
 
-    Section columns absent from the header are treated as empty (warned
-    once); rows whose label values are present but unparseable are
-    skipped and counted instead of failing the whole file. A path that
-    is missing, is not a readable file, or does not hold UTF-8 CSV, and a
-    row with fewer cells than the header, are a DataError naming it.
+    Section columns absent from the header are treated as empty and
+    listed in the result, for the caller to report; rows whose label
+    values are present but unparseable or out of range are skipped and
+    counted instead of failing the whole file. A path that is missing, is
+    not a readable file, or does not hold UTF-8 CSV, and a row with fewer
+    cells than the header, are a DataError naming it.
     """
     path = Path(path)
     try:
@@ -192,40 +168,20 @@ def _read_notes(path: Path, reader: csv.DictReader, schema: CsvSchema) -> Ingest
         for col in (schema.section_columns[k] for k in SECTION_ORDER)
         if col not in header
     )
-    if missing:
-        logger.warning("%s: section columns absent, treated as empty: %s",
-                       path, ", ".join(missing))
     notes: list[ClinicalNote] = []
     skipped = 0
     for row in reader:
         if None in row.values():  # csv.DictReader's filler for a missing cell
             raise DataError(f"{path}: line {reader.line_num} has fewer cells than the header")
         try:
-            mortality = (
-                _parse_mortality(row[schema.mortality_column])
-                if schema.mortality_column and schema.mortality_column in header
-                else None
-            )
-            los = (
-                _parse_los(row[schema.los_column])
-                if schema.los_column and schema.los_column in header
-                else None
-            )
-        except ValueError:
-            skipped += 1
-            continue
-        sections = {
-            kind: row.get(schema.section_columns[kind]) or ""
-            for kind in SECTION_ORDER
-        }
-        notes.append(
-            ClinicalNote(
+            notes.append(ClinicalNote(
                 note_id=row[schema.id_column],
-                sections=sections,
-                mortality_label=mortality,
-                los_days=los,
-            )
-        )
+                sections={k: row.get(schema.section_columns[k]) or "" for k in SECTION_ORDER},
+                mortality_label=_cell(row, schema.mortality_column, int),
+                los_days=_cell(row, schema.los_column, float),
+            ))
+        except (ValueError, InvalidLabelError):
+            skipped += 1
     return IngestResult(notes=notes, skipped_rows=skipped, missing_columns=missing)
 
 
@@ -236,6 +192,14 @@ class DatasetSplit:
     test: tuple[str, ...]
 
 
+def check_split_ratios(ratios: Sequence[float]) -> None:
+    """Refuse ``split_ratios`` that do not sum to 1 or hold a negative value."""
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # NaN fails too
+        raise ConfigError(f"split_ratios must sum to 1, got {ratios}")
+    if any(r < 0 for r in ratios):
+        raise ConfigError(f"split_ratios must be non-negative, got {ratios}")
+
+
 def split_dataset(
     ids: Sequence[str], ratios: tuple[float, float, float], seed: int
 ) -> DatasetSplit:
@@ -244,10 +208,7 @@ def split_dataset(
     Sizes follow largest-remainder apportionment, so each realized size
     is within one note of its exact proportional share.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
-    if any(r < 0 for r in ratios):
-        raise ConfigError(f"split ratios must be non-negative, got {ratios}")
+    check_split_ratios(ratios)
     if not ids:
         raise ContractError("cannot split an empty corpus")
     ids = list(ids)

@@ -33,6 +33,7 @@ from .corpus import (
     CsvSchema,
     GeneratorConfig,
     TaskKind,
+    check_split_ratios,
     filter_for_task,
     generate_synthetic_corpus,
     ingest_csv,
@@ -68,7 +69,7 @@ from .scoring import (
     score_chunks,
 )
 from .seeds import child_seed
-from .tokenizer import Vocabulary, build_vocabulary, normalize, tokenize
+from .tokenizer import FIRST_TEXT_ID, Vocabulary, build_vocabulary, normalize, tokenize
 from .training import TrainingSplit, build_labeled_chunks, train_linear_scorer
 
 logger = logging.getLogger(__name__)
@@ -128,6 +129,9 @@ class ExperimentConfig:
             raise ConfigError("scorer class counts must match the task")
         if self.trainer.seed != 0:
             raise ConfigError(TRAINER_SEED_UNREAD)
+        check_split_ratios(self.split_ratios)
+        if self.vocab_size < FIRST_TEXT_ID:  # the reserved ids alone fill that many
+            raise ConfigError(f"vocab_size must be at least {FIRST_TEXT_ID}, got {self.vocab_size}")
         if self.fusion is None:
             object.__setattr__(self, "fusion", FusionSpec.uniform(len(self.scorers)))
         elif len(self.fusion.model_weights) != len(self.scorers):
@@ -166,10 +170,13 @@ class ReportRow:
     method: Method
     scorer_ids: tuple[str, ...]
     with_overlap: bool
-    macro_auroc: float | None = None
     roc: RocReport | None = field(default=None, repr=False)
     error: str | None = None
     error_code: int | None = None
+
+    @property
+    def macro_auroc(self) -> float | None:
+        return None if self.roc is None else self.roc.macro_auc
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,8 +249,12 @@ def _load_notes(config: ExperimentConfig) -> list[ClinicalNote]:
     if isinstance(config.data, GeneratorConfig):
         return generate_synthetic_corpus(config.data, child_seed(config.seed, "data"))
     result = ingest_csv(config.data.path, config.data.schema)
+    if result.missing_columns:
+        logger.warning("%s: section columns absent, treated as empty: %s",
+                       config.data.path, ", ".join(result.missing_columns))
     if result.skipped_rows:
-        logger.warning("ingest skipped %d rows with bad labels", result.skipped_rows)
+        logger.warning("%s: skipped %d rows with bad labels",
+                       config.data.path, result.skipped_rows)
     return result.notes
 
 
@@ -380,8 +391,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     kept, labels = filter_for_task(notes, config.task)
     if not kept:
         raise DataError("no notes carry a label for the requested task")
-    label_by_id = {n.note_id: lab for n, lab in zip(kept, labels)}
-    note_by_id = {n.note_id: n for n in kept}
+    labeled = {n.note_id: (n, label) for n, label in zip(kept, labels)}
     split = split_dataset(
         [n.note_id for n in kept], config.split_ratios, child_seed(config.seed, "split")
     )
@@ -392,10 +402,11 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
                 f" split by ratios {list(config.split_ratios)}"
             )
 
-    train_notes = [note_by_id[i] for i in split.train]
-    val_notes = [note_by_id[i] for i in split.validation]
+    def notes_and_labels(ids: tuple[str, ...]) -> tuple[list[ClinicalNote], list[int]]:
+        return [labeled[i][0] for i in ids], [labeled[i][1] for i in ids]
+
     vocab = build_vocabulary(
-        [n.assembled_text for n in train_notes], config.vocab_size
+        [labeled[i][0].assembled_text for i in split.train], config.vocab_size
     )
     needs_training = any(
         s.kind is ScorerKind.LINEAR and not s.metadata.get("checkpoint")
@@ -403,13 +414,11 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     )
     train = validation = None
     if needs_training:
-        train = build_labeled_chunks(
-            train_notes, [label_by_id[i] for i in split.train], config.chunking, vocab
+        train, validation = (
+            build_labeled_chunks(*notes_and_labels(ids), config.chunking, vocab)
+            for ids in (split.train, split.validation)
         )
-        validation = build_labeled_chunks(
-            val_notes, [label_by_id[i] for i in split.validation],
-            config.chunking, vocab,
-        )
+    test_notes, test_labels = notes_and_labels(split.test)
     return PreparedData(
         vocab=vocab,
         sizes={
@@ -418,8 +427,8 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
             "test": len(split.test),
         },
         test_ids=frozenset(split.test),
-        test_notes=[note_by_id[i] for i in split.test],
-        test_labels=[label_by_id[i] for i in split.test],
+        test_notes=test_notes,
+        test_labels=test_labels,
         train=train,
         validation=validation,
     )
@@ -507,7 +516,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             )
         return ReportRow(
             method=method, scorer_ids=ids, with_overlap=with_overlap,
-            macro_auroc=roc.macro_auc, roc=roc,
+            roc=roc,
         )
 
     rows = tuple(evaluate_row(spec) for spec in _row_plan(config))

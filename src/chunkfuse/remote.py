@@ -18,7 +18,8 @@ are renormalized with a warning; anything worse, or a non-finite entry,
 is a protocol violation, not a value to be repaired.
 
 ``StubScorerServer`` is the bundled in-process test double; the CLI's
-``serve-mock`` command exposes it on a real port.
+``serve-mock`` command exposes it on a real port. It answers a malformed
+``/score`` request with 400 and ``{"error": str}``.
 """
 
 from __future__ import annotations
@@ -215,13 +216,31 @@ class _StubHandler(BaseHTTPRequestHandler):
         self._reply(200, {"max_batch": stub.max_batch,
                           "num_classes": stub.num_classes})
 
+    def _score_body(self) -> dict:
+        """The /score request body, checked for structure only (not each
+        id); a malformed one is a ValueError saying why."""
+        length = int(self.headers.get("Content-Length", "0"))
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
+        body = json.loads(self.rfile.read(length).decode())
+        chunks = body.get("chunks") if isinstance(body, dict) else None
+        if not (isinstance(chunks, list) and all(
+            isinstance(c, dict) and isinstance(c.get("ids"), list) for c in chunks
+        )):
+            raise ValueError("body must be an object whose chunks is a list of"
+                             " objects each holding an ids list")
+        return body
+
     def do_POST(self) -> None:
         stub = self.server.stub
         if self.path != "/score":
             self._reply(404, {"error": f"unknown path {self.path}"})
             return
-        length = int(self.headers.get("Content-Length", "0"))
-        body = json.loads(self.rfile.read(length).decode())
+        try:
+            body = self._score_body()
+        except (ValueError, RecursionError) as err:  # JSONDecodeError, UnicodeDecodeError
+            self._reply(400, {"error": f"malformed /score request: {err}"})
+            return
         with stub.lock:
             stub.batch_sizes.append(len(body["chunks"]))
         override = stub.respond

@@ -345,14 +345,17 @@ class LinearScorer:
             if config is not None:
                 what = f"checkpoint {path} trainer_config"
                 config = build_block(what, TrainerConfig, as_object(config, what))
+            descriptor = ScorerDescriptor(
+                scorer_id=doc.get("scorer_id", "linear"), kind=ScorerKind.LINEAR, num_classes=k
+            )
+            weights = np.array(doc["weights"], dtype=np.float64).reshape(k, v)
+            bias = np.array(doc["bias"], dtype=np.float64)
+            if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+                raise ValueError("non-finite weights or bias")
             return cls(
-                descriptor=ScorerDescriptor(
-                    scorer_id=doc.get("scorer_id", "linear"),
-                    kind=ScorerKind.LINEAR,
-                    num_classes=k,
-                ),
-                weights=np.array(doc["weights"], dtype=np.float64).reshape(k, v),
-                bias=np.array(doc["bias"], dtype=np.float64),
+                descriptor=descriptor,
+                weights=weights,
+                bias=bias,
                 trainer_config=config,
                 best_val_auroc=doc.get("best_val_auroc"),
                 vocab_sha256=doc.get("vocab_sha256"),

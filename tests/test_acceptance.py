@@ -16,9 +16,10 @@ from scipy import sparse
 
 from chunkfuse.chunker import Chunk, ChunkingConfig, chunk, coverage_check
 from chunkfuse.corpus import (
+    SECTION_ORDER,
+    ClinicalNote,
     GeneratorConfig,
     TaskKind,
-    derive_los_class,
     generate_synthetic_corpus,
     split_dataset,
 )
@@ -374,10 +375,12 @@ def _unit(n: int, i: int, h: float) -> np.ndarray:
 
 
 def test_a7_los_bins_and_split_apportionment():
+    empty = {k: "" for k in SECTION_ORDER}
     for step in range(61):
         days = step * 0.5
         expected = 0 if days <= 3 else 1 if days <= 7 else 2 if days <= 14 else 3
-        assert derive_los_class(days, TaskKind.LENGTH_OF_STAY) == expected, days
+        note = ClinicalNote(note_id="n", sections=empty, los_days=days)
+        assert TaskKind.LENGTH_OF_STAY.label(note) == expected, days
 
     total = 48_684
     wanted = (33_954, 4_908, 9_822)

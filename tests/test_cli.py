@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -162,6 +165,25 @@ class TestIngest:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and bad in err and "Traceback" not in err
+
+    def test_missing_column_and_skipped_rows_are_reported_once(self, tmp_path):
+        # its own process, so a library warning would reach logging's
+        # last-resort stderr handler as well as the command's own print
+        rows = INGEST_ROWS + [["n3", "text", "", "", "", "", "", "", "", "2", ""]]
+        columns = {**SCHEMA["section_columns"], "FH": "family_history"}
+        csv_path, schema_path = self.write_fixture(tmp_path, rows, section_columns=columns)
+        result = subprocess.run(
+            [sys.executable, "-m", "chunkfuse.cli", "ingest",
+             "--input", csv_path, "--schema", schema_path],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (result.stdout + result.stderr).count("family_history") == 1
+        assert result.stdout == (
+            "warning: missing columns ['family_history']\n"
+            "ingested 2 notes (1 rows skipped)\n"
+        )
 
     def test_all_rows_skipped_is_data_error(self, tmp_path, capsys):
         csv_path, schema_path = self.write_fixture(tmp_path, [

@@ -1,16 +1,18 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from chunkfuse.corpus import (
+    LOS_BIN_EDGES,
     SECTION_ORDER,
     ClinicalNote,
     CsvSchema,
     GeneratorConfig,
     TaskKind,
     assemble_note,
-    derive_los_class,
     filter_for_task,
     find_pattern,
     generate_synthetic_corpus,
@@ -25,6 +27,7 @@ from chunkfuse.errors import (
     InvalidLabelError,
     SchemaError,
 )
+from chunkfuse.experiment import CsvSource, _load_notes
 from chunkfuse.metrics import auc
 from chunkfuse.tokenizer import build_vocabulary
 
@@ -67,29 +70,35 @@ def test_note_label_validation():
             ClinicalNote(note_id="n", sections=sections(), los_days=days)
 
 
+def stay(days):
+    return ClinicalNote(note_id="n", sections=sections(), los_days=days)
+
+
 def test_task_kind_properties():
     assert TaskKind.MORTALITY.num_classes == 2
-    assert TaskKind.MORTALITY.los_bin_edges == ()
-    los = TaskKind.LENGTH_OF_STAY
-    assert los.num_classes == 4
-    assert los.los_bin_edges == (3.0, 7.0, 14.0)
+    assert LOS_BIN_EDGES == (3.0, 7.0, 14.0)
+    assert TaskKind.LENGTH_OF_STAY.num_classes == 4
+    both = ClinicalNote(note_id="n", sections=sections(), mortality_label=1, los_days=20.0)
+    assert TaskKind.MORTALITY.label(both) == 1
+    assert TaskKind.LENGTH_OF_STAY.label(both) == 3
+    unlabeled = ClinicalNote(note_id="n", sections=sections())
+    assert [task.label(unlabeled) for task in TaskKind] == [None, None]
 
 
 def test_los_bins_match_documented_boundaries():
     los = TaskKind.LENGTH_OF_STAY
     cases = {0.0: 0, 3.0: 0, 3.5: 1, 7.0: 1, 7.1: 2, 14.0: 2, 14.5: 3, 100.0: 3}
     for days, expected in cases.items():
-        assert derive_los_class(days, los) == expected, days
+        assert los.label(stay(days)) == expected, days
+    # a stay no bin holds never becomes a note
     for days in (-0.5, float("nan"), float("inf")):
         with pytest.raises(InvalidLabelError):
-            derive_los_class(days, los)
-    with pytest.raises(ContractError):
-        derive_los_class(1.0, TaskKind.MORTALITY)
+            stay(days)
 
 
 @given(st.lists(st.floats(0, 60, allow_nan=False), min_size=2, max_size=40))
 def test_los_class_monotone(days):
-    classes = [derive_los_class(d, TaskKind.LENGTH_OF_STAY) for d in sorted(days)]
+    classes = [TaskKind.LENGTH_OF_STAY.label(stay(d)) for d in sorted(days)]
     assert classes == sorted(classes)
     assert all(0 <= c <= 3 for c in classes)
 
@@ -169,8 +178,15 @@ def test_ingest_missing_section_column_warns(tmp_path, caplog):
     write_csv(path, header, rows)
     with caplog.at_level("WARNING"):
         result = ingest_csv(path, SCHEMA)
+    # listed for the caller, which reports it once; ingest itself is silent
     assert result.missing_columns == ("fh",)
-    assert "fh" in caplog.text
+    assert caplog.text == ""
+    source = SimpleNamespace(data=CsvSource(path=str(path), schema=SCHEMA))
+    with caplog.at_level("WARNING"):
+        _load_notes(source)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: section columns absent, treated as empty: fh"
+    ]
     assert result.notes[0].sections["FH"] == ""
     assert result.notes[0].assembled_text == "a b c d e f g"
 

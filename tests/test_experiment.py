@@ -39,7 +39,7 @@ from chunkfuse.experiment import (
     run_experiment,
 )
 from chunkfuse.fusion import FusionSpec, PredictionMatrix, ensemble_fuse, weighted_fuse
-from chunkfuse.metrics import macro_auroc
+from chunkfuse.metrics import RocReport, macro_auroc
 from chunkfuse.scoring import (
     ProbabilityVector,
     ScorerDescriptor,
@@ -129,6 +129,21 @@ class TestConfigInvariants:
         with pytest.raises(ConfigError, match="trainer.seed is not read") as exc:
             small_config(tmp_path, trainer=TrainerConfig(seed=seed))
         assert exc.value.exit_code == 1
+
+    @pytest.mark.parametrize("change, message", [
+        ({"split_ratios": (0.5, 0.3, 0.3)}, "split_ratios must sum to 1"),
+        ({"split_ratios": (1.2, -0.1, -0.1)}, "split_ratios must be non-negative"),
+        ({"vocab_size": 3}, "vocab_size must be at least 4"),
+    ])
+    def test_bad_split_ratios_or_vocab_size_refused_before_any_work(
+        self, tmp_path, monkeypatch, change, message
+    ):
+        def no_corpus(*args):
+            raise AssertionError("the corpus was generated")
+
+        monkeypatch.setattr(experiment, "generate_synthetic_corpus", no_corpus)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(small_config(tmp_path, **change))
 
     def test_default_fusion_is_uniform_and_tracks_overlap(self, tmp_path):
         config = small_config(tmp_path, chunking=ChunkingConfig(overlap=0))
@@ -640,9 +655,16 @@ class TestRunExperiment:
         ({"num_classes": 2, "vocab_size": 3, "bias": [0.0, 0.0]}, 1),
         ({"num_classes": 2, "vocab_size": 3, "weights": [0.0] * 5,
           "bias": [0.0, 0.0]}, 1),
-        # loads fine, but every score it gives is NaN
+        # loads fine (every weight is finite), but its logits overflow to
+        # inf and its scores come out NaN
+        pytest.param(
+            {"num_classes": 2, "vocab_size": 5000, "weights": [1e308] * 5000 + [0.0] * 5000,
+             "bias": [0.0, 0.0]}, 3,
+            marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"),
+        ),
+        # a non-finite bias is refused where the checkpoint is loaded
         ({"num_classes": 2, "vocab_size": 5000, "weights": [0.0] * 10000,
-          "bias": [float("nan"), 0.0]}, 3),
+          "bias": [float("nan"), 0.0]}, 1),
     ])
     def test_bad_checkpoint_yields_error_rows_only(self, tmp_path, checkpoint, code):
         path = tmp_path / "lin.ckpt.json"
@@ -866,12 +888,16 @@ class TestTrainedScorersEndToEnd:
         assert calls == {"training": 2, "scoring": 2}
 
 
+def roc_of(value: float) -> RocReport:
+    return RocReport(per_class_auc=[value, value], macro_auc=value, roc_points={})
+
+
 class TestEmitReport:
     def handmade_report(self) -> ComparisonReport:
         rows = (
-            ReportRow(Method.BASELINE, ("lin-a",), True, macro_auroc=0.8123),
-            ReportRow(Method.ENSEMBLE, ("lin-a", "lin-b"), True, macro_auroc=0.8341),
-            ReportRow(Method.AGGREGATION, ("lin-a",), True, macro_auroc=0.9007),
+            ReportRow(Method.BASELINE, ("lin-a",), True, roc=roc_of(0.8123)),
+            ReportRow(Method.ENSEMBLE, ("lin-a", "lin-b"), True, roc=roc_of(0.8341)),
+            ReportRow(Method.AGGREGATION, ("lin-a",), True, roc=roc_of(0.9007)),
             ReportRow(
                 Method.ENSEMBLE_AGGREGATION,
                 ("lin-a", "lin-b"),
@@ -909,6 +935,7 @@ class TestEmitReport:
         emit_report(self.handmade_report(), tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["seed"] == 7
+        assert doc["rows"][0]["macro_auroc"] == 0.8123
         assert doc["rows"][0]["macro_auroc_percent"] == "81.23"
         assert doc["rows"][3]["error"].startswith("scorer lin-b")
         assert "wall_clock_seconds" not in json.dumps(doc)

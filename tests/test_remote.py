@@ -1,4 +1,6 @@
 import http.client
+import json
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -52,6 +54,38 @@ def test_stub_refuses_bad_fields_before_binding(monkeypatch, name, value):
     with pytest.raises(ConfigError, match=f"^{name} must be an int in ") as exc:
         StubScorerServer(**{name: value})
     assert exc.value.exit_code == 1
+
+
+def post_score(stub, body: bytes, length: str | None = None) -> tuple[int, dict]:
+    conn = http.client.HTTPConnection(urlsplit(stub.endpoint).netloc, timeout=5)
+    try:
+        conn.putrequest("POST", "/score")
+        conn.putheader("Content-Length", str(len(body)) if length is None else length)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("body, length", [
+    (b"not json", None),
+    (b"\xff\xfe{}", None),
+    (b"[]", None),
+    (b'{"chunks": 5}', None),
+    (b'{"chunks": [5]}', None),
+    (b'{"chunks": [{"ids": 7}]}', None),
+    (b'{"task": "mortality"}', None),
+    (b"{}", "two"),
+    (b"{}", "-1"),
+])
+def test_malformed_score_request_gets_400_and_the_stub_keeps_serving(body, length):
+    with StubScorerServer() as stub:
+        status, reply = post_score(stub, body, length)
+        assert status == 400 and "malformed /score request" in reply["error"]
+        status, reply = post_score(stub, b'{"chunks": [{"ids": [2, 9, 3]}]}')
+        assert (status, reply) == (200, {"scores": [[0.5, 0.5]]})
+        assert stub.batch_sizes == [1]
 
 
 def test_class_count_mismatch_rejected_at_connect():

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -352,7 +354,7 @@ def test_malformed_checkpoint_is_config_error(tmp_path, text, match):
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-    | st.sampled_from([10**400, -1, 0, 2.5, "0.5"]),
+    | st.sampled_from([10**400, -1, 0, 2.5, "0.5", math.nan, math.inf, -math.inf]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
@@ -363,7 +365,8 @@ JSON_VALUES = st.recursive(
 @given(st.data())
 def test_fuzz_mutated_checkpoint_loads_or_is_config_error(tmp_path_factory, data):
     """Replace, delete or add one value anywhere in a valid checkpoint:
-    load either succeeds or raises ConfigError, never anything else."""
+    load either succeeds with finite weights and bias or raises
+    ConfigError, never anything else."""
     doc = valid_checkpoint()
     node = doc
     while True:  # walk down a random path, stopping at some container
@@ -385,9 +388,23 @@ def test_fuzz_mutated_checkpoint_loads_or_is_config_error(tmp_path_factory, data
     path = tmp_path_factory.mktemp("ckpt") / "scorer.ckpt.json"
     path.write_text(json.dumps(doc))
     try:
-        LinearScorer.load(path)
+        scorer = LinearScorer.load(path)
     except ConfigError:
-        pass
+        return
+    assert np.isfinite(scorer.weights).all() and np.isfinite(scorer.bias).all()
+
+
+@pytest.mark.parametrize("field, index", [("weights", 4), ("bias", 1)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_checkpoint_is_refused_at_load(tmp_path, field, index, value):
+    # Python's json reads NaN and Infinity; the scorer must not carry them
+    # on to score_chunks, far from the file at fault
+    doc = valid_checkpoint()
+    doc[field][index] = value
+    path = tmp_path / "scorer.ckpt.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: .*non-finite"):
+        LinearScorer.load(path)
 
 
 @settings(max_examples=100)
