@@ -1,87 +1,76 @@
 #!/usr/bin/env python3
 """Compare truncation, aggregation, and ensemble fusion across seeds.
 
-For each seed this builds a fresh synthetic corpus with a uniformly
-placed 12-token signal, trains two linear scorers that differ only in
-their training substream, and evaluates on the held-out test split.
+Each seed runs ``configs/ordering.json``: a fresh synthetic corpus with
+a uniformly placed 12-token signal, and two linear scorers that differ
+only in their training substream, evaluated on the held-out test split.
 Expected picture: scoring every window (aggregation) beats scoring only
-the first one (baseline) by a wide margin, and fusing the two scorers
-stays within a point of the better single model.
+the first one (baseline) by MIN_GAP, and fusing the scorers stays within
+ENSEMBLE_SLACK of the better single model.
 
-Exit status is 0 when the ordering holds in at least 80% of seeds.
+Any other argument is a dotted override of the config, as for
+``chunkfuse compare`` (e.g. ``--data.num_docs 300``). Exit status is 0
+when the ordering holds in at least PASS_PERCENT of seeds and 1 when it
+does not; a failed run exits with its error's code.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from chunkfuse.corpus import GeneratorConfig, TaskKind
-from chunkfuse.experiment import (
-    ExperimentConfig,
-    Method,
-    run_experiment,
-)
-from chunkfuse.scoring import ScorerDescriptor, ScorerKind, TrainerConfig
+from chunkfuse.cli import load_config
+from chunkfuse.errors import ChunkfuseError
+from chunkfuse.experiment import Method, run_experiment
 
-
-def parse_args() -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--num-seeds", type=int, default=5)
-    parser.add_argument("--num-docs", type=int, default=2000)
-    parser.add_argument("--min-tokens", type=int, default=1500)
-    parser.add_argument("--max-tokens", type=int, default=3000)
-    parser.add_argument("--max-epochs", type=int, default=25)
-    parser.add_argument("--vocab-size", type=int, default=600)
-    parser.add_argument("--min-gap", type=float, default=0.10,
-                        help="required aggregation-over-baseline margin")
-    parser.add_argument("--ensemble-slack", type=float, default=0.01,
-                        help="allowed fused shortfall vs the best single model")
-    parser.add_argument("--output-dir", default="runs/ordering")
-    return parser.parse_args()
+CONFIG = ROOT / "configs" / "ordering.json"
+MIN_GAP = 0.10  # aggregation over baseline, for every scorer
+ENSEMBLE_SLACK = 0.01  # fused shortfall allowed against the best aggregation
+PASS_PERCENT = 80  # of seeds, rounded up
 
 
-def main() -> int:
-    args = parse_args()
-    scorer_ids = ("lin-a", "lin-b")
+def run_seeds(num_seeds: int, output_dir: str, overrides: list[str]) -> int:
     wins = 0
-    for seed in range(args.num_seeds):
-        config = ExperimentConfig(
-            task=TaskKind.MORTALITY,
-            data=GeneratorConfig(
-                num_docs=args.num_docs,
-                min_tokens=args.min_tokens,
-                max_tokens=args.max_tokens,
-            ),
-            scorers=tuple(
-                ScorerDescriptor(sid, ScorerKind.LINEAR, 2) for sid in scorer_ids
-            ),
-            methods=(
-                Method.BASELINE, Method.AGGREGATION, Method.ENSEMBLE_AGGREGATION,
-            ),
-            output_dir=str(Path(args.output_dir) / f"seed{seed}"),
-            trainer=TrainerConfig(max_epochs=args.max_epochs),
-            vocab_size=args.vocab_size,
-            seed=seed,
-        )
+    for seed in range(num_seeds):
+        out = json.dumps(str(Path(output_dir) / f"seed{seed}"))
+        config = load_config(CONFIG, [*overrides, "--seed", str(seed), f"--output_dir={out}"])
         report = run_experiment(config)
+        failed = next((r for r in report.rows if r.error is not None), None)
+        if failed is not None:
+            print(f"error: {failed.error}", file=sys.stderr)
+            return failed.error_code
         value = {(r.method, r.scorer_ids): r.macro_auroc for r in report.rows}
-        base = {s: value[(Method.BASELINE, (s,))] for s in scorer_ids}
-        agg = {s: value[(Method.AGGREGATION, (s,))] for s in scorer_ids}
-        fused = value[(Method.ENSEMBLE_AGGREGATION, scorer_ids)]
-        ok = all(
-            agg[s] >= base[s] + args.min_gap for s in scorer_ids
-        ) and fused >= max(agg.values()) - args.ensemble_slack
+        ids = tuple(s.scorer_id for s in config.scorers)
+        base = [value[(Method.BASELINE, (s,))] for s in ids]
+        agg = [value[(Method.AGGREGATION, (s,))] for s in ids]
+        fused = value[(Method.ENSEMBLE_AGGREGATION, ids)]
+        ok = all(a >= b + MIN_GAP for a, b in zip(agg, base)) and (
+            fused >= max(agg) - ENSEMBLE_SLACK
+        )
         wins += ok
         print(
-            f"seed {seed}: baseline {base['lin-a']:.3f}/{base['lin-b']:.3f}"
-            f"  aggregation {agg['lin-a']:.3f}/{agg['lin-b']:.3f}"
+            f"seed {seed}: baseline {'/'.join(f'{v:.3f}' for v in base)}"
+            f"  aggregation {'/'.join(f'{v:.3f}' for v in agg)}"
             f"  fused {fused:.3f}  {'ok' if ok else 'MISS'}"
         )
-    needed = -(-args.num_seeds * 4 // 5)  # ceil(0.8 * n)
-    print(f"ordering held in {wins}/{args.num_seeds} seeds (need {needed})")
+    needed = -(-num_seeds * PASS_PERCENT // 100)
+    print(f"ordering held in {wins}/{num_seeds} seeds (need {needed})")
     return 0 if wins >= needed else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0], allow_abbrev=False)
+    parser.add_argument("--num-seeds", type=int, default=5)
+    parser.add_argument("--output-dir", default="runs/ordering")
+    args, overrides = parser.parse_known_args(argv)
+    try:
+        return run_seeds(args.num_seeds, args.output_dir, overrides)
+    except ChunkfuseError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -99,8 +99,11 @@ def _apply_overrides(doc: dict, overrides: dict[str, object]) -> dict:
     return doc
 
 
-def _load_config(args: argparse.Namespace, extras: list[str]) -> ExperimentConfig:
-    doc = as_object(read_json(args.config, "config"), "config root")
+def load_config(path: str | Path, extras: list[str]) -> ExperimentConfig:
+    """The one reader of experiment config files: parse the JSON at
+    ``path`` and apply ``extras``, a list of ``--dotted.path value``
+    overrides, before the config is built."""
+    doc = as_object(read_json(path, "config"), "config root")
     return ExperimentConfig.from_json_dict(
         _apply_overrides(doc, _parse_overrides(extras))
     )
@@ -148,7 +151,7 @@ def cmd_generate(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def cmd_train(args: argparse.Namespace, extras: list[str]) -> int:
-    config = _load_config(args, extras)
+    config = load_config(args.config, extras)
     prepared = prepare_data(config)
     print(
         f"splits: train={prepared.sizes['train']}"
@@ -166,7 +169,7 @@ def cmd_train(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, extras: list[str]) -> int:
-    config = _load_config(args, extras)
+    config = load_config(args.config, extras)
     wanted = args.scorer_id or config.scorers[0].scorer_id
     matches = [s for s in config.scorers if s.scorer_id == wanted]
     if not matches:
@@ -186,7 +189,7 @@ def cmd_evaluate(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, extras: list[str]) -> int:
-    config = _load_config(args, extras)
+    config = load_config(args.config, extras)
     report = run_experiment(config)
     print((Path(config.output_dir) / "report.md").read_text(), end="")
     return report.worst_error_code()

@@ -144,7 +144,7 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         """Build a config from its JSON form with ``build_block``, after the
         steps the field types cannot say: ``data.kind`` picks the source
-        block, each scorer entry gets the task's class count, and a
+        block, a scorer entry without ``num_classes`` gets the task's, and a
         ``trainer.seed`` is refused (each trained scorer's seed derives from
         the top-level one)."""
         doc = as_object(doc, "config root")
@@ -157,7 +157,7 @@ class ExperimentConfig:
         if isinstance(doc.get("scorers"), list):
             classes = from_json("task", TaskKind, doc.get("task")).num_classes
             doc["scorers"] = [
-                dict(as_object(entry, "scorer entry"), num_classes=classes)
+                {"num_classes": classes, **as_object(entry, "scorer entry")}
                 for entry in doc["scorers"]
             ]
         if "seed" in as_object(doc.get("trainer", {}), "trainer"):
@@ -357,17 +357,17 @@ def _note_probs(
     weights: dict[str, float],
 ) -> np.ndarray:
     """Fuse cached window scores into one ``(notes, classes)`` array;
-    ``columns[sid][i]`` is note ``i``'s ``(windows, classes)`` array."""
-    if method in (Method.BASELINE, Method.AGGREGATION):
-        scorer_ids = scorer_ids[:1]
+    ``columns[sid][i]`` is note ``i``'s ``(windows, classes)`` array.
+    Baseline and Aggregation rows name one scorer."""
     if method in (Method.BASELINE, Method.ENSEMBLE):
         first = np.array([[note[0] for note in columns[sid]] for sid in scorer_ids])
         return first.mean(axis=0)  # over scorers: (p, notes, c) -> (notes, c)
     windows = np.stack([np.concatenate(columns[sid]) for sid in scorer_ids])
-    if method is Method.ENSEMBLE_AGGREGATION:
-        w = np.array([weights[sid] for sid in scorer_ids])
-        windows = np.einsum("pkc,p->kc", windows, w / w.sum())[None]
-    return pool_windows(windows[0], [len(note) for note in columns[scorer_ids[0]]])
+    # Aggregation's one scorer weighs exactly 1.0, whatever its fusion weight.
+    fused = method is Method.ENSEMBLE_AGGREGATION
+    w = np.array([weights[sid] if fused else 1.0 for sid in scorer_ids])
+    combined = np.einsum("pkc,p->kc", windows, w / w.sum())
+    return pool_windows(combined, [len(note) for note in columns[scorer_ids[0]]])
 
 
 @dataclass
@@ -390,7 +390,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     notes = _load_notes(config)
     kept, labels = filter_for_task(notes, config.task)
     if not kept:
-        raise DataError("no notes carry a label for the requested task")
+        raise DataError(f"no notes carry a label for the {config.task.value} task")
     labeled = {n.note_id: (n, label) for n, label in zip(kept, labels)}
     split = split_dataset(
         [n.note_id for n in kept], config.split_ratios, child_seed(config.seed, "split")

@@ -19,7 +19,8 @@ is a protocol violation, not a value to be repaired.
 
 ``StubScorerServer`` is the bundled in-process test double; the CLI's
 ``serve-mock`` command exposes it on a real port. It answers a malformed
-``/score`` request with 400 and ``{"error": str}``.
+``/score`` request with 400 and ``{"error": str}``, as it does a body that
+stops short of its Content-Length for ``TIMEOUT_S`` seconds.
 """
 
 from __future__ import annotations
@@ -196,9 +197,16 @@ class RemoteScorer:
 
 class _StubHandler(BaseHTTPRequestHandler):
     server: "_StubHTTPServer"
+    timeout = TIMEOUT_S  # a body shorter than its Content-Length must not pin a thread
 
     def log_message(self, *args) -> None:  # silence per-request stderr noise
         pass
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:  # the client has gone; nobody reads the reply
+            pass
 
     def _reply(self, status: int, payload: object) -> None:
         body = json.dumps(payload).encode()
@@ -222,7 +230,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", "0"))
         if length < 0:
             raise ValueError(f"negative Content-Length {length}")
-        body = json.loads(self.rfile.read(length).decode())
+        raw = self.rfile.read(length)  # short at EOF; TimeoutError if the client stalls
+        if len(raw) < length:
+            raise ValueError(f"body of {len(raw)} bytes, Content-Length {length}")
+        body = json.loads(raw.decode())
         chunks = body.get("chunks") if isinstance(body, dict) else None
         if not (isinstance(chunks, list) and all(
             isinstance(c, dict) and isinstance(c.get("ids"), list) for c in chunks
@@ -238,7 +249,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         try:
             body = self._score_body()
-        except (ValueError, RecursionError) as err:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError, TimeoutError) as err:
             self._reply(400, {"error": f"malformed /score request: {err}"})
             return
         with stub.lock:

@@ -1,14 +1,16 @@
 """Acceptance gate: eight end-to-end criteria at stated tolerances.
 
 Each test ends with one PASS line carrying the measured numbers; run
-``pytest tests/test_acceptance.py -v -s`` to see them. A3 and A4 train
-and evaluate across five seeds each, so this file dominates the suite's
-runtime (a few minutes total).
+``pytest tests/test_acceptance.py -v -s`` to see them. A3 and A4 run the
+claim scripts under ``scripts/`` across five seeds each, so this file
+dominates the suite's runtime.
 """
 
+import importlib.util
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +26,7 @@ from chunkfuse.corpus import (
     split_dataset,
 )
 from chunkfuse.errors import ProtocolError
-from chunkfuse.experiment import (
-    ExperimentConfig,
-    Method,
-    _note_probs,
-    run_experiment,
-)
+from chunkfuse.experiment import Method, _note_probs
 from chunkfuse.fusion import (
     FusionSpec,
     PredictionMatrix,
@@ -38,12 +35,7 @@ from chunkfuse.fusion import (
 )
 from chunkfuse.metrics import auc
 from chunkfuse.remote import RemoteScorer, StubScorerServer
-from chunkfuse.scoring import (
-    ProbabilityVector,
-    ScorerDescriptor,
-    ScorerKind,
-    TrainerConfig,
-)
+from chunkfuse.scoring import ProbabilityVector, TrainerConfig
 from chunkfuse.tokenizer import build_vocabulary
 from chunkfuse.training import (
     EarlyStopping,
@@ -150,111 +142,37 @@ def test_a2_fusion_algebra_on_random_matrices():
     )
 
 
-def _linear_pair_config(seed: int, out_dir) -> ExperimentConfig:
-    return ExperimentConfig(
-        task=TaskKind.MORTALITY,
-        data=GeneratorConfig(
-            num_docs=2_000,
-            min_tokens=1_500,
-            max_tokens=3_000,
-            signal_length=12,
-            positive_fraction=0.5,
-            placement="uniform",
-        ),
-        scorers=(
-            ScorerDescriptor("lin-a", ScorerKind.LINEAR, 2),
-            ScorerDescriptor("lin-b", ScorerKind.LINEAR, 2),
-        ),
-        methods=(Method.BASELINE, Method.AGGREGATION, Method.ENSEMBLE_AGGREGATION),
-        output_dir=str(out_dir),
-        trainer=TrainerConfig(max_epochs=25),
-        vocab_size=600,
-        seed=seed,
-    )
-
-
-def test_a3_aggregation_beats_truncation_and_ensembling_loses_nothing(tmp_path):
+def _run_script(name: str, tmp_path, capsys):
+    """Run ``scripts/<name>.py``, the claim's one definition, at its defaults
+    (5 seeds of its shipped config); return the module, its indented
+    stdout and the seconds it took."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
     started = time.perf_counter()
-    wins = 0
-    details = []
-    for seed in range(5):
-        report = run_experiment(_linear_pair_config(seed, tmp_path / f"s{seed}"))
-        value = {(r.method, r.scorer_ids): r.macro_auroc for r in report.rows}
-        assert all(v is not None for v in value.values())
-        base = {s: value[(Method.BASELINE, (s,))] for s in ("lin-a", "lin-b")}
-        agg = {s: value[(Method.AGGREGATION, (s,))] for s in ("lin-a", "lin-b")}
-        fused = value[(Method.ENSEMBLE_AGGREGATION, ("lin-a", "lin-b"))]
-        ok = all(agg[s] >= base[s] + 0.10 for s in base) and fused >= max(
-            agg.values()
-        ) - 0.01
-        wins += ok
-        details.append(
-            f"seed {seed}: base {base['lin-a']:.3f}/{base['lin-b']:.3f}"
-            f" agg {agg['lin-a']:.3f}/{agg['lin-b']:.3f}"
-            f" fused {fused:.3f} {'ok' if ok else 'MISS'}"
-        )
+    code = script.main(["--output-dir", str(tmp_path)])
     elapsed = time.perf_counter() - started
+    out = capsys.readouterr().out
+    assert code == 0, out
     assert elapsed < 600.0
-    assert wins >= 4, "\n".join(details)
-    print(
-        f"\nA3 PASS: ordering (Aggregation >= Baseline+0.10,"
-        f" EnsembleAggregation >= best-0.01) held in {wins}/5 seeds;"
-        f" {elapsed:.0f}s < 600s\n  " + "\n  ".join(details)
-    )
+    return script, out.rstrip().replace("\n", "\n  "), elapsed
 
 
-def _straddle_config(seed: int, overlap: int, out_dir) -> ExperimentConfig:
-    return ExperimentConfig(
-        task=TaskKind.MORTALITY,
-        data=GeneratorConfig(
-            num_docs=1_000,
-            min_tokens=1_500,
-            max_tokens=3_000,
-            signal_length=60,
-            positive_fraction=0.5,
-            placement="boundary",
-            boundary_period=510,
-            straddle_prob=0.5,
-        ),
-        scorers=(
-            ScorerDescriptor(
-                "pattern", ScorerKind.PATTERN, 2, metadata={"pattern": "auto"}
-            ),
-        ),
-        methods=(Method.AGGREGATION,),
-        chunking=ChunkingConfig(capacity=510, overlap=overlap),
-        output_dir=str(out_dir),
-        seed=seed,
-    )
+def test_a3_aggregation_beats_truncation_and_ensembling_loses_nothing(tmp_path, capsys):
+    script, seeds, elapsed = _run_script("run_ordering_experiment", tmp_path, capsys)
+    assert (script.MIN_GAP, script.ENSEMBLE_SLACK, script.PASS_PERCENT) == (0.10, 0.01, 80)
+    with capsys.disabled():
+        print(f"\nA3 PASS: ordering (Aggregation >= Baseline+0.10, EnsembleAggregation"
+              f" >= best-0.01); {elapsed:.0f}s < 600s\n  {seeds}")
 
 
-def test_a4_overlap_recovers_boundary_straddling_signal(tmp_path):
-    started = time.perf_counter()
-    wins = 0
-    details = []
-    for seed in range(5):
-        scores = {}
-        for overlap in (50, 0):
-            report = run_experiment(
-                _straddle_config(seed, overlap, tmp_path / f"s{seed}o{overlap}")
-            )
-            (row,) = report.rows
-            assert row.macro_auroc is not None, row.error
-            scores[overlap] = row.macro_auroc
-        ok = scores[50] >= scores[0]
-        wins += ok
-        details.append(
-            f"seed {seed}: overlap-50 {scores[50]:.3f} vs overlap-0"
-            f" {scores[0]:.3f} {'ok' if ok else 'MISS'}"
-        )
-    elapsed = time.perf_counter() - started
-    assert elapsed < 600.0
-    assert wins >= 4, "\n".join(details)
-    print(
-        f"\nA4 PASS: overlap-50 aggregation >= overlap-0 in {wins}/5 seeds"
-        f" on 60-token straddling signal; {elapsed:.0f}s < 600s\n  "
-        + "\n  ".join(details)
-    )
+def test_a4_overlap_recovers_boundary_straddling_signal(tmp_path, capsys):
+    script, seeds, elapsed = _run_script("run_overlap_experiment", tmp_path, capsys)
+    assert script.PASS_PERCENT == 80
+    with capsys.disabled():
+        print(f"\nA4 PASS: overlap-50 aggregation >= overlap-0 on 60-token straddling"
+              f" signal; {elapsed:.0f}s < 600s\n  {seeds}")
 
 
 def _pairwise_auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from chunkfuse import cli
 from chunkfuse.chunker import Chunk
 from chunkfuse.cli import main
 from chunkfuse.corpus import SECTION_ORDER, CsvSchema, ingest_csv
-from chunkfuse.errors import ChunkfuseError
+from chunkfuse.errors import ChunkfuseError, ConfigError
 from chunkfuse.remote import RemoteScorer
 
 
@@ -60,6 +61,20 @@ class TestParsing:
         ])
         assert rc == 1
         assert "window" in capsys.readouterr().err
+
+    def test_overrides_parse_values_as_json_or_keep_the_string(self):
+        assert cli._parse_overrides(["--output_dir", "runs/x", "--seed=4", "--a.b", "[1]"]) == {
+            "output_dir": "runs/x", "seed": 4, "a.b": [1],
+        }
+
+    @pytest.mark.parametrize("extras, message", [
+        (["seed"], "unexpected argument 'seed'"),
+        (["--", "4"], "unexpected argument '--'"),
+        (["--seed", "4", "--data.num_docs"], "override --data.num_docs needs a value"),
+    ])
+    def test_malformed_overrides_are_config_errors(self, extras, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli._parse_overrides(extras)
 
 
 class TestGenerate:
@@ -253,6 +268,38 @@ class TestCompare:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: the test split is empty")
 
+    def test_task_with_no_labeled_note_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["compare", "--config", base_config(tmp_path), "--task", "length_of_stay"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: no notes carry a label for the length_of_stay task\n"
+
+    def test_auto_pattern_on_a_csv_source_gives_config_error_rows(self, tmp_path, capsys):
+        rows = [[f"n{i}", f"word{i} pain", *[""] * 7, str(i % 2), ""] for i in range(20)]
+        csv_path, _ = write_ingest_fixture(tmp_path, rows, SCHEMA)
+        config = base_config(
+            tmp_path, data={"kind": "csv", "path": csv_path, "schema": SCHEMA},
+            methods=["aggregation"], scorers=[
+                {"scorer_id": "mock-a", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},
+                {"scorer_id": "pat", "kind": "pattern", "metadata": {"pattern": "auto"}},
+            ],
+        )
+        assert main(["compare", "--config", config]) == 1
+        out = capsys.readouterr().out
+        assert "| Aggregation | mock-a | yes | 50.00 |" in out
+        assert "| Aggregation | pat | yes | error: scorer pat: pattern 'auto' needs a" \
+            " synthetic data source |" in out
+
+    def test_mock_without_probs_gives_config_error_rows(self, tmp_path, capsys):
+        config = base_config(tmp_path, methods=["aggregation"], scorers=[
+            {"scorer_id": "mock-a", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},
+            {"scorer_id": "m", "kind": "mock"},
+        ])
+        assert main(["compare", "--config", config]) == 1
+        out = capsys.readouterr().out
+        assert "| Aggregation | mock-a | yes | 50.00 |" in out
+        assert "| error: scorer m: mock scorer m needs metadata.probs |" in out
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["compare", "--config", str(tmp_path / "absent.json")])
         assert rc == 1
@@ -299,6 +346,14 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "mock-a" in err and "mock-b" in err
+
+    def test_error_row_exits_with_its_code(self, tmp_path, capsys):
+        config = base_config(tmp_path, scorers=[
+            {"scorer_id": "dead", "kind": "remote",
+             "metadata": {"endpoint": "http://127.0.0.1:9"}},
+        ], methods=["baseline"])
+        assert main(["evaluate", "--config", config]) == 3
+        assert capsys.readouterr().out.startswith("scorer dead: error: ")
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
-"""The package depends on numpy and scipy alone, besides the standard library."""
+"""The package and its scripts depend on numpy and scipy alone, besides the
+standard library."""
 
 import ast
 import re
@@ -23,7 +24,9 @@ def imported_packages(path: Path) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted((ROOT / "src" / "chunkfuse").glob("*.py")), ids=lambda p: p.name
+    "path",
+    sorted((ROOT / "src" / "chunkfuse").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_source_imports_only_stdlib_numpy_scipy(path):
     assert imported_packages(path) - ALLOWED == set()

@@ -175,6 +175,13 @@ class TestConfigFromJson:
         assert config.seed == 11
         assert config.scorers[0].num_classes == 2
 
+    def test_a_stated_scorer_class_count_meets_the_task_check(self, tmp_path):
+        doc = self.base_doc(tmp_path)
+        doc["scorers"][1]["num_classes"] = 7
+        with pytest.raises(ConfigError, match="scorer class counts must match the task") as exc:
+            ExperimentConfig.from_json_dict(doc)
+        assert exc.value.exit_code == 1
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         doc = self.base_doc(tmp_path)
         doc["chunk_overlap"] = 50
@@ -750,6 +757,14 @@ def test_note_probs_matches_reference_fusion(
         for i, probs in enumerate(got):
             want = reference_note_probs(method, picked, columns, weights, i)
             assert np.abs(np.asarray(probs) - want).max() <= 1e-12, method
+
+
+def test_aggregation_pools_its_scorer_unweighted_even_at_fusion_weight_zero():
+    rng = np.random.default_rng(4)
+    counts = [1, 4, 2]
+    columns = {sid: [rng.dirichlet(np.ones(3), size=k) for k in counts] for sid in "ab"}
+    got = _note_probs(Method.AGGREGATION, ["b"], columns, {"a": 1.0, "b": 0.0})
+    assert np.array_equal(got, scoring.pool_windows(np.concatenate(columns["b"]), counts))
 
 
 @settings(max_examples=150, deadline=None)

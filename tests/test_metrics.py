@@ -171,6 +171,17 @@ def test_absent_class_skipped_with_nan(caplog):
     assert "skipped" in caplog.text
 
 
+@pytest.mark.parametrize("vectors, labels, message", [
+    (np.full((2, 3), 1 / 3), [0, 1], r"width 2, got shape \(2, 3\)"),
+    (np.full((3, 2), 0.5), [0, 1], "3 probability rows but 2 labels"),
+    (np.full((2, 2), 0.5), [0, 2], r"labels must lie in \[0, 2\)"),
+    (np.full((2, 2), 0.5), [-1, 1], r"labels must lie in \[0, 2\)"),
+])
+def test_macro_auroc_refuses_mismatched_input(vectors, labels, message):
+    with pytest.raises(ContractError, match=message):
+        macro_auroc(vectors, labels, num_classes=2)
+
+
 def test_all_classes_degenerate_is_undefined():
     vectors = np.full((3, 2), 0.5)
     with pytest.raises(MetricUndefinedError):

@@ -1,5 +1,7 @@
 import http.client
 import json
+import socket
+import time
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -88,6 +90,27 @@ def test_malformed_score_request_gets_400_and_the_stub_keeps_serving(body, lengt
         assert stub.batch_sizes == [1]
 
 
+def test_short_body_gets_400_after_the_timeout_and_a_gone_client_is_dropped(
+    monkeypatch, capfd
+):
+    monkeypatch.setattr(remote._StubHandler, "timeout", 0.3)
+    short = b"POST /score HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+    with StubScorerServer() as stub:
+        address = urlsplit(stub.endpoint).hostname, urlsplit(stub.endpoint).port
+        with socket.create_connection(address) as gone:
+            gone.sendall(short)  # and leaves before the reply
+        with socket.create_connection(address, timeout=1.0) as stalled:
+            started = time.monotonic()
+            stalled.sendall(short)
+            reply = stalled.makefile("rb").read()  # the stub closes after replying
+        assert time.monotonic() - started < 1.0
+        assert reply.split(b"\r\n", 1)[0].endswith(b" 400 Bad Request")
+        assert b"malformed /score request" in reply
+        status, reply = post_score(stub, b'{"chunks": [{"ids": [2, 9, 3]}]}')
+        assert (status, reply) == (200, {"scores": [[0.5, 0.5]]})
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_class_count_mismatch_rejected_at_connect():
     with StubScorerServer(num_classes=3) as stub:
         with pytest.raises(ContractError, match="3 classes"):
@@ -107,6 +130,10 @@ def test_malformed_info_reply():
             setattr(stub, field, value)  # /info now emits a non-integer
             with pytest.raises(ProtocolError, match="malformed capability"):
                 connect(stub)
+    with StubScorerServer() as stub:
+        stub.max_batch = 0
+        with pytest.raises(ProtocolError, match="nonsensical max_batch 0"):
+            connect(stub)
 
 
 @pytest.mark.parametrize("endpoint", [
