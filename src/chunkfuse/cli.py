@@ -6,7 +6,8 @@ The config-driven commands (train, evaluate, compare) read one JSON
 config and accept dotted-path overrides for any field in it, e.g.
 ``--chunking.overlap 0`` or ``--trainer.max_epochs=5``. Override values
 are parsed as JSON, falling back to plain strings, so lists and objects
-work too: ``--fusion.model_weights='[0.7, 0.3]'``.
+work too: ``--fusion.model_weights='[0.7, 0.3]'``. A decimal part indexes
+a list: ``--scorers.0.metadata.pattern sig0``.
 
 Exit codes: 0 success, 1 config errors, 2 data errors, 3 scorer or
 transport errors, 4 undefined metrics.
@@ -44,8 +45,6 @@ from .experiment import (
 from .metrics import format_percent
 from .remote import StubScorerServer
 from .scoring import parse_probs
-
-logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,16 +85,26 @@ def _parse_overrides(extras: list[str]) -> dict[str, object]:
 
 
 def _apply_overrides(doc: dict, overrides: dict[str, object]) -> dict:
+    """Set each dotted path in ``doc``: a part is an object's key (made if
+    absent) or, in a list, the decimal index of an item."""
     for dotted, value in overrides.items():
         parts = dotted.split(".")
         node = doc
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
+        for i, part in enumerate(parts):
+            if isinstance(node, list):
+                if not (part.isdecimal() and int(part) < len(node)):
+                    raise ConfigError(
+                        f"cannot override {dotted}: no item {part!r} in a list of {len(node)}"
+                    )
+                part = int(part)
+            elif not isinstance(node, dict):
                 raise ConfigError(
-                    f"cannot override {dotted}: {part!r} is not an object"
+                    f"cannot override {dotted}: {parts[i - 1]!r} is not an object or a list"
                 )
-        node[parts[-1]] = value
+            if i + 1 == len(parts):
+                node[part] = value
+            else:
+                node = node.setdefault(part, {}) if isinstance(node, dict) else node[part]
     return doc
 
 

@@ -292,24 +292,17 @@ def _build_scorer(
     if descriptor.kind is ScorerKind.MOCK:
         probs = descriptor.metadata.get("probs")
         if probs is None:
-            raise ConfigError(
-                f"mock scorer {descriptor.scorer_id} needs metadata.probs"
-            )
+            raise ConfigError(f"mock scorer {descriptor.scorer_id} needs metadata.probs")
         values = parse_probs(probs, f"mock scorer {descriptor.scorer_id}: probs")
-        return MockScorer.constant(descriptor.scorer_id, values)
+        return MockScorer(descriptor, values)
     if descriptor.kind is ScorerKind.PATTERN:
         ids = _pattern_ids(descriptor, config, vocab)
-        return PatternScorer.for_pattern(descriptor.scorer_id, ids)
+        return PatternScorer.for_pattern(descriptor, ids)
     if descriptor.kind is ScorerKind.REMOTE:
-        return RemoteScorer.connect(
-            descriptor.metadata.get("endpoint", ""),
-            config.task.value,
-            config.task.num_classes,
-            scorer_id=descriptor.scorer_id,
-        )
+        return RemoteScorer.connect(descriptor, config.task.value)
     checkpoint = descriptor.metadata.get("checkpoint")
     if checkpoint:
-        scorer = LinearScorer.load(checkpoint)
+        scorer = LinearScorer.load(checkpoint, descriptor)
         if scorer.vocab_sha256 != vocab.sha256():
             raise ConfigError(
                 f"checkpoint {checkpoint} was trained on vocabulary"
@@ -319,13 +312,7 @@ def _build_scorer(
     trainer = dataclasses.replace(
         config.trainer, seed=child_seed(config.seed, f"train:{descriptor.scorer_id}")
     )
-    scorer, log = train_linear_scorer(
-        train,
-        validation,
-        num_classes=config.task.num_classes,
-        config=trainer,
-        scorer_id=descriptor.scorer_id,
-    )
+    scorer, log = train_linear_scorer(train, validation, descriptor, trainer)
     leaked = log.seen_note_ids & test_ids
     if leaked:
         raise ContractError(f"trainer saw test notes: {sorted(leaked)[:5]}")
@@ -439,8 +426,9 @@ def build_scorers(
 ) -> tuple[dict[str, ChunkScorer], dict[str, ChunkfuseError]]:
     """Construct every configured scorer; failures are collected, not raised.
 
-    A scorer whose class count is not the task's fails here. The shared
-    training splits are taken out of ``prepared`` and freed on return.
+    Each scorer refuses, as it is built, a class count that is not the
+    task's. The shared training splits are taken out of ``prepared`` and
+    freed on return.
     """
     output_dir = make_dir(config.output_dir, "output directory")
     train, validation = prepared.train, prepared.validation
@@ -449,16 +437,11 @@ def build_scorers(
     failures: dict[str, ChunkfuseError] = {}
     for descriptor in config.scorers:
         try:
-            scorer = _build_scorer(
+            scorers[descriptor.scorer_id] = _build_scorer(
                 descriptor, config, prepared.vocab, train, validation,
                 prepared.test_ids, output_dir,
             )
-            width, wanted = scorer.descriptor.num_classes, config.task.num_classes
-            if width != wanted:
-                raise ConfigError(f"gives {width} classes, the task has {wanted}")
-            scorers[descriptor.scorer_id] = scorer
         except ChunkfuseError as err:
-            logger.error("scorer %s failed to build: %s", descriptor.scorer_id, err)
             failures[descriptor.scorer_id] = err
     return scorers, failures
 
@@ -487,7 +470,6 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         try:
             arr = score_chunks(scorer, flat)
         except ChunkfuseError as err:
-            logger.error("scorer %s failed to score: %s", scorer_id, err)
             failures[scorer_id] = err
             continue
         columns[scorer_id] = np.split(arr, offsets[1:-1])

@@ -42,7 +42,7 @@ import numpy as np
 
 from .chunker import Chunk
 from .errors import ConfigError, ContractError, ProtocolError, TransportError, conforms
-from .scoring import ScorerDescriptor, ScorerKind
+from .scoring import ScorerDescriptor
 
 logger = logging.getLogger(__name__)
 
@@ -126,8 +126,8 @@ def _score_rows(scores: object, num_chunks: int, num_classes: int, url: str) -> 
 class RemoteScorer:
     """Client for one remote scoring endpoint.
 
-    Construct via :meth:`connect`, which checks the endpoint, probes
-    ``/info`` and pins the server's batch limit and class count.
+    Construct via :meth:`connect`, which checks the descriptor's endpoint,
+    probes ``/info`` and pins the server's batch limit and class count.
     """
 
     descriptor: ScorerDescriptor
@@ -136,9 +136,8 @@ class RemoteScorer:
     max_batch: int
 
     @classmethod
-    def connect(
-        cls, endpoint: str, task: str, num_classes: int, scorer_id: str = "remote"
-    ) -> "RemoteScorer":
+    def connect(cls, descriptor: ScorerDescriptor, task: str) -> "RemoteScorer":
+        endpoint = descriptor.metadata.get("endpoint", "")
         try:
             parts = urlsplit(endpoint)
             parts.port  # raises unless the port is absent or a number in 0-65535
@@ -146,7 +145,7 @@ class RemoteScorer:
             parts = None
         if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(
-                f"remote scorer {scorer_id} needs an http(s) metadata.endpoint"
+                f"remote scorer {descriptor.scorer_id} needs an http(s) metadata.endpoint"
                 f" with a host and a valid port, got {endpoint!r}"
             )
         endpoint = endpoint.rstrip("/")
@@ -154,23 +153,13 @@ class RemoteScorer:
         server_classes, max_batch = info.get("num_classes"), info.get("max_batch")
         if not (conforms(int, server_classes) and conforms(int, max_batch)):
             raise ProtocolError(f"{endpoint}/info: malformed capability reply {info}")
-        if server_classes != num_classes:
+        if server_classes != descriptor.num_classes:
             raise ContractError(
-                f"server scores {server_classes} classes, task needs {num_classes}"
+                f"server scores {server_classes} classes, task needs {descriptor.num_classes}"
             )
         if max_batch < 1:
             raise ProtocolError(f"{endpoint}/info: nonsensical max_batch {max_batch}")
-        return cls(
-            descriptor=ScorerDescriptor(
-                scorer_id=scorer_id,
-                kind=ScorerKind.REMOTE,
-                num_classes=num_classes,
-                metadata={"endpoint": endpoint},
-            ),
-            endpoint=endpoint,
-            task=task,
-            max_batch=max_batch,
-        )
+        return cls(descriptor, endpoint, task, max_batch)
 
     def _score_sub_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         url = self.endpoint + "/score"

@@ -136,6 +136,12 @@ class TrainerConfig:
             raise ConfigError("early_stop_patience must be >= 1")
 
 
+def check_classes(descriptor: ScorerDescriptor, given: int) -> None:
+    """Refuse a scorer whose own data gives other than the task's class count."""
+    if given != descriptor.num_classes:
+        raise ConfigError(f"gives {given} classes, the task has {descriptor.num_classes}")
+
+
 def parse_probs(text: str, what: str) -> tuple[float, ...]:
     """A comma-separated probability row such as ``"0.6,0.4"``; values
     that are not numbers are a ConfigError naming ``what``."""
@@ -181,17 +187,11 @@ class MockScorer:
     descriptor: ScorerDescriptor
     probs: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        check_classes(self.descriptor, len(self.probs))
+
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         return np.tile(np.asarray(self.probs, dtype=np.float64), (len(chunks), 1))
-
-    @classmethod
-    def constant(cls, scorer_id: str, probs: Sequence[float]) -> "MockScorer":
-        return cls(
-            descriptor=ScorerDescriptor(
-                scorer_id=scorer_id, kind=ScorerKind.MOCK, num_classes=len(probs)
-            ),
-            probs=tuple(probs),
-        )
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,7 @@ class PatternScorer:
     def __post_init__(self) -> None:
         if not self.pattern_ids:
             raise ContractError("pattern_ids must be non-empty")
-        if self.descriptor.num_classes != 2:
-            raise ContractError("pattern scorer is binary")
+        check_classes(self.descriptor, 2)
 
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
         rows = [
@@ -219,13 +218,10 @@ class PatternScorer:
         return np.array(rows, dtype=np.float64).reshape(len(chunks), 2)
 
     @classmethod
-    def for_pattern(cls, scorer_id: str, pattern_ids: Sequence[int]) -> "PatternScorer":
-        return cls(
-            descriptor=ScorerDescriptor(
-                scorer_id=scorer_id, kind=ScorerKind.PATTERN, num_classes=2
-            ),
-            pattern_ids=tuple(pattern_ids),
-        )
+    def for_pattern(
+        cls, descriptor: ScorerDescriptor, pattern_ids: Sequence[int]
+    ) -> "PatternScorer":
+        return cls(descriptor, tuple(pattern_ids))
 
 
 def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix:
@@ -337,7 +333,8 @@ class LinearScorer:
         write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n", "checkpoint")
 
     @classmethod
-    def load(cls, path: str | Path) -> "LinearScorer":
+    def load(cls, path: str | Path, descriptor: ScorerDescriptor) -> "LinearScorer":
+        """The checkpoint at ``path`` as ``descriptor``'s scorer; its saved id is not read."""
         doc = read_json(path, "checkpoint")
         try:
             k, v = doc["num_classes"], doc["vocab_size"]
@@ -345,13 +342,11 @@ class LinearScorer:
             if config is not None:
                 what = f"checkpoint {path} trainer_config"
                 config = build_block(what, TrainerConfig, as_object(config, what))
-            descriptor = ScorerDescriptor(
-                scorer_id=doc.get("scorer_id", "linear"), kind=ScorerKind.LINEAR, num_classes=k
-            )
             weights = np.array(doc["weights"], dtype=np.float64).reshape(k, v)
             bias = np.array(doc["bias"], dtype=np.float64)
             if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
                 raise ValueError("non-finite weights or bias")
+            check_classes(descriptor, k)
             return cls(
                 descriptor=descriptor,
                 weights=weights,

@@ -32,7 +32,6 @@ from .metrics import macro_auroc
 from .scoring import (
     LinearScorer,
     ScorerDescriptor,
-    ScorerKind,
     TrainerConfig,
     chunks_to_csr,
     pool_windows,
@@ -202,11 +201,10 @@ def _micro_batches_per_product(
 def train_linear_scorer(
     train: TrainingSplit,
     validation: TrainingSplit,
-    num_classes: int,
+    descriptor: ScorerDescriptor,
     config: TrainerConfig,
-    scorer_id: str = "linear",
 ) -> tuple[LinearScorer, TrainingLog]:
-    """Fit the linear scorer; return it with the best-validation weights.
+    """Fit ``descriptor``'s linear scorer; return it with the best-validation weights.
 
     Deterministic per config seed: weight init and epoch shuffling each
     use a named substream, so identical inputs reproduce identical
@@ -216,6 +214,7 @@ def train_linear_scorer(
         raise DataError("training set is empty")
     if not validation.note_ids:
         raise DataError("validation set is empty")
+    num_classes = descriptor.num_classes
     features = train.features
     flat_labels = np.repeat(train.labels, train.window_counts)
     if flat_labels.max(initial=0) >= num_classes:
@@ -301,9 +300,7 @@ def train_linear_scorer(
             break
 
     scorer = LinearScorer(
-        descriptor=ScorerDescriptor(
-            scorer_id=scorer_id, kind=ScorerKind.LINEAR, num_classes=num_classes
-        ),
+        descriptor=descriptor,
         weights=best["weights"],
         bias=best["bias"],
         trainer_config=config,

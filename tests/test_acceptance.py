@@ -35,7 +35,7 @@ from chunkfuse.fusion import (
 )
 from chunkfuse.metrics import auc
 from chunkfuse.remote import RemoteScorer, StubScorerServer
-from chunkfuse.scoring import ProbabilityVector, TrainerConfig
+from chunkfuse.scoring import ProbabilityVector, ScorerDescriptor, ScorerKind, TrainerConfig
 from chunkfuse.tokenizer import build_vocabulary
 from chunkfuse.training import (
     EarlyStopping,
@@ -272,7 +272,7 @@ def test_a6_trainer_gradients_early_stop_and_determinism(tmp_path):
     paths = []
     for run in ("one", "two"):
         scorer, _ = train_linear_scorer(
-            train_items, val_items, 2, config, scorer_id="det"
+            train_items, val_items, ScorerDescriptor("det", ScorerKind.LINEAR, 2), config
         )
         path = tmp_path / f"ckpt_{run}.json"
         scorer.save(path)
@@ -315,6 +315,10 @@ def test_a7_los_bins_and_split_apportionment():
     )
 
 
+def remote_at(endpoint: str) -> ScorerDescriptor:
+    return ScorerDescriptor("remote", ScorerKind.REMOTE, 2, {"endpoint": endpoint})
+
+
 def test_a8_remote_protocol_round_trip_and_error_paths(caplog):
     def score_fn(ids):
         x = (sum(ids) % 97) / 97.0 * 0.8 + 0.1
@@ -327,7 +331,7 @@ def test_a8_remote_protocol_round_trip_and_error_paths(caplog):
     rng = random.Random(8)
     chunks = [make_chunk(rng) for _ in range(1_000)]
     with StubScorerServer(num_classes=2, max_batch=64, score_fn=score_fn) as server:
-        scorer = RemoteScorer.connect(server.endpoint, "mortality", 2)
+        scorer = RemoteScorer.connect(remote_at(server.endpoint), "mortality")
         vectors = scorer.score_batch(chunks)
         assert len(vectors) == 1_000
         for ch, vec in zip(chunks, vectors):
@@ -341,22 +345,22 @@ def test_a8_remote_protocol_round_trip_and_error_paths(caplog):
         return lambda req: (200, {"scores": rows})
 
     with StubScorerServer(respond=constant_reply([[0.5, 0.5]])) as server:
-        scorer = RemoteScorer.connect(server.endpoint, "mortality", 2)
+        scorer = RemoteScorer.connect(remote_at(server.endpoint), "mortality")
         with pytest.raises(ProtocolError, match="1 score rows for 2 chunks"):
             scorer.score_batch(chunks[:2])  # one row short
 
     with StubScorerServer(respond=constant_reply([[0.7, 0.31]])) as server:
-        scorer = RemoteScorer.connect(server.endpoint, "mortality", 2)
+        scorer = RemoteScorer.connect(remote_at(server.endpoint), "mortality")
         with pytest.raises(ProtocolError):  # deviation 0.01, far past the band
             scorer.score_batch([probe])
 
     with StubScorerServer(respond=constant_reply([[0.50011, 0.5]])) as server:
-        scorer = RemoteScorer.connect(server.endpoint, "mortality", 2)
+        scorer = RemoteScorer.connect(remote_at(server.endpoint), "mortality")
         with pytest.raises(ProtocolError):  # 1.1e-4 is just outside the band
             scorer.score_batch([probe])
 
     with StubScorerServer(respond=constant_reply([[0.50004, 0.5]])) as server:
-        scorer = RemoteScorer.connect(server.endpoint, "mortality", 2)
+        scorer = RemoteScorer.connect(remote_at(server.endpoint), "mortality")
         with caplog.at_level("WARNING"):
             (vec,) = scorer.score_batch([probe])  # 4e-5 is inside the band
         assert abs(sum(vec) - 1.0) < 1e-12

@@ -40,22 +40,30 @@ def test_traced_run_matches_plain_run_and_fills_every_layer(tmp_path, capsys):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     per_layer = {metric["name"] for metric in declared["per_layer"]}
     with StubScorerServer(num_classes=2, max_batch=8, score_fn=id_sum_scores) as server:
-        config = ExperimentConfig(
-            task=TaskKind.MORTALITY,
-            data=GeneratorConfig(num_docs=40, min_tokens=80, max_tokens=160),
-            scorers=tuple(
-                ScorerDescriptor(scorer_id=sid, kind=kind, num_classes=2, metadata=meta)
-                for sid, kind, meta in (
-                    ("lin", ScorerKind.LINEAR, {}),
-                    ("pat", ScorerKind.PATTERN, {"pattern": "auto"}),
-                    ("far", ScorerKind.REMOTE, {"endpoint": server.endpoint}),
-                )
-            ),
-            methods=tuple(Method),
-            output_dir=str(tmp_path / "out"),
-            chunking=ChunkingConfig(capacity=30, overlap=5),
-            trainer=TrainerConfig(max_epochs=3),
-            seed=4,
+        def config_of(output_dir, *scorers):
+            return ExperimentConfig(
+                task=TaskKind.MORTALITY,
+                data=GeneratorConfig(num_docs=40, min_tokens=80, max_tokens=160),
+                scorers=tuple(
+                    ScorerDescriptor(scorer_id=sid, kind=kind, num_classes=2, metadata=meta)
+                    for sid, kind, meta in scorers
+                ),
+                methods=tuple(Method) if len(scorers) > 1 else (Method.BASELINE,),
+                output_dir=str(tmp_path / output_dir),
+                chunking=ChunkingConfig(capacity=30, overlap=5),
+                trainer=TrainerConfig(max_epochs=3),
+                seed=4,
+            )
+
+        # the checkpoint is trained on the same data, split and vocabulary
+        run_experiment(config_of("trained", ("lin", ScorerKind.LINEAR, {})))
+        checkpoint = str(tmp_path / "trained" / "scorer_lin.ckpt.json")
+        config = config_of(
+            "out",
+            ("lin", ScorerKind.LINEAR, {}),
+            ("ckpt", ScorerKind.LINEAR, {"checkpoint": checkpoint}),
+            ("pat", ScorerKind.PATTERN, {"pattern": "auto"}),
+            ("far", ScorerKind.REMOTE, {"endpoint": server.endpoint}),
         )
         plain = run_experiment(config)
         plain_requests = len(server.batch_sizes)
@@ -72,6 +80,8 @@ def test_traced_run_matches_plain_run_and_fills_every_layer(tmp_path, capsys):
     # the tracer computes the request count; the stub saw the requests
     assert metrics["remote.requests"] == len(server.batch_sizes) - plain_requests > 0
     assert metrics["remote.errors"] == 0
+    built = tracer.results("scoring.build_s")  # LinearScorer.load and PatternScorer.for_pattern
+    assert sorted(s.descriptor.scorer_id for s in built) == ["ckpt", "pat"]
     err = capsys.readouterr().err
     assert "not found" not in err
     assert "public fusion check skipped" not in err

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import logging
 import os
 import re
 import socket
@@ -23,6 +24,10 @@ from chunkfuse.cli import main
 from chunkfuse.corpus import SECTION_ORDER, CsvSchema, ingest_csv
 from chunkfuse.errors import ChunkfuseError, ConfigError
 from chunkfuse.remote import RemoteScorer
+from chunkfuse.scoring import ScorerDescriptor, ScorerKind
+
+
+OVERLAP_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "overlap_pattern.json")
 
 
 def base_config(tmp_path, **extra) -> str:
@@ -232,6 +237,41 @@ class TestCompare:
         assert report["sizes"] == {"train": 21, "validation": 3, "test": 6}
         assert all(row["with_overlap"] is False for row in report["rows"])
 
+    def test_dotted_overrides_index_into_lists(self, tmp_path):
+        override = ["--scorers.0.metadata.pattern", "sig0"]
+        config = cli.load_config(OVERLAP_CONFIG, override)
+        assert config.scorers[0].metadata == {"pattern": "sig0"}
+        out = tmp_path / "out"
+        argv = ["compare", "--config", OVERLAP_CONFIG, "--data.num_docs", "60",
+                "--output_dir", str(out), *override]
+        assert main(argv) == 0
+        (row,) = json.loads((out / "report.json").read_text())["rows"]
+        assert row["scorers"] == ["pattern"] and row["error"] is None
+
+    @pytest.mark.parametrize("path, message", [
+        ("scorers.5.kind", "no item '5' in a list of 1"),
+        ("scorers.x.kind", "no item 'x' in a list of 1"),
+        ("seed.x", "'seed' is not an object or a list"),
+    ])
+    def test_override_past_a_list_or_a_value_exits_1(self, tmp_path, capsys, path, message):
+        rc = main(["compare", "--config", OVERLAP_CONFIG, f"--{path}", "mock"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: cannot override {path}: {message}\n"
+
+    def test_failed_scorer_is_reported_once_in_its_row(self, tmp_path, capsys, caplog):
+        caplog.set_level(logging.DEBUG)
+        out = tmp_path / "out"
+        rc = main([
+            "compare", "--config", OVERLAP_CONFIG, "--data.num_docs", "60",
+            "--output_dir", str(out),
+            '--scorers=[{"scorer_id":"p","kind":"pattern","metadata":{"pattern":"zzzz"}}]',
+        ])
+        assert rc == 1
+        assert [r.getMessage() for r in caplog.records if "zzzz" in r.getMessage()] == []
+        assert "zzzz" not in capsys.readouterr().err
+        (row,) = json.loads((out / "report.json").read_text())["rows"]
+        assert row["error"] == "scorer p: pattern scorer p: tokens ['zzzz'] are not in the vocabulary"
+
     def test_scorer_failure_propagates_exit_code(self, tmp_path, capsys):
         config = base_config(tmp_path, scorers=[
             {"scorer_id": "mock-a", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},
@@ -417,7 +457,8 @@ class TestServeMock:
         while not endpoint_file.exists() and time.monotonic() < deadline:
             time.sleep(0.02)
         endpoint = endpoint_file.read_text().strip()
-        scorer = RemoteScorer.connect(endpoint, "mortality", 2)
+        descriptor = ScorerDescriptor("far", ScorerKind.REMOTE, 2, {"endpoint": endpoint})
+        scorer = RemoteScorer.connect(descriptor, "mortality")
         vectors = scorer.score_batch([Chunk(start=0, end=1, source=(7,))])
         assert [round(p, 6) for p in vectors[0]] == [0.25, 0.75]
         thread.join(timeout=10)
@@ -504,7 +545,7 @@ FUZZ_JSON = st.recursive(
     | st.dictionaries(FUZZ_TEXT, inner, max_size=3),
     max_leaves=6,
 )
-# Paths below a list are refused (overrides address objects only); junk
+# Paths through a list index into it, so they reach the config too; junk
 # keys never name the subcommands' own flags.
 _OBJECT_PATHS = sorted(p for p, in_list in dotted_paths(FUZZ_CONFIG) if not in_list)
 _LIST_PATHS = sorted(p for p, in_list in dotted_paths(FUZZ_CONFIG) if in_list)

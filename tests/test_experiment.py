@@ -699,6 +699,45 @@ class TestRunExperiment:
         assert bad.error.startswith("scorer lin: ")
         assert bad.error_code == code
 
+    def test_two_class_scorers_are_refused_by_a_four_class_task(self, tmp_path):
+        # 40 notes over the four stay bins; every note holds "pain"
+        rows = [f"n{i},chest pain day {i % 7},{(1.0, 5.0, 10.0, 20.0)[i % 4]}" for i in range(40)]
+        csv_path = tmp_path / "notes.csv"
+        csv_path.write_text("\n".join(["id,cc,los", *rows]) + "\n")
+        path = tmp_path / "lin.ckpt.json"
+        config = small_config(
+            tmp_path,
+            task=TaskKind.LENGTH_OF_STAY,
+            data=CsvSource(path=str(csv_path), schema=CsvSchema(
+                id_column="id", section_columns={k: k.lower() for k in SECTION_ORDER},
+                los_column="los",
+            )),
+            scorers=tuple(
+                ScorerDescriptor(scorer_id=sid, kind=kind, num_classes=4, metadata=meta)
+                for sid, kind, meta in (
+                    ("pat", ScorerKind.PATTERN, {"pattern": "pain"}),
+                    ("lin", ScorerKind.LINEAR, {"checkpoint": str(path)}),
+                    ("mock", ScorerKind.MOCK, {"probs": "0.25,0.25,0.25,0.25"}),
+                )
+            ),
+            methods=(Method.BASELINE, Method.AGGREGATION),
+            split_ratios=(0.5, 0.2, 0.3),
+        )
+        vocab = prepare_data(config).vocab  # the checkpoint is bound to it
+        path.write_text(json.dumps({
+            "num_classes": 2, "vocab_size": len(vocab), "weights": [0.0] * (2 * len(vocab)),
+            "bias": [0.0, 0.0], "vocab_sha256": vocab.sha256(),
+        }))
+        report = run_experiment(config)
+        assert len(report.rows) == 6
+        for row in report.rows:
+            if row.scorer_ids == ("mock",):
+                assert row.error is None and row.macro_auroc == pytest.approx(0.5)
+            else:
+                assert row.macro_auroc is None and row.error_code == 1
+                assert row.error.endswith("gives 2 classes, the task has 4")
+        assert report.worst_error_code() == 1
+
     @pytest.mark.parametrize("probs, message", [
         ("0.2,0.3,0.5", "gives 3 classes, the task has 2"),
         ("a,b", "not numbers"),
@@ -874,6 +913,23 @@ class TestTrainedScorersEndToEnd:
         (row,) = run_experiment(reloaded).rows
         assert row.macro_auroc is None and row.error_code == 1
         assert "trained on vocabulary" in row.error
+
+    def test_checkpoint_answers_to_its_configured_id(self, tmp_path):
+        trained = self.linear_config(
+            tmp_path, "trained",
+            scorers=(ScorerDescriptor(scorer_id="lin-a", kind=ScorerKind.LINEAR, num_classes=2),),
+        )
+        run_experiment(trained)
+        checkpoint = Path(trained.output_dir) / "scorer_lin-a.ckpt.json"
+        assert json.loads(checkpoint.read_text())["scorer_id"] == "lin-a"
+        config = self.linear_config(
+            tmp_path, "reloaded",
+            scorers=(ScorerDescriptor(scorer_id="x", kind=ScorerKind.LINEAR, num_classes=2,
+                                      metadata={"checkpoint": str(checkpoint)}),),
+        )
+        scorers, failures = experiment.build_scorers(config, prepare_data(config))
+        assert failures == {}
+        assert scorers["x"].descriptor.scorer_id == "x"
 
     def test_training_splits_are_featurized_once(self, tmp_path, monkeypatch):
         calls = Counter()

@@ -53,6 +53,11 @@ def pipeline_probs(method, note, scorers, vocab):
     return tuple(probs), len(chunks)
 
 
+def mock(*probs):
+    """A constant mock scorer over as many classes as ``probs`` holds."""
+    return MockScorer(ScorerDescriptor("m", ScorerKind.MOCK, num_classes=len(probs)), probs)
+
+
 class WindowTable:
     """A fake scorer giving window ``k`` (default geometry) the row ``rows[k]``."""
 
@@ -184,7 +189,7 @@ def test_predict_short_note_single_scorer():
     vocab = build_vocabulary(["alpha beta"], max_size=10)
     note = note_with("alpha beta alpha")
     probs, num_chunks = pipeline_probs(
-        Method.AGGREGATION, note, [MockScorer.constant("m", (0.3, 0.7))], vocab
+        Method.AGGREGATION, note, [mock(0.3, 0.7)], vocab
     )
     assert probs == (0.3, 0.7)
     assert num_chunks == 1
@@ -217,7 +222,7 @@ def test_duplicate_scorers_change_nothing():
 def test_truncation_matches_full_pipeline_on_short_note():
     vocab = build_vocabulary(["alpha"], max_size=5)
     note = note_with("alpha alpha")
-    scorer = [MockScorer.constant("m", (0.4, 0.6))]
+    scorer = [mock(0.4, 0.6)]
     full, _ = pipeline_probs(Method.AGGREGATION, note, scorer, vocab)
     base, num_chunks = pipeline_probs(Method.BASELINE, note, scorer, vocab)
     assert base == full
@@ -236,7 +241,7 @@ def test_truncation_sees_only_first_chunk():
 def test_truncation_on_empty_note():
     vocab = build_vocabulary(["x"], max_size=5)
     probs, num_chunks = pipeline_probs(
-        Method.BASELINE, note_with(""), [MockScorer.constant("m", (0.5, 0.5))], vocab
+        Method.BASELINE, note_with(""), [mock(0.5, 0.5)], vocab
     )
     assert probs == (0.5, 0.5)
     assert num_chunks == 1

@@ -19,7 +19,7 @@ from chunkfuse.errors import (
     TransportError,
 )
 from chunkfuse.remote import RemoteScorer, StubScorerServer
-from chunkfuse.scoring import score_chunks
+from chunkfuse.scoring import ScorerDescriptor, ScorerKind, score_chunks
 
 
 def make_chunk(i):
@@ -31,8 +31,13 @@ def id_scores(ids):
     return [1.0 - p, p]
 
 
+def remote_at(endpoint, scorer_id="remote"):
+    """The descriptor of a 2-class remote scorer at ``endpoint``."""
+    return ScorerDescriptor(scorer_id, ScorerKind.REMOTE, 2, {"endpoint": endpoint})
+
+
 def connect(stub):
-    return RemoteScorer.connect(stub.endpoint, "mortality", 2)
+    return RemoteScorer.connect(remote_at(stub.endpoint), "mortality")
 
 
 def test_info_probe_and_fixed_vector_round_trip():
@@ -145,12 +150,12 @@ def test_bad_endpoint_is_config_error_before_any_request(monkeypatch, endpoint):
 
     monkeypatch.setattr(remote, "_http_json", no_request)
     with pytest.raises(ConfigError, match="needs an http"):
-        RemoteScorer.connect(endpoint, "mortality", 2, scorer_id="r")
+        RemoteScorer.connect(remote_at(endpoint, "r"), "mortality")
 
 
 def test_unreachable_server_is_transport_error():
     with pytest.raises(TransportError) as exc:
-        RemoteScorer.connect("http://127.0.0.1:9", "mortality", 2)
+        RemoteScorer.connect(remote_at("http://127.0.0.1:9"), "mortality")
     assert exc.value.attempts == 3
     assert exc.value.status is None
 

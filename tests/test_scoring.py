@@ -27,6 +27,10 @@ from chunkfuse.scoring import (
 )
 
 
+def descriptor(kind: ScorerKind, num_classes: int = 2) -> ScorerDescriptor:
+    return ScorerDescriptor(scorer_id="s", kind=kind, num_classes=num_classes)
+
+
 def window(ids):
     """A note's one window holding all of ``ids``."""
     return Chunk(start=0, end=len(ids), source=tuple(ids))
@@ -58,7 +62,7 @@ def test_descriptor_needs_two_classes():
 
 
 def test_constant_mock_scores_every_window_alike():
-    scorer = MockScorer.constant("m", (0.2, 0.8))
+    scorer = MockScorer(descriptor(ScorerKind.MOCK), (0.2, 0.8))
     windows = chunk(list(range(4, 30)), ChunkingConfig(capacity=10, overlap=2))
     assert len(windows) == 3
     assert score_chunks(scorer, windows).tolist() == [[0.2, 0.8]] * 3
@@ -66,12 +70,8 @@ def test_constant_mock_scores_every_window_alike():
 
 
 def test_mock_width_mismatch_rejected():
-    scorer = MockScorer(
-        descriptor=ScorerDescriptor(scorer_id="m", kind=ScorerKind.MOCK, num_classes=3),
-        probs=(0.5, 0.5),
-    )
-    with pytest.raises(ScorerError, match="shape"):
-        score_chunks(scorer, [window([4])])
+    with pytest.raises(ConfigError, match="gives 2 classes, the task has 3"):
+        MockScorer(descriptor(ScorerKind.MOCK, 3), probs=(0.5, 0.5))
 
 
 def test_zero_weight_linear_is_uniform():
@@ -264,21 +264,23 @@ def test_weight_shape_validation():
 
 
 def test_pattern_scorer_detects_contiguous_sequence():
-    scorer = PatternScorer.for_pattern("p", [7, 8, 9])
+    scorer = PatternScorer.for_pattern(descriptor(ScorerKind.PATTERN), [7, 8, 9])
     got = scorer.score_batch(
         [window([4, 7, 8, 9, 5]), window([7, 8, 4, 9]), window([9, 8, 7])]
     )
     # whole, broken, reordered
     assert got.tolist() == [[0.1, 0.9], [0.5, 0.5], [0.5, 0.5]]
     with pytest.raises(ContractError):
-        PatternScorer.for_pattern("p", [])
+        PatternScorer.for_pattern(descriptor(ScorerKind.PATTERN), [])
+    with pytest.raises(ConfigError, match="gives 2 classes, the task has 4"):
+        PatternScorer.for_pattern(descriptor(ScorerKind.PATTERN, 4), [7])
 
 
 def test_pattern_scorer_overlap_rejoins_split_signal():
     # pattern sits across the first window edge; only the overlapping
     # geometry yields a window containing it whole
     ids = [4] * 8 + [7, 8, 9] + [4] * 9
-    pattern = PatternScorer.for_pattern("p", [7, 8, 9])
+    pattern = PatternScorer.for_pattern(descriptor(ScorerKind.PATTERN), [7, 8, 9])
     with_overlap = chunk(ids, ChunkingConfig(capacity=10, overlap=4))
     without = chunk(ids, ChunkingConfig(capacity=10, overlap=0))
     hit = [0.1, 0.9]
@@ -297,7 +299,7 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
     )
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     scorer.save(first)
-    loaded = scorer.load(first)
+    loaded = scorer.load(first, scorer.descriptor)
     assert np.array_equal(loaded.weights, scorer.weights)
     assert np.array_equal(loaded.bias, scorer.bias)
     assert loaded.trainer_config == scorer.trainer_config
@@ -342,14 +344,15 @@ def with_trainer(**changes) -> str:
     pytest.param(with_doc(weights=[10**400] + [0.0] * 5), "OverflowError",
                  id="huge-weight"),
     pytest.param(with_doc(bias=[0.0] * 3), "inconsistent with 2 classes", id="wide-bias"),
-    pytest.param(with_doc(num_classes=1), "at least 2 classes", id="one-class"),
+    pytest.param(with_doc(num_classes=1, weights=[0.0] * 3, bias=[0.0]),
+                 "gives 1 classes, the task has 2", id="one-class"),
 ])
 def test_malformed_checkpoint_is_config_error(tmp_path, text, match):
     path = tmp_path / "scorer.ckpt.json"
     if text is not None:
         path.write_text(text)
     with pytest.raises(ConfigError, match=match):
-        LinearScorer.load(path)
+        LinearScorer.load(path, descriptor(ScorerKind.LINEAR))
 
 
 JSON_VALUES = st.recursive(
@@ -388,7 +391,7 @@ def test_fuzz_mutated_checkpoint_loads_or_is_config_error(tmp_path_factory, data
     path = tmp_path_factory.mktemp("ckpt") / "scorer.ckpt.json"
     path.write_text(json.dumps(doc))
     try:
-        scorer = LinearScorer.load(path)
+        scorer = LinearScorer.load(path, descriptor(ScorerKind.LINEAR))
     except ConfigError:
         return
     assert np.isfinite(scorer.weights).all() and np.isfinite(scorer.bias).all()
@@ -404,7 +407,7 @@ def test_non_finite_checkpoint_is_refused_at_load(tmp_path, field, index, value)
     path = tmp_path / "scorer.ckpt.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: .*non-finite"):
-        LinearScorer.load(path)
+        LinearScorer.load(path, descriptor(ScorerKind.LINEAR))
 
 
 @settings(max_examples=100)

@@ -13,7 +13,13 @@ from chunkfuse.chunker import ChunkingConfig, chunk
 from chunkfuse.corpus import SECTION_ORDER, ClinicalNote
 from chunkfuse.errors import DataError, NumericDivergenceError
 from chunkfuse.metrics import auc, macro_auroc
-from chunkfuse.scoring import TrainerConfig, pool_windows, softmax_rows
+from chunkfuse.scoring import (
+    ScorerDescriptor,
+    ScorerKind,
+    TrainerConfig,
+    pool_windows,
+    softmax_rows,
+)
 from chunkfuse.seeds import child_seed
 from chunkfuse.tokenizer import build_vocabulary
 from chunkfuse.training import (
@@ -26,6 +32,10 @@ from chunkfuse.training import (
     lr_schedule,
     train_linear_scorer,
 )
+
+
+def linear(num_classes=2):
+    return ScorerDescriptor("linear", ScorerKind.LINEAR, num_classes=num_classes)
 
 
 def note_with(text, note_id):
@@ -146,7 +156,7 @@ def test_separable_toy_reaches_perfect_auroc():
     items = toy_separable()
     config = TrainerConfig(learning_rate=0.5, weight_decay=0.0, max_epochs=200,
                            batch_size=2, accumulation_steps=1, warmup_steps=2, seed=1)
-    scorer, log = train_linear_scorer(items, items, num_classes=2, config=config)
+    scorer, log = train_linear_scorer(items, items, linear(), config)
     assert log.best_val_auroc == 1.0
     windows = [chunk([4 + y] * 3, TOY_CHUNKING)[0] for y in items.labels]
     train_scores = scorer.score_batch(windows)[:, 1]
@@ -160,24 +170,24 @@ def test_empty_sets_rejected():
     items = toy_separable()
     config = TrainerConfig(seed=0)
     with pytest.raises(DataError):
-        train_linear_scorer(toy_separable(0), items, 2, config)
+        train_linear_scorer(toy_separable(0), items, linear(), config)
     with pytest.raises(DataError):
-        train_linear_scorer(items, toy_separable(0), 2, config)
+        train_linear_scorer(items, toy_separable(0), linear(), config)
     with pytest.raises(DataError):
-        train_linear_scorer(toy_separable(labels=[5]), items, 2, config)
+        train_linear_scorer(toy_separable(labels=[5]), items, linear(), config)
 
 
 def test_identical_seeds_identical_checkpoints(tmp_path):
     items = toy_separable()
     config = TrainerConfig(learning_rate=0.3, max_epochs=20, batch_size=2,
                            accumulation_steps=2, warmup_steps=3, seed=7)
-    a, _ = train_linear_scorer(items, items, 2, config)
-    b, _ = train_linear_scorer(items, items, 2, config)
+    a, _ = train_linear_scorer(items, items, linear(), config)
+    b, _ = train_linear_scorer(items, items, linear(), config)
     a.save(tmp_path / "a.json")
     b.save(tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     c, _ = train_linear_scorer(
-        items, items, 2, TrainerConfig(learning_rate=0.3, max_epochs=20,
+        items, items, linear(), TrainerConfig(learning_rate=0.3, max_epochs=20,
                                        batch_size=2, accumulation_steps=2,
                                        warmup_steps=3, seed=8)
     )
@@ -189,7 +199,7 @@ def test_optimizer_step_count_matches_formula():
                            accumulation_steps=4, warmup_steps=2,
                            early_stop_patience=100, early_stop_delta=1e-12, seed=0)
     # 20 notes, 20 chunks
-    _, log = train_linear_scorer(toy_separable(20), toy_separable(4), 2, config)
+    _, log = train_linear_scorer(toy_separable(20), toy_separable(4), linear(), config)
     batches_per_epoch = math.ceil(20 / 3)
     assert log.total_optimizer_steps == batches_per_epoch * 6 // 4
     assert not log.stopped_early
@@ -309,7 +319,7 @@ def test_segment_trainer_matches_per_micro_batch_oracle(
                            warmup_steps=2, early_stop_patience=2, seed=seed)
     weights, bias, oracle_log = oracle_train(train, validation, classes, config)
     with mock.patch.object(training, "_SEGMENT_CELLS", cells):
-        scorer, log = train_linear_scorer(train, validation, classes, config)
+        scorer, log = train_linear_scorer(train, validation, linear(classes), config)
     assert np.array_equal(scorer.weights, weights)
     assert np.array_equal(scorer.bias, bias)
     assert log == oracle_log
@@ -343,7 +353,7 @@ def test_nan_loss_raises_divergence_error():
     with np.errstate(all="ignore"), pytest.raises(NumericDivergenceError) as expected:
         oracle_train(items, items, 2, config)
     with np.errstate(all="ignore"), pytest.raises(NumericDivergenceError) as exc:
-        train_linear_scorer(items, items, 2, config)
+        train_linear_scorer(items, items, linear(), config)
     assert exc.value.step == expected.value.step
     assert str(exc.value) == str(expected.value)
 
@@ -369,5 +379,5 @@ def test_random_labels_score_near_chance():
     for seed in range(5):
         config = TrainerConfig(learning_rate=0.05, max_epochs=10, batch_size=18,
                                accumulation_steps=2, warmup_steps=5, seed=seed)
-        _, log = train_linear_scorer(train_items, val_items, 2, config)
+        _, log = train_linear_scorer(train_items, val_items, linear(), config)
         assert 0.4 <= log.best_val_auroc <= 0.6, (seed, log.best_val_auroc)
