@@ -4,7 +4,11 @@ A note is eight ordered text sections plus optional labels. The assembled
 text is the fixed-order concatenation of the non-empty sections with a
 single space joiner. The synthetic generator plants a signal token
 pattern into positive documents so detection quality is measurable
-against a known ground truth.
+against a known ground truth. Its randomness is CPython's
+``random.Random(seed)`` stream replayed on numpy's MT19937, so a corpus
+has the bytes ``random.Random`` would give it, drawn at array speed;
+``tests/test_corpus.py`` keeps the ``random.Random`` generator as the
+oracle, so a Python whose ``random`` changes fails a test.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -236,18 +242,18 @@ def split_dataset(
 # Synthetic corpus generation
 
 
+_CONSONANTS = "bdfgklmnprstvz"
+_VOWELS = "aeiou"
+# Filler words are ordered pairs of consonant-vowel syllables: 70**2 of them.
+FILLER_VOCAB_LIMIT = (len(_CONSONANTS) * len(_VOWELS)) ** 2
+
+
 def _filler_vocabulary(size: int) -> list[str]:
     """Pseudo-words from consonant-vowel syllables. Pure CV strings, so
     they can never collide with the digit-bearing signal tokens."""
-    consonants = "bdfgklmnprstvz"
-    vowels = "aeiou"
-    syllables = [c + v for c in consonants for v in vowels]
-    words = []
-    for a, b in itertools.product(syllables, repeat=2):
-        words.append(a + b)
-        if len(words) >= size:
-            return words
-    raise ConfigError(f"filler vocabulary size {size} exceeds syllable space")
+    syllables = [c + v for c in _CONSONANTS for v in _VOWELS]
+    pairs = itertools.islice(itertools.product(syllables, repeat=2), size)
+    return [a + b for a, b in pairs]
 
 
 def signal_pattern(length: int) -> tuple[str, ...]:
@@ -313,8 +319,11 @@ class GeneratorConfig:
             )
         if not 0.0 <= self.positive_fraction <= 1.0:
             raise ConfigError("positive_fraction must be in [0, 1]")
-        if self.filler_vocab_size < 1:
-            raise ConfigError("filler_vocab_size must be positive")
+        if not 1 <= self.filler_vocab_size <= FILLER_VOCAB_LIMIT:
+            raise ConfigError(
+                f"filler_vocab_size must be in [1, {FILLER_VOCAB_LIMIT}],"
+                f" the number of two-syllable filler words; got {self.filler_vocab_size}"
+            )
         if self.placement not in ("uniform", "boundary"):
             raise ConfigError(f"unknown placement mode: {self.placement!r}")
         if self.placement == "boundary":
@@ -336,21 +345,80 @@ def _straddles(offset: int, length: int, period: int) -> bool:
     return first_boundary < offset + length
 
 
-def _choose_offset(rng: random.Random, m: int, config: GeneratorConfig) -> int:
-    length = config.signal_length
+class _ReplayedRandom:
+    """``random.Random(seed)``'s draws, replayed on numpy's MT19937.
+
+    ``random.Random`` is MT19937 too: its seeded 624-word state is copied
+    once into numpy's bit generator, and each method consumes 32-bit
+    words exactly as CPython 3.11's ``random.py`` does. ``choices`` turns
+    one block of words into indices with array arithmetic, which is where
+    the time went when ``random.Random`` drew one token per call.
+    """
+
+    def __init__(self, seed: int) -> None:
+        _, internal, _ = random.Random(seed).getstate()
+        bits = np.random.MT19937()
+        bits.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+        }
+        self._raw = bits.random_raw
+
+    def randbelow(self, n: int) -> int:
+        """``_randbelow``: the top ``n.bit_length()`` bits of one word,
+        redrawn until below ``n``. CPython takes more than one word for
+        ``n`` of 33 bits or more; that path is not replayed."""
+        k = n.bit_length()
+        if not 1 <= k <= 32:
+            raise ContractError(f"cannot replay a draw below {n}: needs 1 to 32 bits")
+        shift = 32 - k
+        r = self._raw() >> shift
+        while r >= n:
+            r = self._raw() >> shift
+        return r
+
+    def randint(self, a: int, b: int) -> int:
+        return a + self.randbelow(b - a + 1)
+
+    def random(self) -> float:
+        """53 bits from two words, as CPython's ``genrand_res53``."""
+        return ((self._raw() >> 5) * 67108864.0 + (self._raw() >> 6)) / 9007199254740992.0
+
+    def choice(self, seq: Sequence):
+        return seq[self.randbelow(len(seq))]
+
+    def shuffle(self, x: list) -> None:
+        for i in reversed(range(1, len(x))):
+            j = self.randbelow(i + 1)
+            x[i], x[j] = x[j], x[i]
+
+    def choices(self, population: np.ndarray, k: int) -> list:
+        """``choices(population, k=k)``: ``floor(random() * n)`` per pick,
+        two words each. Every step is exact in float64 but the product
+        with ``n``, which rounds once, as CPython's does."""
+        words = self._raw(2 * k)
+        doubles = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+        return population[np.floor(doubles * len(population)).astype(np.intp)].tolist()
+
+
+def _choose_offset(rng: _ReplayedRandom, m: int, config: GeneratorConfig) -> int:
+    length, period = config.signal_length, config.boundary_period
     if config.placement == "uniform":
         return rng.randint(0, m - length)
     if rng.random() < config.straddle_prob:
-        boundaries = range(config.boundary_period, m, config.boundary_period)
+        boundaries = range(period, m, period)
         b = rng.choice(list(boundaries))
         low = max(0, b - length + 1)
         high = min(b - 1, m - length)
         return rng.randint(low, high)
     for _ in range(1000):
         offset = rng.randint(0, m - length)
-        if not _straddles(offset, length, config.boundary_period):
+        if not _straddles(offset, length, period):
             return offset
-    raise ContractError("could not place signal off-boundary after 1000 tries")
+    # Few offsets avoid every boundary when the signal nearly fills a
+    # period. Draw among them; offset 0 is always one. The tries above
+    # stay first so that every corpus they could place keeps its bytes.
+    return rng.choice([o for o in range(m - length + 1) if not _straddles(o, length, period)])
 
 
 def _into_sections(tokens: list[str]) -> dict[str, str]:
@@ -373,8 +441,8 @@ def generate_synthetic_corpus(
     because signal tokens are disjoint from the filler vocabulary. The
     positive count is exact: round(num_docs * positive_fraction).
     """
-    rng = random.Random(seed)
-    filler = _filler_vocabulary(config.filler_vocab_size)
+    rng = _ReplayedRandom(seed)
+    filler = np.array(_filler_vocabulary(config.filler_vocab_size), dtype=object)
     pattern = list(signal_pattern(config.signal_length))
     num_pos = int(config.num_docs * config.positive_fraction + 0.5)
     labels = [1] * num_pos + [0] * (config.num_docs - num_pos)
@@ -382,7 +450,7 @@ def generate_synthetic_corpus(
     notes = []
     for i, label in enumerate(labels):
         m = rng.randint(config.min_tokens, config.max_tokens)
-        tokens = rng.choices(filler, k=m)
+        tokens = rng.choices(filler, m)
         if label == 1:
             offset = _choose_offset(rng, m, config)
             tokens[offset : offset + config.signal_length] = pattern

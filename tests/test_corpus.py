@@ -1,11 +1,18 @@
+import hashlib
+import json
+import random
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from chunkfuse.cli import load_config
 from chunkfuse.corpus import (
+    FILLER_VOCAB_LIMIT,
     LOS_BIN_EDGES,
     SECTION_ORDER,
     ClinicalNote,
@@ -19,6 +26,10 @@ from chunkfuse.corpus import (
     ingest_csv,
     signal_pattern,
     split_dataset,
+    _filler_vocabulary,
+    _into_sections,
+    _ReplayedRandom,
+    _straddles,
 )
 from chunkfuse.errors import (
     ConfigError,
@@ -293,6 +304,8 @@ def test_generator_config_errors():
     # a 1-token signal has no offset that crosses a boundary
     {"signal_length": 1, "placement": "boundary", "straddle_prob": 1.0},
     {"filler_vocab_size": 0},
+    # filler words are ordered pairs of the 70 consonant-vowel syllables
+    {"filler_vocab_size": FILLER_VOCAB_LIMIT + 1},
 ])
 def test_generator_refuses_what_it_cannot_generate(changes):
     with pytest.raises(ConfigError) as raised:
@@ -356,6 +369,145 @@ def test_boundary_placement_straddles_half_the_time():
         next_boundary = (offset // 510 + 1) * 510
         straddled += next_boundary < offset + 60
     assert 0.40 <= straddled / 400 <= 0.60
+
+
+def test_off_boundary_placement_always_succeeds():
+    # Only 4 of the 592 offsets of a 509-token signal in 1100 tokens avoid
+    # a multiple of 510, so 1000 uniform tries miss on some notes.
+    config = GeneratorConfig(num_docs=400, min_tokens=1100, max_tokens=1100,
+                             signal_length=509, placement="boundary",
+                             straddle_prob=0.0)
+    notes = generate_synthetic_corpus(config, seed=11)
+    assert len(notes) == 400
+    pattern = signal_pattern(509)
+    for note in notes:
+        hits = find_pattern(note.assembled_text.split(), pattern)
+        assert len(hits) == note.mortality_label
+        for offset in hits:
+            assert offset // 510 == (offset + 508) // 510, (note.note_id, offset)
+    assert notes == reference_generate_synthetic_corpus(config, seed=11)
+
+
+# ---------------------------------------------------------------------------
+# The generator's random stream
+
+
+def reference_choose_offset(rng, m, config):
+    length, period = config.signal_length, config.boundary_period
+    if config.placement == "uniform":
+        return rng.randint(0, m - length)
+    if rng.random() < config.straddle_prob:
+        b = rng.choice(list(range(period, m, period)))
+        return rng.randint(max(0, b - length + 1), min(b - 1, m - length))
+    for _ in range(1000):
+        offset = rng.randint(0, m - length)
+        if not _straddles(offset, length, period):
+            return offset
+    return rng.choice([o for o in range(m - length + 1) if not _straddles(o, length, period)])
+
+
+def reference_generate_synthetic_corpus(config, seed):
+    """The generator drawing from ``random.Random`` itself, one call per
+    token: the oracle for the numpy replay of its stream."""
+    rng = random.Random(seed)
+    filler = _filler_vocabulary(config.filler_vocab_size)
+    pattern = list(signal_pattern(config.signal_length))
+    num_pos = int(config.num_docs * config.positive_fraction + 0.5)
+    labels = [1] * num_pos + [0] * (config.num_docs - num_pos)
+    rng.shuffle(labels)
+    notes = []
+    for i, label in enumerate(labels):
+        m = rng.randint(config.min_tokens, config.max_tokens)
+        tokens = rng.choices(filler, k=m)
+        if label == 1:
+            offset = reference_choose_offset(rng, m, config)
+            tokens[offset : offset + config.signal_length] = pattern
+        notes.append(ClinicalNote(note_id=f"syn-{i:05d}", sections=_into_sections(tokens),
+                                  mortality_label=label))
+    return notes
+
+
+SEEDS = st.sampled_from([0, -1, -(2**63), 2**63 - 1]) | st.integers(-(2**64), 2**64)
+# n just above a power of two rejects almost half of its draws
+BOUNDS = st.integers(0, 31).map(lambda e: 2**e + 1) | st.integers(1, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, BOUNDS, st.integers(-1000, 1000), st.integers(1, 70), st.integers(0, 300))
+def test_replayed_primitives_match_random(seed, n, a, size, k):
+    ours, theirs = _ReplayedRandom(seed), random.Random(seed)
+    for _ in range(8):
+        assert ours.randbelow(n) == theirs._randbelow(n)
+    assert ours.randint(a, a + n - 1) == theirs.randint(a, a + n - 1)
+    assert ours.random() == theirs.random()
+    seq = list(range(size))
+    assert ours.choice(seq) == theirs.choice(seq)
+    mine, yours = list(seq), list(seq)
+    ours.shuffle(mine)
+    theirs.shuffle(yours)
+    assert mine == yours
+    words = _filler_vocabulary(size)
+    assert ours.choices(np.array(words, dtype=object), k) == theirs.choices(words, k=k)
+    # still in step after every kind of draw
+    assert ours.random() == theirs.random()
+
+
+def test_replay_refuses_draws_it_does_not_mirror():
+    rng = _ReplayedRandom(0)
+    for n in (0, 2**32):
+        with pytest.raises(ContractError):
+            rng.randbelow(n)
+
+
+@st.composite
+def generator_configs(draw):
+    placement = draw(st.sampled_from(["uniform", "boundary"]))
+    period = draw(st.integers(3, 60))
+    straddle_prob = draw(st.floats(0.0, 1.0))
+    lowest_signal = 2 if placement == "boundary" and straddle_prob > 0 else 1
+    signal_length = draw(st.integers(lowest_signal, period - 1))
+    lowest_doc = period + 1 if placement == "boundary" else signal_length
+    min_tokens = draw(st.integers(lowest_doc, lowest_doc + 150))
+    return GeneratorConfig(
+        num_docs=draw(st.integers(1, 8)),
+        min_tokens=min_tokens,
+        max_tokens=draw(st.integers(min_tokens, min_tokens + 150)),
+        signal_length=signal_length,
+        positive_fraction=draw(st.floats(0.0, 1.0)),
+        placement=placement,
+        boundary_period=period,
+        straddle_prob=straddle_prob,
+        filler_vocab_size=draw(st.integers(1, FILLER_VOCAB_LIMIT)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_configs(), SEEDS)
+def test_generator_replays_random_stream(config, seed):
+    assert generate_synthetic_corpus(config, seed) == reference_generate_synthetic_corpus(
+        config, seed
+    )
+
+
+def corpus_digest(notes):
+    digest = hashlib.sha256()
+    for note in notes:
+        row = [note.note_id, note.sections, note.mortality_label, note.los_days]
+        digest.update(json.dumps(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("compare_synthetic", "498cc4ec90b5748a40263c8ae95dc18a333f53a465015be6bca0328273f742d7"),
+    ("ordering", "70366d567ca690011eb5dddf3d2da4b9d1a16efada4f12769a070dff1a7c6cb1"),
+    ("overlap_pattern", "25ae4051c9cba2c62170e13477bea601b0069f1c5479229efa00b1cd7efc8961"),
+    ("remote_ensemble", "68a4975d194b42a8f8bc5ab723b306411f1564c54f697fd6499bea9a9cdbef82"),
+])
+def test_shipped_corpora_keep_their_bytes(name, expected):
+    """Recorded from the ``random.Random`` generator: each shipped config's
+    corpus, as its run draws it from the config's seed."""
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json", [])
+    assert corpus_digest(_load_notes(config)) == expected
 
 
 def reference_find_pattern(tokens, pattern):
