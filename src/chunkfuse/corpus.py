@@ -149,13 +149,15 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> IngestResult:
     Section columns absent from the header are treated as empty and
     listed in the result, for the caller to report; rows whose label
     values are present but unparseable or out of range are skipped and
-    counted instead of failing the whole file. A path that is missing, is
+    counted instead of failing the whole file. No cell is too long: csv's
+    field limit is raised to the file's size. A path that is missing, is
     not a readable file, or does not hold UTF-8 CSV, and a row with fewer
     cells than the header, are a DataError naming it.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:  # skips a BOM
+            csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
             return _read_notes(path, csv.DictReader(handle), schema)
     except FileNotFoundError as err:
         raise DataError(f"input file not found: {path}") from err

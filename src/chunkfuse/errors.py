@@ -64,10 +64,6 @@ class ProtocolError(ScorerError):
 class NumericDivergenceError(ScorerError):
     """Training loss became non-finite."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
 
 class MetricUndefinedError(ChunkfuseError):
     exit_code = 4
@@ -75,10 +71,6 @@ class MetricUndefinedError(ChunkfuseError):
 
 class DegenerateClassError(MetricUndefinedError):
     """Labels contain only one class, so the ROC curve is undefined."""
-
-    def __init__(self, message, class_index=None):
-        super().__init__(message)
-        self.class_index = class_index
 
 
 def read_json(path, what: str):

@@ -16,7 +16,6 @@ markdown rendering.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import time
@@ -90,10 +89,6 @@ METHOD_LABELS = {
 }
 
 
-# Each trained scorer's seed derives from the top-level one.
-TRAINER_SEED_UNREAD = "trainer.seed is not read; set the top-level seed"
-
-
 @config_block
 class CsvSource:
     path: str
@@ -127,8 +122,6 @@ class ExperimentConfig:
             raise ConfigError("ensemble methods require at least 2 scorers")
         if any(s.num_classes != self.task.num_classes for s in self.scorers):
             raise ConfigError("scorer class counts must match the task")
-        if self.trainer.seed != 0:
-            raise ConfigError(TRAINER_SEED_UNREAD)
         check_split_ratios(self.split_ratios)
         if self.vocab_size < FIRST_TEXT_ID:  # the reserved ids alone fill that many
             raise ConfigError(f"vocab_size must be at least {FIRST_TEXT_ID}, got {self.vocab_size}")
@@ -144,9 +137,7 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         """Build a config from its JSON form with ``build_block``, after the
         steps the field types cannot say: ``data.kind`` picks the source
-        block, a scorer entry without ``num_classes`` gets the task's, and a
-        ``trainer.seed`` is refused (each trained scorer's seed derives from
-        the top-level one)."""
+        block, and a scorer entry without ``num_classes`` gets the task's."""
         doc = as_object(doc, "config root")
         data = as_object(doc.get("data"), "data")
         kind = data.pop("kind", None)
@@ -160,8 +151,6 @@ class ExperimentConfig:
                 {"num_classes": classes, **as_object(entry, "scorer entry")}
                 for entry in doc["scorers"]
             ]
-        if "seed" in as_object(doc.get("trainer", {}), "trainer"):
-            raise ConfigError(TRAINER_SEED_UNREAD)
         return build_block("config", cls, doc)
 
 
@@ -309,10 +298,8 @@ def _build_scorer(
                 f" {scorer.vocab_sha256}, not this run's {vocab.sha256()}"
             )
         return scorer
-    trainer = dataclasses.replace(
-        config.trainer, seed=child_seed(config.seed, f"train:{descriptor.scorer_id}")
-    )
-    scorer, log = train_linear_scorer(train, validation, descriptor, trainer)
+    seed = child_seed(config.seed, f"train:{descriptor.scorer_id}")
+    scorer, log = train_linear_scorer(train, validation, descriptor, config.trainer, seed)
     leaked = log.seen_note_ids & test_ids
     if leaked:
         raise ContractError(f"trainer saw test notes: {sorted(leaked)[:5]}")

@@ -26,8 +26,8 @@ def roc_curve(scores, labels) -> np.ndarray:
     rows from (0, 0) to (1, 1).
 
     ``labels`` must be binary (0/1) and contain at least one positive and
-    one negative, otherwise a DegenerateClassError is raised carrying the
-    single class present.
+    one negative, otherwise a DegenerateClassError naming the single class
+    present is raised.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
@@ -44,10 +44,7 @@ def roc_curve(scores, labels) -> np.ndarray:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         present = int(y[0])
-        raise DegenerateClassError(
-            f"labels contain only class {present}; ROC is undefined",
-            class_index=present,
-        )
+        raise DegenerateClassError(f"labels contain only class {present}; ROC is undefined")
 
     # Stable sort descending by score, then collapse tie groups: one point
     # after each distinct threshold.

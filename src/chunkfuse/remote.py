@@ -29,6 +29,7 @@ import http.client
 import json
 import logging
 import math
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -73,7 +74,7 @@ def _http_json(url: str, payload: dict | None) -> dict:
             if err.code < 500:
                 raise last from err  # client errors will not heal on retry
         except (urllib.error.URLError, TimeoutError, ConnectionError,
-                http.client.IncompleteRead) as err:
+                http.client.HTTPException) as err:
             last = TransportError(
                 f"{url} unreachable: {err}", url=url, status=None, attempts=attempt
             )
@@ -143,10 +144,11 @@ class RemoteScorer:
             parts.port  # raises unless the port is absent or a number in 0-65535
         except ValueError:
             parts = None
-        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+                or re.search(r"[\x00-\x20\x7f]", endpoint)):
             raise ConfigError(
-                f"remote scorer {descriptor.scorer_id} needs an http(s) metadata.endpoint"
-                f" with a host and a valid port, got {endpoint!r}"
+                f"remote scorer {descriptor.scorer_id} needs an http(s) metadata.endpoint with"
+                f" a host, a valid port and no space or control character, got {endpoint!r}"
             )
         endpoint = endpoint.rstrip("/")
         info = _http_json(endpoint + "/info", None)

@@ -116,7 +116,6 @@ class TrainerConfig:
     accumulation_steps: int = 10
     warmup_steps: int = 50
     batch_size: int = 18
-    seed: int = 0
 
     def __post_init__(self) -> None:
         positives = {
@@ -321,7 +320,6 @@ class LinearScorer:
         doc = {
             "vocab_size": self.vocab_size,
             "num_classes": self.descriptor.num_classes,
-            "scorer_id": self.descriptor.scorer_id,
             "weights": [float(w) for w in self.weights.ravel()],
             "bias": [float(b) for b in self.bias],
             "trainer_config": (
@@ -334,7 +332,7 @@ class LinearScorer:
 
     @classmethod
     def load(cls, path: str | Path, descriptor: ScorerDescriptor) -> "LinearScorer":
-        """The checkpoint at ``path`` as ``descriptor``'s scorer; its saved id is not read."""
+        """The checkpoint at ``path`` as ``descriptor``'s scorer."""
         doc = read_json(path, "checkpoint")
         try:
             k, v = doc["num_classes"], doc["vocab_size"]

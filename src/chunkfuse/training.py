@@ -203,12 +203,12 @@ def train_linear_scorer(
     validation: TrainingSplit,
     descriptor: ScorerDescriptor,
     config: TrainerConfig,
+    seed: int,
 ) -> tuple[LinearScorer, TrainingLog]:
     """Fit ``descriptor``'s linear scorer; return it with the best-validation weights.
 
-    Deterministic per config seed: weight init and epoch shuffling each
-    use a named substream, so identical inputs reproduce identical
-    checkpoints bit for bit.
+    Weight init and epoch shuffling use named substreams of ``seed``, so
+    identical inputs reproduce identical checkpoints bit for bit.
     """
     if not train.note_ids:
         raise DataError("training set is empty")
@@ -220,8 +220,8 @@ def train_linear_scorer(
     if flat_labels.max(initial=0) >= num_classes:
         raise DataError("label outside class range")
 
-    rng_init = np.random.default_rng(child_seed(config.seed, "init"))
-    rng_shuffle = np.random.default_rng(child_seed(config.seed, "shuffle"))
+    rng_init = np.random.default_rng(child_seed(seed, "init"))
+    rng_shuffle = np.random.default_rng(child_seed(seed, "shuffle"))
     weights = rng_init.normal(scale=0.01, size=(num_classes, features.shape[1]))
     bias = np.zeros(num_classes)
 
@@ -257,9 +257,7 @@ def train_linear_scorer(
             lo = hi
             for loss, grad_w, grad_b in zip(seg_losses, grads_w, grads_b):
                 if math.isnan(loss):
-                    raise NumericDivergenceError(
-                        f"loss became NaN at optimizer step {opt_step}", step=opt_step
-                    )
+                    raise NumericDivergenceError(f"loss became NaN at optimizer step {opt_step}")
                 losses.append(float(loss))
                 acc_w += grad_w
                 acc_b += grad_b

@@ -259,7 +259,8 @@ def test_a6_trainer_gradients_early_stop_and_determinism(tmp_path):
         False, False, False, False, False, True,
     ]
 
-    # Identical seeds yield bit-identical checkpoints.
+    # Identical seeds yield bit-identical checkpoints of a trained model;
+    # another seed yields other weights.
     notes = generate_synthetic_corpus(
         GeneratorConfig(num_docs=40, min_tokens=60, max_tokens=100), seed=9
     )
@@ -268,16 +269,18 @@ def test_a6_trainer_gradients_early_stop_and_determinism(tmp_path):
     chunking = ChunkingConfig()
     train_items = build_labeled_chunks(notes[:30], labels[:30], chunking, vocab)
     val_items = build_labeled_chunks(notes[30:], labels[30:], chunking, vocab)
-    config = TrainerConfig(max_epochs=4, seed=123)
-    paths = []
-    for run in ("one", "two"):
-        scorer, _ = train_linear_scorer(
-            train_items, val_items, ScorerDescriptor("det", ScorerKind.LINEAR, 2), config
-        )
+    config = TrainerConfig(max_epochs=4, accumulation_steps=1, warmup_steps=2)
+    descriptor = ScorerDescriptor("det", ScorerKind.LINEAR, 2)
+    paths, weights = [], []
+    for run, seed in (("one", 123), ("two", 123), ("other", 124)):
+        scorer, log = train_linear_scorer(train_items, val_items, descriptor, config, seed)
+        assert log.total_optimizer_steps > 0
         path = tmp_path / f"ckpt_{run}.json"
         scorer.save(path)
         paths.append(path)
+        weights.append(scorer.weights)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert not np.array_equal(weights[0], weights[2])
 
     print(
         "\nA6 PASS: gradients within 1e-4 of central differences on 20 random"

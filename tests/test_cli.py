@@ -205,6 +205,28 @@ class TestIngest:
             "ingested 2 notes (1 rows skipped)\n"
         )
 
+    def ingest_records(self, csv_path, schema_path, tmp_path) -> list[dict]:
+        out = tmp_path / "notes.jsonl"
+        rc = main(["ingest", "--input", csv_path, "--schema", schema_path,
+                   "--output", str(out)])
+        assert rc == 0
+        return [json.loads(line) for line in out.read_text().splitlines()]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        csv_path, schema_path = self.write_fixture(tmp_path, INGEST_ROWS)
+        Path(csv_path).write_bytes(b"\xef\xbb\xbf" + Path(csv_path).read_bytes())
+        records = self.ingest_records(csv_path, schema_path, tmp_path)
+        assert [r["note_id"] for r in records] == ["n1", "n2"]
+
+    def test_cell_past_csvs_default_field_limit_is_kept_whole(self, tmp_path):
+        words = " ".join(f"w{i}" for i in range(30_000))
+        assert len(words) > 131_072  # csv.field_size_limit()'s default
+        rows = [[INGEST_ROWS[0][0], words, *INGEST_ROWS[0][2:]], INGEST_ROWS[1]]
+        csv_path, schema_path = self.write_fixture(tmp_path, rows)
+        first, _ = self.ingest_records(csv_path, schema_path, tmp_path)
+        assert first["sections"][SECTION_ORDER[0]] == words
+
     def test_all_rows_skipped_is_data_error(self, tmp_path, capsys):
         csv_path, schema_path = self.write_fixture(tmp_path, [
             ["n1", "text", "", "", "", "", "", "", "", "2", ""],

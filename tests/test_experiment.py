@@ -46,6 +46,7 @@ from chunkfuse.scoring import (
     ScorerKind,
     TrainerConfig,
 )
+from chunkfuse.seeds import child_seed
 
 
 def mock_descriptor(scorer_id: str, probs: str, num_classes: int = 2) -> ScorerDescriptor:
@@ -121,14 +122,6 @@ class TestConfigInvariants:
     def test_fusion_weight_count_must_match_scorers(self, tmp_path):
         with pytest.raises(ConfigError, match="fusion weights"):
             small_config(tmp_path, fusion=FusionSpec(model_weights=(0.2, 0.3, 0.5)))
-
-    @pytest.mark.parametrize("seed", [5, 123])
-    def test_trainer_seed_is_refused(self, tmp_path, seed):
-        # each trained scorer's seed derives from the top-level one, so a
-        # trainer seed would be silently ignored
-        with pytest.raises(ConfigError, match="trainer.seed is not read") as exc:
-            small_config(tmp_path, trainer=TrainerConfig(seed=seed))
-        assert exc.value.exit_code == 1
 
     @pytest.mark.parametrize("change, message", [
         ({"split_ratios": (0.5, 0.3, 0.3)}, "split_ratios must sum to 1"),
@@ -587,6 +580,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("endpoint", [
         "127.0.0.1:9", "abc", "", "http://127.0.0.1:abc", "http://127.0.0.1:99999", "http://",
+        "http://127.0.0.1:1/a b", "http://127.0.0.1:1/a\x01b",
     ])
     def test_endpoint_without_scheme_yields_config_error_rows(self, tmp_path, endpoint):
         self.check_remote_error_rows(tmp_path, endpoint, code=1)
@@ -672,6 +666,9 @@ class TestRunExperiment:
         # a non-finite bias is refused where the checkpoint is loaded
         ({"num_classes": 2, "vocab_size": 5000, "weights": [0.0] * 10000,
           "bias": [float("nan"), 0.0]}, 1),
+        # a trained scorer's seed is an argument, not a TrainerConfig field
+        ({"num_classes": 2, "vocab_size": 5000, "weights": [0.0] * 10000,
+          "bias": [0.0, 0.0], "trainer_config": {"seed": 3}}, 1),
     ])
     def test_bad_checkpoint_yields_error_rows_only(self, tmp_path, checkpoint, code):
         path = tmp_path / "lin.ckpt.json"
@@ -914,6 +911,29 @@ class TestTrainedScorersEndToEnd:
         assert row.macro_auroc is None and row.error_code == 1
         assert "trained on vocabulary" in row.error
 
+    def test_checkpoint_holds_no_seed_or_id_and_the_derived_seeds_weights(self, tmp_path):
+        config = self.linear_config(
+            tmp_path, "trained", trainer=TrainerConfig(max_epochs=3, accumulation_steps=1)
+        )
+        run_experiment(config)
+        doc = json.loads((Path(config.output_dir) / "scorer_lin.ckpt.json").read_text())
+        assert set(doc) == {"vocab_size", "num_classes", "weights", "bias",
+                            "trainer_config", "best_val_auroc", "vocab_sha256"}
+        assert set(doc["trainer_config"]) == {f.name for f in dataclasses.fields(TrainerConfig)}
+        # The file does not record the seed, so its weights pin the derivation:
+        # each trained scorer's seed is the "train:<id>" substream.
+        prepared = prepare_data(config)
+
+        def trained_weights(seed):
+            scorer, _ = training.train_linear_scorer(
+                prepared.train, prepared.validation, config.scorers[0], config.trainer, seed
+            )
+            return scorer.weights
+
+        saved = np.array(doc["weights"]).reshape(2, doc["vocab_size"])
+        assert np.array_equal(saved, trained_weights(child_seed(config.seed, "train:lin")))
+        assert not np.array_equal(saved, trained_weights(config.seed))
+
     def test_checkpoint_answers_to_its_configured_id(self, tmp_path):
         trained = self.linear_config(
             tmp_path, "trained",
@@ -921,7 +941,6 @@ class TestTrainedScorersEndToEnd:
         )
         run_experiment(trained)
         checkpoint = Path(trained.output_dir) / "scorer_lin-a.ckpt.json"
-        assert json.loads(checkpoint.read_text())["scorer_id"] == "lin-a"
         config = self.linear_config(
             tmp_path, "reloaded",
             scorers=(ScorerDescriptor(scorer_id="x", kind=ScorerKind.LINEAR, num_classes=2,

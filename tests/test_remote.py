@@ -1,7 +1,9 @@
 import http.client
 import json
 import socket
+import threading
 import time
+from contextlib import contextmanager
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from chunkfuse import remote
 from chunkfuse.chunker import Chunk
+from chunkfuse.cli import main
 from chunkfuse.errors import (
     ConfigError,
     ContractError,
@@ -143,6 +146,9 @@ def test_malformed_info_reply():
 
 @pytest.mark.parametrize("endpoint", [
     "http://127.0.0.1:abc", "http://127.0.0.1:99999", "ftp://x", "http://", "127.0.0.1:9", "",
+    # http.client refuses these only once a request is under way
+    "http://127.0.0.1:1/a b", "http://127.0.0.1:1/a\tb", "http://127.0.0.1:1/\x00",
+    "http://127.0.0.1:1/\x7f", "http://127.0.0.1:1/a\r\nHost: x",
 ])
 def test_bad_endpoint_is_config_error_before_any_request(monkeypatch, endpoint):
     def no_request(url, payload):
@@ -158,6 +164,64 @@ def test_unreachable_server_is_transport_error():
         RemoteScorer.connect(remote_at("http://127.0.0.1:9"), "mortality")
     assert exc.value.attempts == 3
     assert exc.value.status is None
+
+
+@contextmanager
+def ssh_server():
+    """The endpoint of a server that reads each request and answers it with
+    an SSH banner, not HTTP."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                conn.recv(65536)
+                conn.sendall(b"SSH-2.0-OpenSSH_9.0\r\n")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_server_that_does_not_speak_http_is_transport_error():
+    with ssh_server() as endpoint, pytest.raises(TransportError) as exc:
+        RemoteScorer.connect(remote_at(endpoint), "mortality")
+    assert exc.value.attempts == 3
+    assert exc.value.status is None
+
+
+def test_compare_with_a_server_that_does_not_speak_http_gives_error_rows(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    with ssh_server() as endpoint:
+        config.write_text(json.dumps({
+            "task": "mortality",
+            "data": {"kind": "synthetic", "num_docs": 40, "min_tokens": 80,
+                     "max_tokens": 160},
+            "scorers": [
+                {"scorer_id": "mock", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},
+                {"scorer_id": "far", "kind": "remote", "metadata": {"endpoint": endpoint}},
+            ],
+            "methods": ["baseline"],
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["compare", "--config", str(config)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    mock_row, far_row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert mock_row["macro_auroc"] == 0.5
+    assert far_row["error"].startswith("scorer far: ")
 
 
 def test_batches_split_to_server_limit_and_keep_order():

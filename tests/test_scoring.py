@@ -294,7 +294,7 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
         descriptor=ScorerDescriptor(scorer_id="l0", kind=ScorerKind.LINEAR, num_classes=2),
         weights=rng.normal(size=(2, 9)),
         bias=rng.normal(size=2),
-        trainer_config=TrainerConfig(seed=3),
+        trainer_config=TrainerConfig(max_epochs=3),
         best_val_auroc=0.9125,
     )
     first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -310,9 +310,9 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
 
 def valid_checkpoint() -> dict:
     return {
-        "vocab_size": 3, "num_classes": 2, "scorer_id": "l0",
+        "vocab_size": 3, "num_classes": 2,
         "weights": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], "bias": [0.1, -0.1],
-        "trainer_config": dict(vars(TrainerConfig(seed=3))), "best_val_auroc": 0.75,
+        "trainer_config": dict(vars(TrainerConfig(max_epochs=3))), "best_val_auroc": 0.75,
         "vocab_sha256": "ab" * 32,
     }
 
@@ -339,6 +339,9 @@ def with_trainer(**changes) -> str:
     pytest.param(with_trainer(max_epochs=2.5), "max_epochs must be a valid int",
                  id="float-max-epochs"),
     pytest.param(with_trainer(learning_rate="fast"), "learning_rate", id="str-rate"),
+    # a trained scorer's seed is an argument, not a TrainerConfig field
+    pytest.param(with_trainer(seed=3), "unexpected keyword argument 'seed'",
+                 id="trainer-seed"),
     pytest.param(with_doc(trainer_config=[1, 2]), "must be a JSON object",
                  id="list-trainer-config"),
     pytest.param(with_doc(weights=[10**400] + [0.0] * 5), "OverflowError",
