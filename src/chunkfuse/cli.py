@@ -124,9 +124,8 @@ def _reject_extras(extras: list[str]) -> None:
 
 
 def _write_jsonl(notes, path: str) -> None:
-    """One JSON object per note: its fields but the derived assembled text."""
-    records = ({k: v for k, v in vars(n).items() if k != "assembled_text"} for n in notes)
-    write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), "notes")
+    """One JSON object per note: its fields."""
+    write_text(path, "".join(json.dumps(vars(n), sort_keys=True) + "\n" for n in notes), "notes")
 
 
 def cmd_ingest(args: argparse.Namespace, extras: list[str]) -> int:

@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -62,29 +62,20 @@ class TaskKind(Enum):
         return None if note.los_days is None else bisect_left(LOS_BIN_EDGES, note.los_days)
 
 
-def assemble_note(sections: dict[str, str]) -> str:
-    """Concatenate the eight sections in fixed order, single-space joined,
-    with empty sections contributing nothing."""
-    missing = [k for k in SECTION_ORDER if k not in sections]
-    if missing:
-        raise ContractError(f"section map missing kinds: {missing}")
-    parts = (sections[k].strip() for k in SECTION_ORDER)
-    return " ".join(p for p in parts if p)
-
-
 @dataclass(frozen=True)
 class ClinicalNote:
-    """One admission note. ``assembled_text`` is derived from ``sections``
-    at construction and is not an argument."""
+    """One admission note: its eight sections, assembled into one text only
+    when ``assembled_text`` is read, so the text is never stored twice."""
 
     note_id: str
     sections: dict[str, str]
-    assembled_text: str = field(init=False)
     mortality_label: int | None = None  # 1 = died in hospital, 0 = survived
     los_days: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assembled_text", assemble_note(self.sections))
+        missing = [k for k in SECTION_ORDER if k not in self.sections]
+        if missing:
+            raise ContractError(f"section map missing kinds: {missing}")
         if self.mortality_label is not None and self.mortality_label not in (0, 1):
             raise InvalidLabelError(
                 f"note {self.note_id}: mortality label must be 0 or 1"
@@ -94,6 +85,13 @@ class ClinicalNote:
                 f"note {self.note_id}: los_days must be finite and non-negative,"
                 f" got {self.los_days}"
             )
+
+    @property
+    def assembled_text(self) -> str:
+        """The eight sections in fixed order, single-space joined, with
+        empty sections contributing nothing."""
+        parts = (self.sections[k].strip() for k in SECTION_ORDER)
+        return " ".join(p for p in parts if p)
 
 
 def filter_for_task(

@@ -380,7 +380,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         return [labeled[i][0] for i in ids], [labeled[i][1] for i in ids]
 
     vocab = build_vocabulary(
-        [labeled[i][0].assembled_text for i in split.train], config.vocab_size
+        (labeled[i][0].assembled_text for i in split.train), config.vocab_size
     )
     needs_training = any(
         s.kind is ScorerKind.LINEAR and not s.metadata.get("checkpoint")

@@ -145,10 +145,11 @@ class RemoteScorer:
         except ValueError:
             parts = None
         if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
-                or re.search(r"[\x00-\x20\x7f]", endpoint)):
+                or not endpoint.isascii() or re.search(r"[\x00-\x20\x7f]", endpoint)):
             raise ConfigError(
                 f"remote scorer {descriptor.scorer_id} needs an http(s) metadata.endpoint with"
-                f" a host, a valid port and no space or control character, got {endpoint!r}"
+                f" a host, a valid port and no space, control or non-ASCII character"
+                f" (write an IDN host in its xn-- form), got {endpoint!r}"
             )
         endpoint = endpoint.rstrip("/")
         info = _http_json(endpoint + "/info", None)

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .chunker import Chunk
 from .corpus import find_pattern
@@ -36,6 +35,9 @@ from .errors import (
     write_text,
 )
 from .tokenizer import FIRST_TEXT_ID
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Windows featurized per np.unique call. Blocks bound the int64 id and key
 # arrays; one flat array for a whole test split raises peak memory.
@@ -232,10 +234,17 @@ def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix
     with one ``np.unique`` over ``row * vocab_size + id`` keys, which
     yields each row's columns in ascending order: the same float counts
     in the same order as a per-row dict count, so ``features @ W.T`` is
-    bit-for-bit the same.
+    bit-for-bit the same. Each block's counts and columns are made at the
+    matrix's own dtypes (float64 and int32), so scipy keeps the joined
+    arrays as they are.
+
+    scipy is imported here, where a matrix is built, so a run that builds
+    none never loads it.
     """
-    empty = np.empty(0, np.int64)
-    rows, cols, counts = [empty], [empty], [empty]
+    from scipy import sparse
+
+    counts, cols = [np.empty(0, np.float64)], [np.empty(0, np.int32)]
+    indptr = np.zeros(len(chunks) + 1, np.int64)
     for lo in range(0, len(chunks), _BLOCK_WINDOWS):
         block = chunks[lo : lo + _BLOCK_WINDOWS]
         lengths = [c.end - c.start for c in block]
@@ -250,16 +259,14 @@ def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix
         text = ids >= FIRST_TEXT_ID
         row_of = np.repeat(np.arange(len(block), dtype=np.int64), lengths)
         keys, n = np.unique(row_of[text] * vocab_size + ids[text], return_counts=True)
-        rows.append(keys // vocab_size + lo)
-        cols.append(keys % vocab_size)
-        counts.append(n)
-    row = np.concatenate(rows)
+        indptr[lo + 1 : lo + 1 + len(block)] = np.bincount(
+            keys // vocab_size, minlength=len(block)
+        )
+        cols.append((keys % vocab_size).astype(np.int32))
+        counts.append(n.astype(np.float64))
+    np.cumsum(indptr, out=indptr)
     return sparse.csr_matrix(
-        (
-            np.concatenate(counts).astype(np.float64),
-            np.concatenate(cols),
-            np.searchsorted(row, np.arange(len(chunks) + 1)),
-        ),
+        (np.concatenate(counts), np.concatenate(cols), indptr),
         shape=(len(chunks), vocab_size),
     )
 

@@ -13,6 +13,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Iterable
 
 from .errors import ContractError
 
@@ -70,19 +71,21 @@ class Vocabulary:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-def build_vocabulary(corpus: list[str], max_size: int) -> Vocabulary:
+def build_vocabulary(corpus: Iterable[str], max_size: int) -> Vocabulary:
     """Rank tokens by frequency (ties lexicographic) and keep the top ones.
 
     ``max_size`` counts the reserved ids, so at most ``max_size - FIRST_TEXT_ID``
     text tokens are retained. Deterministic regardless of document order.
+    The texts are read once, one at a time, so ``corpus`` may be a generator.
     """
-    if not corpus:
-        raise ContractError("corpus must be non-empty")
     if max_size < FIRST_TEXT_ID:
         raise ContractError(f"max_size must be >= {FIRST_TEXT_ID}, got {max_size}")
     counts: Counter[str] = Counter()
-    for text in corpus:
+    texts = 0
+    for texts, text in enumerate(corpus, 1):
         counts.update(normalize(text))
+    if not texts:
+        raise ContractError("corpus must be non-empty")
     ranked = sorted(counts, key=lambda tok: (-counts[tok], tok))
     kept = ranked[: max_size - FIRST_TEXT_ID]
     return Vocabulary(token_to_id={tok: i for i, tok in enumerate(kept, FIRST_TEXT_ID)})

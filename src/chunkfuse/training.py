@@ -21,9 +21,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .chunker import ChunkingConfig, chunk, coverage_check
 from .corpus import ClinicalNote
@@ -39,6 +39,9 @@ from .scoring import (
 )
 from .seeds import child_seed
 from .tokenizer import Vocabulary, tokenize
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, overrides, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -96,6 +97,10 @@ class TestGenerate:
         assert sum(r["mortality_label"] for r in records) == 6
         assert all(set(r["sections"]) == set(SECTION_ORDER) for r in records)
         assert "12 notes (6 positive)" in capsys.readouterr().out
+        # pinned: a note's fields only, never its derived assembled text
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f25741a4f89c682b471fd1d56a657560d0260b551ec5fad1d8373e53f6d699ff"
+        )
 
     def test_bad_generator_value_is_config_error(self, tmp_path, capsys):
         rc = main([
@@ -154,6 +159,13 @@ class TestIngest:
         assert [r["note_id"] for r in records] == ["n1", "n2"]
         assert records[0]["los_days"] == 3.5
         assert records[1]["los_days"] is None
+        blank = {k: "" for k in SECTION_ORDER}
+        assert out.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in [
+            {"los_days": 3.5, "mortality_label": 1, "note_id": "n1",
+             "sections": {**blank, "CC": "chest pain", "PI": "two days"}},
+            {"los_days": None, "mortality_label": 0, "note_id": "n2",
+             "sections": {**blank, "CC": "fever", "MH": "copd"}},
+        ])
 
     def test_missing_schema_file(self, tmp_path, capsys):
         rc = main([

@@ -19,7 +19,6 @@ from chunkfuse.corpus import (
     CsvSchema,
     GeneratorConfig,
     TaskKind,
-    assemble_note,
     filter_for_task,
     find_pattern,
     generate_synthetic_corpus,
@@ -49,28 +48,40 @@ def sections(**overrides):
     return base
 
 
+def assembled(**overrides):
+    return ClinicalNote(note_id="n", sections=sections(**overrides)).assembled_text
+
+
 def test_assemble_elides_empty_sections():
-    assert assemble_note(sections(CC="chest pain", MH="diabetes")) == (
-        "chest pain diabetes"
-    )
-    assert assemble_note(sections()) == ""
+    assert assembled(CC="chest pain", MH="diabetes") == "chest pain diabetes"
+    assert assembled() == ""
     full = {k: v for k, v in zip(SECTION_ORDER, "abcdefgh")}
-    assert assemble_note(full) == "a b c d e f g h"
+    assert ClinicalNote(note_id="n", sections=full).assembled_text == "a b c d e f g h"
 
 
 def test_assemble_strips_section_edges():
-    assert assemble_note(sections(CC="  x ", PI="y")) == "x y"
+    assert assembled(CC="  x ", PI="y") == "x y"
 
 
 def test_assemble_requires_all_kinds():
+    # refused when the note is built, before any text is read
     partial = {k: "" for k in SECTION_ORDER[:-1]}
-    with pytest.raises(ContractError):
-        assemble_note(partial)
+    with pytest.raises(ContractError, match=r"missing kinds: \['SH'\]"):
+        ClinicalNote(note_id="n", sections=partial)
 
 
-def test_note_caches_assembly_and_checks_coherence():
-    note = ClinicalNote(note_id="n1", sections=sections(CC="a", SH="b"))
-    assert note.assembled_text == "a b"
+def reference_assembly(sections):
+    """The reference assembly: the single-space join of the stripped,
+    non-empty sections in fixed order."""
+    return " ".join(s.strip() for s in (sections[k] for k in SECTION_ORDER) if s.strip())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(" \t\nab.", max_size=6), min_size=8, max_size=8))
+def test_note_stores_its_text_once(texts):
+    note = ClinicalNote(note_id="n1", sections=dict(zip(SECTION_ORDER, texts)))
+    assert "assembled_text" not in vars(note)
+    assert note.assembled_text == reference_assembly(note.sections)
 
 
 def test_note_label_validation():
@@ -284,8 +295,7 @@ def test_generator_lengths_and_sections():
     for note in generate_synthetic_corpus(config, seed=2):
         m = len(note.assembled_text.split())
         assert 90 <= m <= 120
-        joined = assemble_note(note.sections)
-        assert joined == note.assembled_text
+        assert note.assembled_text == reference_assembly(note.sections)
 
 
 def test_generator_config_errors():

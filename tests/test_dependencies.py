@@ -1,8 +1,10 @@
 """The package and its scripts depend on numpy and scipy alone, besides the
-standard library."""
+standard library, and load scipy only where they use it."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +39,31 @@ def test_pyproject_lists_exactly_numpy_and_scipy():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower() for spec in project["dependencies"]}
     assert names == {"numpy", "scipy"}
+
+
+SCIPY_PROBE = """
+import sys
+from chunkfuse.cli import load_config
+from chunkfuse.experiment import run_experiment
+
+configs, out = sys.argv[1], sys.argv[2]
+print("import", "scipy" in sys.modules)
+run_experiment(load_config(f"{configs}/overlap_pattern.json", [
+    "--data.num_docs", "40", "--output_dir", f"{out}/pattern"]))
+print("pattern", "scipy" in sys.modules)
+run_experiment(load_config(f"{configs}/compare_synthetic.json", [
+    "--data.num_docs", "40", "--data.min_tokens", "100", "--data.max_tokens", "200",
+    "--trainer.max_epochs", "2", "--output_dir", f"{out}/linear"]))
+print("linear", "scipy" in sys.modules)
+"""
+
+
+def test_scipy_is_loaded_only_when_a_csr_is_built(tmp_path):
+    # its own interpreter: the test process has scipy loaded already
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(ROOT / "configs"), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["import False", "pattern False", "linear True", ""]

@@ -149,6 +149,8 @@ def test_malformed_info_reply():
     # http.client refuses these only once a request is under way
     "http://127.0.0.1:1/a b", "http://127.0.0.1:1/a\tb", "http://127.0.0.1:1/\x00",
     "http://127.0.0.1:1/\x7f", "http://127.0.0.1:1/a\r\nHost: x",
+    # and these with a UnicodeEncodeError, outside every caught family
+    "http://127.0.0.1:1/\u00e9", "http://127.0.0.1:1/a\xa0b",
 ])
 def test_bad_endpoint_is_config_error_before_any_request(monkeypatch, endpoint):
     def no_request(url, payload):

@@ -175,6 +175,13 @@ def test_csr_of_no_windows_is_empty():
     assert_same_csr(features, reference_csr([], 9))
 
 
+def test_csr_is_built_at_its_final_dtypes():
+    for chunks in ([], [window([4, 5, 5, 1])] * (scoring._BLOCK_WINDOWS + 1)):
+        features = chunks_to_csr(chunks, 12)
+        assert features.data.dtype == np.float64
+        assert features.indices.dtype == features.indptr.dtype == np.int32
+
+
 def test_softmax_rows_stable_and_normalized():
     rows = softmax_rows(np.array([[1000.0, 1000.0], [0.0, np.log(3.0)]]))
     assert rows[0] == pytest.approx([0.5, 0.5])

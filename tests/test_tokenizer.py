@@ -49,8 +49,16 @@ def test_build_is_order_independent():
 def test_build_preconditions():
     with pytest.raises(ContractError):
         build_vocabulary([], 10)
+    with pytest.raises(ContractError, match="^corpus must be non-empty$"):
+        build_vocabulary(iter(()), 10)
     with pytest.raises(ContractError):
         build_vocabulary(["a"], 3)
+
+
+def test_build_reads_a_generator_once():
+    docs = ["b c d", "a a b", "c", "", "D. b!"]
+    assert build_vocabulary((d for d in docs), 20) == build_vocabulary(docs, 20)
+    assert build_vocabulary((d for d in docs), 6) == build_vocabulary(docs, 6)
 
 
 def test_tokenize_examples():
