@@ -123,8 +123,11 @@ class ExperimentConfig:
         if any(s.num_classes != self.task.num_classes for s in self.scorers):
             raise ConfigError("scorer class counts must match the task")
         check_split_ratios(self.split_ratios)
-        if self.vocab_size < FIRST_TEXT_ID:  # the reserved ids alone fill that many
-            raise ConfigError(f"vocab_size must be at least {FIRST_TEXT_ID}, got {self.vocab_size}")
+        if self.vocab_size <= FIRST_TEXT_ID:  # the reserved ids alone fill that many
+            raise ConfigError(
+                f"vocab_size must be at least {FIRST_TEXT_ID} reserved ids plus one"
+                f" text token, got {self.vocab_size}"
+            )
         if self.fusion is None:
             object.__setattr__(self, "fusion", FusionSpec.uniform(len(self.scorers)))
         elif len(self.fusion.model_weights) != len(self.scorers):

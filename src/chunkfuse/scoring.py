@@ -39,8 +39,11 @@ from .tokenizer import FIRST_TEXT_ID
 if TYPE_CHECKING:
     from scipy import sparse
 
-# Windows featurized per np.unique call. Blocks bound the int64 id and key
-# arrays; one flat array for a whole test split raises peak memory.
+# Windows per block. The featurizer counts one block per np.unique call,
+# linear scoring featurizes and scores one block at a time, and training
+# featurizes a block of pending windows at a time and joins the matrices
+# once. So no split's int64 keys, no training split's windows and no test
+# split's CSR exist whole at once, which bounds peak memory.
 _BLOCK_WINDOWS = 128
 
 # The pattern scorer's row for a window that holds its pattern, and for one
@@ -317,9 +320,14 @@ class LinearScorer:
         return self.weights.shape[1]
 
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
-        features = chunks_to_csr(chunks, self.vocab_size)
-        logits = features @ self.weights.T + self.bias
-        return softmax_rows(np.asarray(logits))
+        """Featurize and score ``_BLOCK_WINDOWS`` windows at a time. Each
+        row's logits depend on that row alone, so the rows are bit-for-bit
+        those of one product over the whole batch."""
+        rows = [np.empty((0, self.descriptor.num_classes))]
+        for lo in range(0, len(chunks), _BLOCK_WINDOWS):
+            features = chunks_to_csr(chunks[lo : lo + _BLOCK_WINDOWS], self.vocab_size)
+            rows.append(softmax_rows(np.asarray(features @ self.weights.T + self.bias)))
+        return np.concatenate(rows)
 
     def save(self, path: str | Path) -> None:
         """Checkpoint as one JSON document; identical scorers serialize to

@@ -27,9 +27,10 @@ import numpy as np
 
 from .chunker import ChunkingConfig, chunk, coverage_check
 from .corpus import ClinicalNote
-from .errors import DataError, NumericDivergenceError
+from .errors import ConfigError, DataError, NumericDivergenceError
 from .metrics import macro_auroc
 from .scoring import (
+    _BLOCK_WINDOWS,
     LinearScorer,
     ScorerDescriptor,
     TrainerConfig,
@@ -71,21 +72,35 @@ def build_labeled_chunks(
     chunking: ChunkingConfig,
     vocab: Vocabulary,
 ) -> TrainingSplit:
-    """Tokenize, window and featurize a split in one pass."""
+    """Tokenize, window and featurize a split in one pass over its notes.
+
+    Once ``_BLOCK_WINDOWS`` windows are pending they are featurized and
+    dropped, so the split's windows and id tuples are never held whole.
+    The block matrices are joined once, into the same arrays as one
+    ``chunks_to_csr`` call over every window. scipy is imported here, where
+    that join happens.
+    """
+    from scipy import sparse
+
     if len(notes) != len(labels):
         raise DataError(f"{len(notes)} notes but {len(labels)} labels")
-    windows, counts = [], []
+    blocks, pending, counts = [], [], []
     for note in notes:
         ids = tokenize(note.assembled_text, vocab).ids
         note_windows = chunk(ids, chunking)
         coverage_check(ids, note_windows, chunking)
-        windows.extend(note_windows)
+        pending.extend(note_windows)
         counts.append(len(note_windows))
+        if len(pending) >= _BLOCK_WINDOWS:
+            blocks.append(chunks_to_csr(pending, len(vocab)))
+            pending = []
+    if pending or not blocks:  # an empty split is one (0, vocab) block
+        blocks.append(chunks_to_csr(pending, len(vocab)))
     return TrainingSplit(
         note_ids=tuple(note.note_id for note in notes),
         labels=np.array(labels, dtype=np.int64),
         window_counts=np.array(counts, dtype=np.int64),
-        features=chunks_to_csr(windows, len(vocab)),
+        features=sparse.vstack(blocks, format="csr"),
         vocab_sha256=vocab.sha256(),
     )
 
@@ -211,7 +226,9 @@ def train_linear_scorer(
     """Fit ``descriptor``'s linear scorer; return it with the best-validation weights.
 
     Weight init and epoch shuffling use named substreams of ``seed``, so
-    identical inputs reproduce identical checkpoints bit for bit.
+    identical inputs reproduce identical checkpoints bit for bit. A config
+    whose micro-batches over all epochs are fewer than ``accumulation_steps``
+    would return the random initialization untrained: it is a ConfigError.
     """
     if not train.note_ids:
         raise DataError("training set is empty")
@@ -223,13 +240,21 @@ def train_linear_scorer(
     if flat_labels.max(initial=0) >= num_classes:
         raise DataError("label outside class range")
 
+    n = features.shape[0]
+    batches_per_epoch = math.ceil(n / config.batch_size)
+    if batches_per_epoch * config.max_epochs < config.accumulation_steps:
+        raise ConfigError(
+            f"{n} training windows at batch_size {config.batch_size} give"
+            f" {batches_per_epoch * config.max_epochs} micro-batches in max_epochs"
+            f" {config.max_epochs}, fewer than accumulation_steps"
+            f" {config.accumulation_steps}: no optimizer step would run"
+        )
+
     rng_init = np.random.default_rng(child_seed(seed, "init"))
     rng_shuffle = np.random.default_rng(child_seed(seed, "shuffle"))
     weights = rng_init.normal(scale=0.01, size=(num_classes, features.shape[1]))
     bias = np.zeros(num_classes)
 
-    n = features.shape[0]
-    batches_per_epoch = math.ceil(n / config.batch_size)
     total_steps = batches_per_epoch * config.max_epochs // config.accumulation_steps
 
     stopper = EarlyStopping(config.early_stop_delta, config.early_stop_patience)

@@ -28,7 +28,9 @@ from chunkfuse.remote import RemoteScorer
 from chunkfuse.scoring import ScorerDescriptor, ScorerKind
 
 
-OVERLAP_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "overlap_pattern.json")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+OVERLAP_CONFIG = str(CONFIGS / "overlap_pattern.json")
+COMPARE_CONFIG = str(CONFIGS / "compare_synthetic.json")
 
 
 def base_config(tmp_path, **extra) -> str:
@@ -342,6 +344,34 @@ class TestCompare:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: the test split is empty")
 
+    def test_vocabulary_without_a_text_token_exits_1(self, tmp_path, capsys):
+        rc = main(["compare", "--config", COMPARE_CONFIG, "--vocab_size", "4",
+                   "--output_dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: vocab_size must be at least 4 reserved ids plus one")
+
+    def test_trainer_that_would_never_step_gives_config_error_rows(self, tmp_path, capsys):
+        # 42 one-window train notes at batch_size 18: 3 micro-batches an epoch,
+        # 9 in 3 epochs, fewer than accumulation_steps 10
+        out = tmp_path / "out"
+        rc = main([
+            "compare", "--config", COMPARE_CONFIG, "--data.num_docs", "60",
+            "--data.min_tokens", "50", "--data.max_tokens", "80",
+            "--trainer.max_epochs", "3", "--output_dir", str(out),
+            '--scorers=[{"scorer_id":"lin-a","kind":"linear"}]',
+            '--methods=["baseline","aggregation"]',
+        ])
+        assert rc == 1
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert [row["method"] for row in rows] == ["baseline", "aggregation"]
+        for row in rows:
+            assert row["macro_auroc"] is None
+            assert row["error"].startswith("scorer lin-a: 42 training windows")
+            for name in ("batch_size 18", "max_epochs 3", "accumulation_steps 10"):
+                assert name in row["error"]
+        assert not (out / "scorer_lin-a.ckpt.json").exists()
+
     def test_task_with_no_labeled_note_exits_2_naming_it(self, tmp_path, capsys):
         rc = main(["compare", "--config", base_config(tmp_path), "--task", "length_of_stay"])
         assert rc == 2
@@ -438,7 +468,8 @@ class TestTrain:
                   "max_tokens": 160},
             scorers=[{"scorer_id": "lin", "kind": "linear"}],
             methods=["aggregation"],
-            trainer={"max_epochs": 3},
+            # 48 windows at batch_size 18: 9 micro-batches, 3 optimizer steps
+            trainer={"max_epochs": 3, "accumulation_steps": 3},
             split_ratios=[0.6, 0.2, 0.2],
             vocab_size=600,
             seed=5,

@@ -127,6 +127,7 @@ class TestConfigInvariants:
         ({"split_ratios": (0.5, 0.3, 0.3)}, "split_ratios must sum to 1"),
         ({"split_ratios": (1.2, -0.1, -0.1)}, "split_ratios must be non-negative"),
         ({"vocab_size": 3}, "vocab_size must be at least 4"),
+        ({"vocab_size": 4}, "plus one text token, got 4"),
     ])
     def test_bad_split_ratios_or_vocab_size_refused_before_any_work(
         self, tmp_path, monkeypatch, change, message

@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -213,6 +213,45 @@ def test_linear_batch_equals_single_scoring():
     assert batched.shape == (5, 3)
     for row, c in zip(batched, chunks):
         assert row == pytest.approx(scorer.score_batch([c])[0], abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    windows=st.lists(st.lists(st.integers(0, 11), max_size=20), max_size=10),
+    classes=st.integers(2, 4),
+    block=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(windows=[], classes=3, block=1, seed=0)
+def test_linear_scores_in_blocks_equal_whole_batch_scores(windows, classes, block, seed):
+    rng = np.random.default_rng(seed)
+    scorer = LinearScorer(
+        descriptor=descriptor(ScorerKind.LINEAR, classes),
+        weights=rng.normal(scale=3.0, size=(classes, 12)),
+        bias=rng.normal(size=classes),
+    )
+    chunks = [window(w) for w in windows]
+    logits = chunks_to_csr(chunks, 12) @ scorer.weights.T + scorer.bias
+    whole = softmax_rows(np.asarray(logits))
+    with patch.object(scoring, "_BLOCK_WINDOWS", block):
+        got = scorer.score_batch(chunks)
+    assert got.shape == (len(chunks), classes)
+    assert np.array_equal(got, whole)
+
+
+def test_linear_scoring_featurizes_a_block_at_a_time():
+    block = scoring._BLOCK_WINDOWS
+    chunks = [window([4 + i % 8] * (i % 5)) for i in range(2 * block + 7)]
+    scorer = LinearScorer(descriptor(ScorerKind.LINEAR), np.ones((2, 12)), np.zeros(2))
+    lengths = []
+
+    def recording(chunks, vocab_size):
+        lengths.append(len(chunks))
+        return chunks_to_csr(chunks, vocab_size)
+
+    with patch.object(scoring, "chunks_to_csr", recording):
+        assert scorer.score_batch(chunks).shape == (2 * block + 7, 2)
+    assert lengths == [block, block, 7]
 
 
 class FixedScorer:

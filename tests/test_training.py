@@ -11,17 +11,18 @@ from scipy import sparse
 from chunkfuse import training
 from chunkfuse.chunker import ChunkingConfig, chunk
 from chunkfuse.corpus import SECTION_ORDER, ClinicalNote
-from chunkfuse.errors import DataError, NumericDivergenceError
+from chunkfuse.errors import ConfigError, DataError, NumericDivergenceError
 from chunkfuse.metrics import auc, macro_auroc
 from chunkfuse.scoring import (
     ScorerDescriptor,
     ScorerKind,
     TrainerConfig,
+    chunks_to_csr,
     pool_windows,
     softmax_rows,
 )
 from chunkfuse.seeds import child_seed
-from chunkfuse.tokenizer import build_vocabulary
+from chunkfuse.tokenizer import build_vocabulary, tokenize
 from chunkfuse.training import (
     EarlyStopping,
     EpochStats,
@@ -141,6 +142,52 @@ def test_build_labeled_chunks():
         build_labeled_chunks(notes, [1], ChunkingConfig(), vocab)
 
 
+FI_FO_VOCAB = build_vocabulary(["fi fo fum"], max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(["fi", "fo", "fum", "unseen"]), max_size=25), max_size=12
+    ),
+    stride=st.integers(1, 4),
+    overlap=st.integers(0, 4),
+    block=st.sampled_from([1, 2, 3]),
+)
+@example(texts=[], stride=1, overlap=0, block=1)
+def test_split_featurized_in_blocks_equals_one_featurizer_call(texts, stride, overlap, block):
+    chunking = ChunkingConfig(capacity=stride + overlap, overlap=overlap)
+    notes = [note_with(" ".join(words), f"n{i}") for i, words in enumerate(texts)]
+    per_note = [chunk(tokenize(n.assembled_text, FI_FO_VOCAB).ids, chunking) for n in notes]
+    want = chunks_to_csr([w for windows in per_note for w in windows], len(FI_FO_VOCAB))
+    with mock.patch.object(training, "_BLOCK_WINDOWS", block):
+        split = build_labeled_chunks(notes, [0] * len(notes), chunking, FI_FO_VOCAB)
+    assert split.window_counts.tolist() == [len(windows) for windows in per_note]
+    assert split.features.shape == want.shape == (sum(map(len, per_note)), len(FI_FO_VOCAB))
+    for part in ("data", "indices", "indptr"):
+        got, expected = getattr(split.features, part), getattr(want, part)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), part
+
+
+def test_split_is_featurized_a_block_at_a_time():
+    rng = random.Random(0)
+    notes = [note_with("fi fo " * rng.randint(0, 120), f"n{i}") for i in range(60)]
+    lengths = []
+
+    def recording(chunks, vocab_size):
+        lengths.append(len(chunks))
+        return chunks_to_csr(chunks, vocab_size)
+
+    with mock.patch.object(training, "chunks_to_csr", recording):
+        split = build_labeled_chunks(
+            notes, [0] * 60, ChunkingConfig(capacity=4, overlap=1), FI_FO_VOCAB
+        )
+    assert len(lengths) > 2 and sum(lengths) == split.features.shape[0]
+    # pending windows are featurized once a block's worth is reached, so a
+    # call holds less than one block plus its last note's windows
+    assert max(lengths) < training._BLOCK_WINDOWS + split.window_counts.max()
+
+
 TOY_VOCAB = build_vocabulary(["a b"], max_size=10)  # "a" is id 4, "b" id 5
 TOY_CHUNKING = ChunkingConfig(capacity=10, overlap=2)
 
@@ -175,6 +222,20 @@ def test_empty_sets_rejected():
         train_linear_scorer(items, toy_separable(0), linear(), config, 0)
     with pytest.raises(DataError):
         train_linear_scorer(toy_separable(labels=[5]), items, linear(), config, 0)
+
+
+def test_trainer_that_would_never_step_is_refused():
+    items = toy_separable()  # 4 windows: 2 micro-batches of 2 an epoch, 6 in 3 epochs
+    config = TrainerConfig(max_epochs=3, batch_size=2, accumulation_steps=7)
+    with pytest.raises(ConfigError) as refused:
+        train_linear_scorer(items, items, linear(), config, 0)
+    assert str(refused.value) == (
+        "4 training windows at batch_size 2 give 6 micro-batches in max_epochs 3,"
+        " fewer than accumulation_steps 7: no optimizer step would run"
+    )
+    stepping = TrainerConfig(max_epochs=3, batch_size=2, accumulation_steps=6)
+    _, log = train_linear_scorer(items, items, linear(), stepping, 0)
+    assert log.total_optimizer_steps == 1
 
 
 def test_identical_seeds_identical_checkpoints(tmp_path):
@@ -300,6 +361,9 @@ def random_split(rng, window_counts, labels, vocab):
 def test_segment_trainer_matches_per_micro_batch_oracle(
     classes, window_counts, batch_size, accumulation_steps, max_epochs, seed, cells
 ):
+    # at least one optimizer step: fewer micro-batches than that is refused
+    micro_batches = math.ceil(sum(window_counts) / batch_size) * max_epochs
+    accumulation_steps = min(accumulation_steps, micro_batches)
     rng = np.random.default_rng(seed)
     vocab = 9
     train = random_split(
