@@ -255,7 +255,8 @@ def _pattern_ids(
 ) -> tuple[int, ...]:
     """Ids of the scorer's ``metadata.pattern`` tokens, normalized as note text
     is ("auto": the synthetic signal). A token outside the vocabulary would map
-    to UNK and fire on any run of unknown tokens, so it is refused."""
+    to UNK and fire on any run of unknown tokens, and a pattern longer than a
+    window could never fire, so both are refused."""
     spec = descriptor.metadata.get("pattern", "auto")
     if spec != "auto":
         tokens = normalize(spec)
@@ -263,6 +264,11 @@ def _pattern_ids(
         tokens = signal_pattern(config.data.signal_length)
     else:
         raise ConfigError("pattern 'auto' needs a synthetic data source")
+    if len(tokens) > config.chunking.capacity:
+        raise ConfigError(
+            f"pattern scorer {descriptor.scorer_id}: its {len(tokens)} tokens"
+            f" cannot fit in a window of capacity {config.chunking.capacity}"
+        )
     missing = [t for t in tokens if t not in vocab.token_to_id]
     if missing:
         raise ConfigError(

@@ -14,9 +14,9 @@ every scorer's output crosses, and it checks that output once.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence
 
@@ -39,11 +39,11 @@ from .tokenizer import FIRST_TEXT_ID
 if TYPE_CHECKING:
     from scipy import sparse
 
-# Windows per block. The featurizer counts one block per np.unique call,
-# linear scoring featurizes and scores one block at a time, and training
-# featurizes a block of pending windows at a time and joins the matrices
-# once. So no split's int64 keys, no training split's windows and no test
-# split's CSR exist whole at once, which bounds peak memory.
+# Windows per block. The featurizer gathers and counts one block per
+# np.unique call, linear scoring featurizes and scores one block at a time,
+# and training featurizes a block of pending windows at a time and joins
+# the matrices once. So no split's sort keys, no training split's windows
+# and no test split's CSR exist whole at once, which bounds peak memory.
 _BLOCK_WINDOWS = 128
 
 # The pattern scorer's row for a window that holds its pattern, and for one
@@ -215,10 +215,18 @@ class PatternScorer:
         check_classes(self.descriptor, 2)
 
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
-        rows = [
-            PATTERN_HIT if find_pattern(c.content, self.pattern_ids) else PATTERN_MISS
-            for c in chunks
-        ]
+        """Scan each note once: a window holds the pattern if the first
+        occurrence at or after its start also ends by its end."""
+        width = len(self.pattern_ids)
+        offsets: dict[int, list[int]] = {}  # id(source) -> the note's hits
+        rows = []
+        for c in chunks:
+            hits = offsets.get(id(c.source))
+            if hits is None:
+                hits = offsets[id(c.source)] = find_pattern(c.source, self.pattern_ids)
+            i = bisect_left(hits, c.start)
+            hit = i < len(hits) and hits[i] + width <= c.end
+            rows.append(PATTERN_HIT if hit else PATTERN_MISS)
         return np.array(rows, dtype=np.float64).reshape(len(chunks), 2)
 
     @classmethod
@@ -233,39 +241,49 @@ def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix
 
     Only a chunk's content is counted, never a frame, and reserved ids
     (UNK) count for nothing; an id at or past ``vocab_size`` raises
-    ContractError. Windows are counted in blocks of ``_BLOCK_WINDOWS``
-    with one ``np.unique`` over ``row * vocab_size + id`` keys, which
-    yields each row's columns in ascending order: the same float counts
-    in the same order as a per-row dict count, so ``features @ W.T`` is
-    bit-for-bit the same. Each block's counts and columns are made at the
-    matrix's own dtypes (float64 and int32), so scipy keeps the joined
-    arrays as they are.
+    ContractError naming the first such id in window order. Each distinct
+    note (a window's ``source``) becomes an id array once per call, and a
+    window's ids are a slice of it, so overlapping windows are not
+    converted again. Windows are counted in blocks of ``_BLOCK_WINDOWS``
+    with one ``np.unique`` over ``row * vocab_size + id`` keys (int32 when
+    a block's keys fit, else int64), which yields each row's columns in
+    ascending order: the same float counts in the same order as a per-row
+    dict count, so ``features @ W.T`` is bit-for-bit the same. Each
+    block's counts and columns are made at the matrix's own dtypes
+    (float64 and int32), so scipy keeps the joined arrays as they are.
 
     scipy is imported here, where a matrix is built, so a run that builds
     none never loads it.
     """
     from scipy import sparse
 
+    notes: dict[int, np.ndarray] = {}  # by id(source): `chunks` keeps each source alive
     counts, cols = [np.empty(0, np.float64)], [np.empty(0, np.int32)]
     indptr = np.zeros(len(chunks) + 1, np.int64)
     for lo in range(0, len(chunks), _BLOCK_WINDOWS):
         block = chunks[lo : lo + _BLOCK_WINDOWS]
-        lengths = [c.end - c.start for c in block]
-        ids = np.fromiter(
-            chain.from_iterable(c.content for c in block), dtype=np.int64, count=sum(lengths)
-        )
+        spans = []
+        for c in block:
+            note = notes.get(id(c.source))
+            if note is None:
+                note = notes[id(c.source)] = np.fromiter(c.source, np.int64, len(c.source))
+            spans.append(note[c.start : c.end])
+        ids = np.concatenate(spans)
         outside = ids >= vocab_size
         if outside.any():
             raise ContractError(
                 f"token id {ids[outside.argmax()]} outside vocabulary of {vocab_size}"
             )
         text = ids >= FIRST_TEXT_ID
-        row_of = np.repeat(np.arange(len(block), dtype=np.int64), lengths)
-        keys, n = np.unique(row_of[text] * vocab_size + ids[text], return_counts=True)
+        key_type = np.int32 if len(block) * vocab_size < 2**31 else np.int64
+        row_of = np.repeat(np.arange(len(block), dtype=key_type), [len(s) for s in spans])
+        keys, n = np.unique(
+            row_of[text] * vocab_size + ids[text].astype(key_type), return_counts=True
+        )
         indptr[lo + 1 : lo + 1 + len(block)] = np.bincount(
             keys // vocab_size, minlength=len(block)
         )
-        cols.append((keys % vocab_size).astype(np.int32))
+        cols.append((keys % vocab_size).astype(np.int32, copy=False))
         counts.append(n.astype(np.float64))
     np.cumsum(indptr, out=indptr)
     return sparse.csr_matrix(

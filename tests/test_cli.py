@@ -308,6 +308,19 @@ class TestCompare:
         (row,) = json.loads((out / "report.json").read_text())["rows"]
         assert row["error"] == "scorer p: pattern scorer p: tokens ['zzzz'] are not in the vocabulary"
 
+    def test_pattern_longer_than_a_window_gives_config_error_rows(self, tmp_path):
+        # the 60-token signal fits a window of 60 but never one of 59
+        argv = ["compare", "--config", OVERLAP_CONFIG, "--data.num_docs", "60",
+                "--chunking.overlap", "0"]
+        assert main([*argv, "--chunking.capacity", "60",
+                     "--output_dir", str(tmp_path / "fits")]) == 0
+        out = tmp_path / "out"
+        assert main([*argv, "--chunking.capacity", "59", "--output_dir", str(out)]) == 1
+        (row,) = json.loads((out / "report.json").read_text())["rows"]
+        assert row["macro_auroc"] is None
+        assert row["error"] == ("scorer pattern: pattern scorer pattern: its 60 tokens"
+                                " cannot fit in a window of capacity 59")
+
     def test_scorer_failure_propagates_exit_code(self, tmp_path, capsys):
         config = base_config(tmp_path, scorers=[
             {"scorer_id": "mock-a", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from unittest.mock import patch
 
@@ -11,9 +12,12 @@ from scipy import sparse
 
 from chunkfuse import scoring
 from chunkfuse.chunker import Chunk, ChunkingConfig, chunk
+from chunkfuse.corpus import find_pattern
 from chunkfuse.errors import ConfigError, ContractError, ScorerError
 from chunkfuse.scoring import (
     FIRST_TEXT_ID,
+    PATTERN_HIT,
+    PATTERN_MISS,
     LinearScorer,
     MockScorer,
     PatternScorer,
@@ -132,15 +136,25 @@ def assert_same_csr(got, want):
     assert np.array_equal(got @ weights.T, want @ weights.T)
 
 
+@st.composite
+def note_windows(draw, ids):
+    """The windows ``chunk()`` cuts from drawn notes, at a drawn geometry
+    (capacity from 1, overlap 0 to capacity - 1), in a drawn order: windows
+    of one note share its id tuple, so a note's array is reused out of turn
+    and across blocks."""
+    notes = draw(st.lists(st.lists(ids, max_size=30), max_size=10))
+    capacity = draw(st.integers(1, 12))
+    config = ChunkingConfig(capacity=capacity, overlap=draw(st.integers(0, capacity - 1)))
+    windows = [w for note in notes for w in chunk(note, config)]
+    if draw(st.booleans()):
+        random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(windows)
+    return windows
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(4, 40),
-    st.lists(st.lists(st.integers(0, 45), max_size=30), max_size=25),
-    st.integers(1, 6),
-)
-def test_csr_matches_dict_count_oracle(vocab_size, windows, block):
+@given(st.integers(4, 40), note_windows(st.integers(0, 45)), st.integers(1, 6))
+def test_csr_matches_dict_count_oracle(vocab_size, chunks, block):
     # ids up to 45 may pass the vocabulary: then both must name the same id
-    chunks = [window(w) for w in windows]
     with patch.object(scoring, "_BLOCK_WINDOWS", block):
         try:
             want = reference_csr(chunks, vocab_size)
@@ -180,6 +194,37 @@ def test_csr_is_built_at_its_final_dtypes():
         features = chunks_to_csr(chunks, 12)
         assert features.data.dtype == np.float64
         assert features.indices.dtype == features.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 128])
+def test_first_id_outside_the_vocabulary_in_window_order_is_named(block):
+    # note a's array is built for its clean first window; its bad id 60 sits
+    # in a window that comes after note b's window with 70
+    a, b = (4, 5, 6, 7, 60, 8), (9, 70, 9)
+    config = ChunkingConfig(capacity=3, overlap=1)
+    (a0, a1, a2), (b0,) = chunk(a, config), chunk(b, config)
+    with patch.object(scoring, "_BLOCK_WINDOWS", block):
+        with pytest.raises(ContractError, match="^token id 70 outside vocabulary of 50$"):
+            chunks_to_csr([a0, b0, a1, a2], 50)
+        with pytest.raises(ContractError, match="^token id 60 outside vocabulary of 50$"):
+            chunks_to_csr([a0, a1, b0, a2], 50)
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_csr_keys_past_int32_are_counted_at_int64(block):
+    # two rows of this vocabulary make keys past 2**31 - 1: block 2 needs
+    # int64 keys, block 1 stays at int32
+    vocab_size = 2**30 + 1
+    note = (vocab_size - 1, 4, vocab_size - 1, 1, vocab_size - 2)
+    chunks = chunk(note, ChunkingConfig(capacity=3, overlap=1))
+    with patch.object(scoring, "_BLOCK_WINDOWS", block):
+        got = chunks_to_csr(chunks, vocab_size)
+    want = reference_csr(chunks, vocab_size)
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+    assert got.indices.tolist() == [4, vocab_size - 1, vocab_size - 2, vocab_size - 1]
 
 
 def test_softmax_rows_stable_and_normalized():
@@ -332,6 +377,25 @@ def test_pattern_scorer_overlap_rejoins_split_signal():
     hit = [0.1, 0.9]
     assert hit in pattern.score_batch(with_overlap).tolist()
     assert hit not in pattern.score_batch(without).tolist()
+
+
+def pattern_rows(chunks, pattern):
+    """The per-window scan the pattern scorer replaced, kept as its oracle."""
+    return [PATTERN_HIT if find_pattern(c.content, pattern) else PATTERN_MISS for c in chunks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(note_windows(st.integers(4, 7)), st.lists(st.integers(4, 7), min_size=1, max_size=8))
+@example([], (5,))
+@example(chunk((5, 5, 5), ChunkingConfig(capacity=2, overlap=1)), (5, 5))  # overlapping repeats
+@example(chunk((4, 7, 8, 9, 4), ChunkingConfig(capacity=2, overlap=0)), (7, 8))  # on an edge
+@example(chunk((4, 7, 8, 9, 4), ChunkingConfig(capacity=3, overlap=2)), (7, 8, 9, 4))  # too long
+@example(chunk((), ChunkingConfig(capacity=3, overlap=0)), (4,))  # an empty note
+def test_pattern_scorer_matches_per_window_scan(chunks, pattern):
+    scorer = PatternScorer.for_pattern(descriptor(ScorerKind.PATTERN), pattern)
+    got = scorer.score_batch(chunks)
+    assert got.shape == (len(chunks), 2)
+    assert [tuple(row) for row in got.tolist()] == pattern_rows(chunks, tuple(pattern))
 
 
 def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
