@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ingest, generate, train, evaluate, compare, serve-mock.
+Subcommands: ingest, generate, compare, serve-mock.
 
-The config-driven commands (train, evaluate, compare) read one JSON
-config and accept dotted-path overrides for any field in it, e.g.
+``compare`` runs the method grid of one JSON experiment config, training
+and checkpointing the linear scorers it needs on the way. It accepts
+dotted-path overrides for any field in the config, e.g.
 ``--chunking.overlap 0`` or ``--trainer.max_epochs=5``. Override values
 are parsed as JSON, falling back to plain strings, so lists and objects
 work too: ``--fusion.model_weights='[0.7, 0.3]'``. A decimal part indexes
@@ -35,14 +36,7 @@ from .errors import (
     read_json,
     write_text,
 )
-from .experiment import (
-    ExperimentConfig,
-    Method,
-    build_scorers,
-    prepare_data,
-    run_experiment,
-)
-from .metrics import format_percent
+from .experiment import ExperimentConfig, run_experiment
 from .remote import StubScorerServer
 from .scoring import parse_probs
 
@@ -158,44 +152,6 @@ def cmd_generate(args: argparse.Namespace, extras: list[str]) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace, extras: list[str]) -> int:
-    config = load_config(args.config, extras)
-    prepared = prepare_data(config)
-    print(
-        f"splits: train={prepared.sizes['train']}"
-        f" validation={prepared.sizes['validation']}"
-        f" test={prepared.sizes['test']}, vocab={len(prepared.vocab)}"
-    )
-    scorers, failures = build_scorers(config, prepared)
-    for descriptor in config.scorers:
-        sid = descriptor.scorer_id
-        if sid in failures:
-            print(f"scorer {sid}: FAILED ({failures[sid]})")
-        else:
-            print(f"scorer {sid}: ready ({descriptor.kind.value})")
-    return max((err.exit_code for err in failures.values()), default=0)
-
-
-def cmd_evaluate(args: argparse.Namespace, extras: list[str]) -> int:
-    config = load_config(args.config, extras)
-    wanted = args.scorer_id or config.scorers[0].scorer_id
-    matches = [s for s in config.scorers if s.scorer_id == wanted]
-    if not matches:
-        available = [s.scorer_id for s in config.scorers]
-        raise ConfigError(f"no scorer {wanted!r}; configured: {available}")
-    config = dataclasses.replace(
-        config, scorers=(matches[0],), methods=(Method.AGGREGATION,), fusion=None
-    )
-    report = run_experiment(config)
-    (row,) = report.rows
-    if row.error is not None:
-        print(f"scorer {wanted}: error: {row.error}")
-        return row.error_code or 1
-    print(f"scorer {wanted}: macro AUROC {format_percent(row.macro_auroc)}%")
-    print(f"artifacts in {config.output_dir}")
-    return 0
-
-
 def cmd_compare(args: argparse.Namespace, extras: list[str]) -> int:
     config = load_config(args.config, extras)
     report = run_experiment(config)
@@ -273,16 +229,9 @@ def build_parser() -> _Parser:
         )
     generate.set_defaults(handler=cmd_generate)
 
-    for name, handler, text in (
-        ("train", cmd_train, "prepare data and build every configured scorer"),
-        ("evaluate", cmd_evaluate, "score one scorer on the test split"),
-        ("compare", cmd_compare, "run the full method comparison grid"),
-    ):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", required=True, help="experiment JSON file")
-        if name == "evaluate":
-            cmd.add_argument("--scorer-id", help="defaults to the first scorer")
-        cmd.set_defaults(handler=handler)
+    compare = sub.add_parser("compare", help="run the full method comparison grid")
+    compare.add_argument("--config", required=True, help="experiment JSON file")
+    compare.set_defaults(handler=cmd_compare)
 
     serve = sub.add_parser("serve-mock", help="run a local scoring endpoint")
     serve.add_argument("--port", type=int, default=0, help="0 picks a free port")

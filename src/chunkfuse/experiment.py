@@ -353,23 +353,25 @@ def _note_probs(
     return pool_windows(combined, [len(note) for note in columns[scorer_ids[0]]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedData:
-    """Everything the grid needs after ingestion, splitting, and vocab."""
+    """What the grid reads of the test split after ingestion, splitting,
+    and vocab. The training splits are returned beside it, not in it, so
+    that ``run_experiment`` drops them once the scorers are built."""
 
     vocab: Vocabulary
     sizes: dict[str, int]
     test_ids: frozenset[str]
     test_notes: list[ClinicalNote]
     test_labels: list[int]
-    # Shared by every trained scorer, released by build_scorers; None if none trains
-    train: TrainingSplit | None
-    validation: TrainingSplit | None
 
 
-def prepare_data(config: ExperimentConfig) -> PreparedData:
+def _prepare_data(
+    config: ExperimentConfig,
+) -> tuple[PreparedData, TrainingSplit | None, TrainingSplit | None]:
     """Load notes, split them, build the vocab from train only, and
-    featurize the train and validation splits if any scorer trains."""
+    featurize the train and validation splits if any scorer trains (else
+    both are None)."""
     notes = _load_notes(config)
     kept, labels = filter_for_task(notes, config.task)
     if not kept:
@@ -402,7 +404,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
             for ids in (split.train, split.validation)
         )
     test_notes, test_labels = notes_and_labels(split.test)
-    return PreparedData(
+    prepared = PreparedData(
         vocab=vocab,
         sizes={
             "train": len(split.train),
@@ -412,23 +414,20 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         test_ids=frozenset(split.test),
         test_notes=test_notes,
         test_labels=test_labels,
-        train=train,
-        validation=validation,
     )
+    return prepared, train, validation
 
 
-def build_scorers(
-    config: ExperimentConfig, prepared: PreparedData
-) -> tuple[dict[str, ChunkScorer], dict[str, ChunkfuseError]]:
-    """Construct every configured scorer; failures are collected, not raised.
-
-    Each scorer refuses, as it is built, a class count that is not the
-    task's. The shared training splits are taken out of ``prepared`` and
-    freed on return.
-    """
+def run_experiment(config: ExperimentConfig) -> ComparisonReport:
+    """Execute the full grid and write report/ROC artifacts to output_dir."""
+    started = time.perf_counter()
     output_dir = make_dir(config.output_dir, "output directory")
-    train, validation = prepared.train, prepared.validation
-    prepared.train = prepared.validation = None
+
+    prepared, train, validation = _prepare_data(config)
+    test_notes = prepared.test_notes
+    test_labels = prepared.test_labels
+    # A scorer that fails to build (one whose class count is not the
+    # task's, say) is kept as the error of its rows, not raised.
     scorers: dict[str, ChunkScorer] = {}
     failures: dict[str, ChunkfuseError] = {}
     for descriptor in config.scorers:
@@ -438,19 +437,9 @@ def build_scorers(
                 prepared.test_ids, output_dir,
             )
         except ChunkfuseError as err:
-            failures[descriptor.scorer_id] = err
-    return scorers, failures
-
-
-def run_experiment(config: ExperimentConfig) -> ComparisonReport:
-    """Execute the full grid and write report/ROC artifacts to output_dir."""
-    started = time.perf_counter()
-    output_dir = make_dir(config.output_dir, "output directory")
-
-    prepared = prepare_data(config)
-    test_notes = prepared.test_notes
-    test_labels = prepared.test_labels
-    scorers, failures = build_scorers(config, prepared)
+            # its traceback's frames would keep the training splits alive
+            failures[descriptor.scorer_id] = err.with_traceback(None)
+    del train, validation  # every trainer is done: free them before the test split
 
     # Chunk each test note once, then score per scorer in one flat batch.
     chunk_lists: list[list[Chunk]] = []

@@ -5,8 +5,8 @@ the multinomial cross-entropy with decoupled weight decay, gradient
 accumulation, and a linear warmup/decay learning-rate schedule. After
 every epoch the model is evaluated note-level (score all chunks of each
 validation note, average them, macro-AUROC over notes); training stops
-early once that score stops improving, and the best epoch's weights are
-what the caller gets back.
+early once that score stops improving over epochs that took an optimizer
+step, and the best epoch's weights are what the caller gets back.
 
 The weights change only at optimizer steps, so the trainer works one
 segment at a time: the micro-batches up to the next step (or the epoch's
@@ -274,6 +274,7 @@ def train_linear_scorer(
     for epoch in range(1, config.max_epochs + 1):
         order = rng_shuffle.permutation(n)
         losses = []
+        steps_before = opt_step
         lo = 0
         while lo < n:  # one segment: up to the next optimizer step or epoch end
             k = min(config.accumulation_steps - micro_in_window, per_product)
@@ -319,7 +320,9 @@ def train_linear_scorer(
                 "weights": weights.copy(),
                 "bias": bias.copy(),
             }
-        if stopper.update(val_auroc):
+        # An epoch that took no optimizer step left the weights as they
+        # were: it is no evidence of a plateau, so patience does not count it.
+        if opt_step > steps_before and stopper.update(val_auroc):
             stopped_early = True
             logger.info("early stop at epoch %d (best %.4f at epoch %d)",
                         epoch, best["auroc"], best["epoch"])

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, overrides, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -69,6 +70,16 @@ class TestParsing:
         ])
         assert rc == 1
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "exp.json"],
+        ["evaluate", "--config", "exp.json", "--scorer-id", "lin"],
+    ])
+    def test_removed_commands_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument command: invalid choice: '{argv[0]}'")
+        assert "Traceback" not in err
 
     def test_overrides_parse_values_as_json_or_keep_the_string(self):
         assert cli._parse_overrides(["--output_dir", "runs/x", "--seed=4", "--a.b", "[1]"]) == {
@@ -321,6 +332,33 @@ class TestCompare:
         assert row["error"] == ("scorer pattern: pattern scorer pattern: its 60 tokens"
                                 " cannot fit in a window of capacity 59")
 
+    def test_trains_linear_scorer_and_saves_checkpoint(self, tmp_path):
+        config = base_config(
+            tmp_path,
+            data={"kind": "synthetic", "num_docs": 80, "min_tokens": 80,
+                  "max_tokens": 160},
+            scorers=[{"scorer_id": "lin", "kind": "linear"}],
+            methods=["baseline", "aggregation"],
+            # 48 windows at batch_size 18: 9 micro-batches, 3 optimizer steps
+            trainer={"max_epochs": 3, "accumulation_steps": 3},
+            split_ratios=[0.6, 0.2, 0.2],
+            vocab_size=600,
+            seed=5,
+        )
+        assert main(["compare", "--config", config]) == 0
+        trained = tmp_path / "out"
+        report = json.loads((trained / "report.json").read_text())
+        assert report["sizes"] == {"train": 48, "validation": 16, "test": 16}
+        assert [row["error"] for row in report["rows"]] == [None, None]
+        checkpoint = trained / "scorer_lin.ckpt.json"
+        assert checkpoint.exists()
+        # the saved scorer, reloaded by a second run, gives the same rows
+        reloaded = tmp_path / "reloaded"
+        assert main(["compare", "--config", config, "--output_dir", str(reloaded),
+                     "--scorers.0.metadata.checkpoint", str(checkpoint)]) == 0
+        assert not (reloaded / "scorer_lin.ckpt.json").exists()
+        assert (reloaded / "report.json").read_bytes() == (trained / "report.json").read_bytes()
+
     def test_scorer_failure_propagates_exit_code(self, tmp_path, capsys):
         config = base_config(tmp_path, scorers=[
             {"scorer_id": "mock-a", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},
@@ -450,64 +488,7 @@ class TestCompare:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-class TestEvaluate:
-    def test_selects_scorer_by_id(self, tmp_path, capsys):
-        config = base_config(tmp_path)
-        rc = main(["evaluate", "--config", config, "--scorer-id", "mock-b"])
-        assert rc == 0
-        assert "scorer mock-b: macro AUROC 50.00%" in capsys.readouterr().out
-
-    def test_unknown_scorer_lists_configured(self, tmp_path, capsys):
-        config = base_config(tmp_path)
-        rc = main(["evaluate", "--config", config, "--scorer-id", "nope"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "mock-a" in err and "mock-b" in err
-
-    def test_error_row_exits_with_its_code(self, tmp_path, capsys):
-        config = base_config(tmp_path, scorers=[
-            {"scorer_id": "dead", "kind": "remote",
-             "metadata": {"endpoint": "http://127.0.0.1:9"}},
-        ], methods=["baseline"])
-        assert main(["evaluate", "--config", config]) == 3
-        assert capsys.readouterr().out.startswith("scorer dead: error: ")
-
-
-class TestTrain:
-    def test_trains_linear_scorer_and_saves_checkpoint(self, tmp_path, capsys):
-        config = base_config(
-            tmp_path,
-            data={"kind": "synthetic", "num_docs": 80, "min_tokens": 80,
-                  "max_tokens": 160},
-            scorers=[{"scorer_id": "lin", "kind": "linear"}],
-            methods=["aggregation"],
-            # 48 windows at batch_size 18: 9 micro-batches, 3 optimizer steps
-            trainer={"max_epochs": 3, "accumulation_steps": 3},
-            split_ratios=[0.6, 0.2, 0.2],
-            vocab_size=600,
-            seed=5,
-        )
-        rc = main(["train", "--config", config])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "splits: train=48 validation=16 test=16" in out
-        assert "scorer lin: ready (linear)" in out
-        assert (tmp_path / "out" / "scorer_lin.ckpt.json").exists()
-
-    def test_failed_scorer_sets_exit_code(self, tmp_path, capsys):
-        config = base_config(tmp_path, scorers=[
-            {"scorer_id": "mock-a", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},
-            {"scorer_id": "dead", "kind": "remote",
-             "metadata": {"endpoint": "http://127.0.0.1:9"}},
-        ], methods=["baseline"])
-        rc = main(["train", "--config", config])
-        assert rc == 3
-        out = capsys.readouterr().out
-        assert "scorer mock-a: ready (mock)" in out
-        assert "scorer dead: FAILED" in out
-
-
-@pytest.mark.parametrize("command", ["compare", "train"])
+@pytest.mark.parametrize("command", ["compare"])
 def test_output_dir_under_a_file_exits_2(tmp_path, capsys, command):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -515,6 +496,16 @@ def test_output_dir_under_a_file_exits_2(tmp_path, capsys, command):
     assert main([command, "--config", config]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot create output directory") and "Traceback" not in err
+
+
+def test_readme_cli_block_lists_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(re.findall(r"^chunkfuse ([\w-]+)", block, flags=re.M)) == set(subparsers.choices)
 
 
 class TestServeMock:

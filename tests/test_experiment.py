@@ -5,6 +5,7 @@ import json
 import math
 import re
 import typing
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -33,9 +34,10 @@ from chunkfuse.experiment import (
     ExperimentConfig,
     Method,
     ReportRow,
+    _build_scorer,
     _note_probs,
+    _prepare_data,
     emit_report,
-    prepare_data,
     run_experiment,
 )
 from chunkfuse.fusion import FusionSpec, PredictionMatrix, ensemble_fuse, weighted_fuse
@@ -56,6 +58,11 @@ def mock_descriptor(scorer_id: str, probs: str, num_classes: int = 2) -> ScorerD
         num_classes=num_classes,
         metadata={"probs": probs},
     )
+
+
+def vocab_of(config: ExperimentConfig):
+    """The vocabulary a run of ``config`` builds."""
+    return _prepare_data(config)[0].vocab
 
 
 def small_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -573,7 +580,7 @@ class TestRunExperiment:
         )
         message = f"the {empty} split is empty: {num_docs} labeled notes split by ratios {list(ratios)}"
         with pytest.raises(DataError, match=re.escape(message)) as err:
-            prepare_data(config)
+            run_experiment(config)
         assert err.value.exit_code == 2
 
     def test_unreachable_remote_scorer_yields_error_rows_only(self, tmp_path):
@@ -688,7 +695,7 @@ class TestRunExperiment:
         )
         if not isinstance(checkpoint, str):
             # bound to this run's vocabulary, so only its own fault shows
-            vocab_sha256 = prepare_data(config).vocab.sha256()
+            vocab_sha256 = vocab_of(config).sha256()
             checkpoint = json.dumps(dict(checkpoint, vocab_sha256=vocab_sha256))
         path.write_text(checkpoint)
         good, bad = run_experiment(config).rows
@@ -721,7 +728,7 @@ class TestRunExperiment:
             methods=(Method.BASELINE, Method.AGGREGATION),
             split_ratios=(0.5, 0.2, 0.3),
         )
-        vocab = prepare_data(config).vocab  # the checkpoint is bound to it
+        vocab = vocab_of(config)  # the checkpoint is bound to it
         path.write_text(json.dumps({
             "num_classes": 2, "vocab_size": len(vocab), "weights": [0.0] * (2 * len(vocab)),
             "bias": [0.0, 0.0], "vocab_sha256": vocab.sha256(),
@@ -907,7 +914,7 @@ class TestTrainedScorersEndToEnd:
             ),
             seed=seed,
         )
-        assert len(prepare_data(reloaded).vocab) == len(prepare_data(trained).vocab)
+        assert len(vocab_of(reloaded)) == len(vocab_of(trained))
         (row,) = run_experiment(reloaded).rows
         assert row.macro_auroc is None and row.error_code == 1
         assert "trained on vocabulary" in row.error
@@ -923,11 +930,11 @@ class TestTrainedScorersEndToEnd:
         assert set(doc["trainer_config"]) == {f.name for f in dataclasses.fields(TrainerConfig)}
         # The file does not record the seed, so its weights pin the derivation:
         # each trained scorer's seed is the "train:<id>" substream.
-        prepared = prepare_data(config)
+        _, train, validation = _prepare_data(config)
 
         def trained_weights(seed):
             scorer, _ = training.train_linear_scorer(
-                prepared.train, prepared.validation, config.scorers[0], config.trainer, seed
+                train, validation, config.scorers[0], config.trainer, seed
             )
             return scorer.weights
 
@@ -947,9 +954,10 @@ class TestTrainedScorersEndToEnd:
             scorers=(ScorerDescriptor(scorer_id="x", kind=ScorerKind.LINEAR, num_classes=2,
                                       metadata={"checkpoint": str(checkpoint)}),),
         )
-        scorers, failures = experiment.build_scorers(config, prepare_data(config))
-        assert failures == {}
-        assert scorers["x"].descriptor.scorer_id == "x"
+        prepared, _, _ = _prepare_data(config)
+        scorer = _build_scorer(config.scorers[0], config, prepared.vocab, None, None,
+                               prepared.test_ids, tmp_path)
+        assert scorer.descriptor.scorer_id == "x"
 
     def test_training_splits_are_featurized_once(self, tmp_path, monkeypatch):
         calls = Counter()
@@ -977,6 +985,33 @@ class TestTrainedScorersEndToEnd:
         # train and validation once for both trainers; the test split once
         # per linear scorer
         assert calls == {"training": 2, "scoring": 2}
+
+    @pytest.mark.parametrize("max_epochs", [
+        4,  # trains: 3 micro-batches an epoch, one optimizer step in 4 epochs
+        1,  # refused (3 micro-batches for accumulation_steps 10): error rows
+    ])
+    def test_training_splits_are_freed_before_the_test_split_is_chunked(
+        self, tmp_path, monkeypatch, max_epochs
+    ):
+        build_labeled_chunks, tokenize = experiment.build_labeled_chunks, experiment.tokenize
+        splits, alive = [], []
+
+        def watched(*args):
+            split = build_labeled_chunks(*args)
+            splits.append(weakref.ref(split))
+            return split
+
+        def first_test_note_tokenized(*args):
+            if not alive:
+                alive.append([ref() is not None for ref in splits])
+            return tokenize(*args)
+
+        monkeypatch.setattr(experiment, "build_labeled_chunks", watched)
+        monkeypatch.setattr(experiment, "tokenize", first_test_note_tokenized)
+        config = self.linear_config(tmp_path, "out", trainer=TrainerConfig(max_epochs=max_epochs))
+        (row,) = run_experiment(config).rows
+        assert (row.error is None) == (max_epochs == 4)
+        assert alive == [[False, False]]
 
 
 def roc_of(value: float) -> RocReport:

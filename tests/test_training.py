@@ -263,6 +263,19 @@ def test_optimizer_step_count_matches_formula():
     assert log.seen_note_ids == {f"t{i}" for i in range(20)}
 
 
+def test_patience_counts_only_epochs_that_stepped():
+    # 4 windows at batch_size 2: 2 micro-batches an epoch, so an optimizer
+    # step every 5 lands in epochs 3, 5 and 8. Delta 2.0 makes every AUROC
+    # after the first counted one a stall, so patience 2 stops at the third
+    # epoch that stepped; counting step-less epochs would stop at epoch 3.
+    config = TrainerConfig(max_epochs=20, batch_size=2, accumulation_steps=5,
+                           early_stop_delta=2.0, early_stop_patience=2)
+    _, log = train_linear_scorer(toy_separable(), toy_separable(), linear(), config, 0)
+    assert log.stopped_early
+    assert len(log.epochs) == 8
+    assert log.total_optimizer_steps == 3
+
+
 def oracle_train(train, validation, num_classes, config, seed):
     """The trainer with one row gather, one forward and one backward product
     per micro-batch: the reference the segment-batched trainer must match
@@ -285,6 +298,7 @@ def oracle_train(train, validation, num_classes, config, seed):
     for epoch in range(1, config.max_epochs + 1):
         order = rng_shuffle.permutation(n)
         losses = []
+        steps_before = opt_step
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             x, y = features[idx], flat_labels[idx]
@@ -317,7 +331,7 @@ def oracle_train(train, validation, num_classes, config, seed):
         epochs.append(EpochStats(epoch, float(np.mean(losses)), val_auroc, lr))
         if val_auroc > best[0]:
             best = (val_auroc, epoch, weights.copy(), bias.copy())
-        if stopper.update(val_auroc):
+        if opt_step > steps_before and stopper.update(val_auroc):  # step-less epochs wait
             stopped_early = True
             break
     log = TrainingLog(
