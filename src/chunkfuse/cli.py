@@ -37,7 +37,6 @@ from .errors import (
     write_text,
 )
 from .experiment import ExperimentConfig, run_experiment
-from .remote import StubScorerServer
 from .scoring import parse_probs
 
 
@@ -178,6 +177,8 @@ def cmd_serve_mock(args: argparse.Namespace, extras: list[str]) -> int:
                 f"--probs has {len(probs)} values for {args.num_classes} classes"
             )
         score_fn = lambda ids: list(probs)  # noqa: E731
+    from .remote import StubScorerServer  # the HTTP stack loads only to serve
+
     try:
         server = StubScorerServer(
             num_classes=args.num_classes,

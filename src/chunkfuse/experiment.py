@@ -54,7 +54,6 @@ from .errors import (
 )
 from .fusion import FusionSpec
 from .metrics import RocReport, format_percent, macro_auroc
-from .remote import RemoteScorer
 from .scoring import (
     ChunkScorer,
     LinearScorer,
@@ -297,6 +296,8 @@ def _build_scorer(
         ids = _pattern_ids(descriptor, config, vocab)
         return PatternScorer.for_pattern(descriptor, ids)
     if descriptor.kind is ScorerKind.REMOTE:
+        from .remote import RemoteScorer  # the HTTP stack loads only for remote scorers
+
         return RemoteScorer.connect(descriptor, config.task.value)
     checkpoint = descriptor.metadata.get("checkpoint")
     if checkpoint:

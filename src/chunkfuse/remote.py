@@ -10,17 +10,24 @@ Wire protocol (JSON over HTTP, UTF-8):
 
 The client splits oversized batches per the server's advertised limit,
 sends up to ``MAX_WORKERS`` sub-batches at once, and reassembles results
-in input order. Each request waits ``TIMEOUT_S`` seconds and is tried
-``MAX_ATTEMPTS`` times on network failures and 5xx replies. A reply that
-is not a JSON object, or ``/info`` fields that are not integers, are
-protocol violations. Score rows whose sum strays from 1 by at most 1e-4
-are renormalized with a warning; anything worse, or a non-finite entry,
-is a protocol violation, not a value to be repaired.
+in input order. Connections are persistent (HTTP/1.1): one scoring call
+keeps at most ``MAX_WORKERS`` of them open, reuses each for request after
+request unless the server says it will close it, and closes them all when
+it returns. Each request waits ``TIMEOUT_S`` seconds and is tried
+``MAX_ATTEMPTS`` times on network failures and 5xx replies, a failed
+attempt on a fresh connection. Any other reply outside 2xx fails at once:
+a 3xx redirect is not followed, and ``*_proxy`` environment variables are
+not consulted. A reply that is not a JSON object, or ``/info`` fields that
+are not integers, are protocol violations. Score rows whose sum strays
+from 1 by at most 1e-4 are renormalized with a warning; anything worse, or
+a non-finite entry, is a protocol violation, not a value to be repaired.
 
 ``StubScorerServer`` is the bundled in-process test double; the CLI's
-``serve-mock`` command exposes it on a real port. It answers a malformed
-``/score`` request with 400 and ``{"error": str}``, as it does a body that
-stops short of its Content-Length for ``TIMEOUT_S`` seconds.
+``serve-mock`` command exposes it on a real port. It speaks HTTP/1.1 with
+Nagle's algorithm off, and closes every connection whose request body it
+did not read. It answers a malformed ``/score`` request with 400 and
+``{"error": str}``, as it does a body that stops short of its
+Content-Length for ``TIMEOUT_S`` seconds.
 """
 
 from __future__ import annotations
@@ -29,10 +36,9 @@ import http.client
 import json
 import logging
 import math
+import queue
 import re
 import threading
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -53,31 +59,55 @@ MAX_ATTEMPTS = 3  # retries follow at once; there is no backoff
 MAX_WORKERS = 4  # sub-batches in flight at once
 
 
-def _http_json(url: str, payload: dict | None) -> dict:
+def _connection(url: str) -> http.client.HTTPConnection:
+    """A new, not yet connected, connection to ``url``'s host."""
+    parts = urlsplit(url)
+    kind = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    return kind(parts.hostname, parts.port, timeout=TIMEOUT_S)
+
+
+def _http_json(url: str, payload: dict | None,
+               idle: queue.SimpleQueue | None = None) -> dict:
     """One JSON request with retries on network failures and 5xx. A body
-    that is not JSON, or JSON that is not an object, is a ProtocolError."""
-    body = None if payload is None else json.dumps(payload).encode()
+    that is not JSON, or JSON that is not an object, is a ProtocolError.
+
+    The request goes out on a connection taken from ``idle``, or a new one,
+    and a connection the server keeps open is put back there afterwards;
+    without ``idle`` it is closed. A connection that failed is closed."""
+    parts = urlsplit(url)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    method, body, headers = "GET", None, {}
+    if payload is not None:
+        method, body = "POST", json.dumps(payload).encode()
+        headers = {"Content-Type": "application/json"}
     last: TransportError | None = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        request = urllib.request.Request(
-            url, data=body, headers={"Content-Type": "application/json"}
-        )
         try:
-            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
-                raw = response.read()
-            break
-        except urllib.error.HTTPError as err:
-            last = TransportError(
-                f"{url} returned HTTP {err.code}", url=url, status=err.code,
-                attempts=attempt,
-            )
-            if err.code < 500:
-                raise last from err  # client errors will not heal on retry
-        except (urllib.error.URLError, TimeoutError, ConnectionError,
-                http.client.HTTPException) as err:
+            conn = idle.get_nowait() if idle is not None else _connection(url)
+        except queue.Empty:
+            conn = _connection(url)
+        try:
+            conn.request(method, target, body, headers)
+            response = conn.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as err:
+            conn.close()
             last = TransportError(
                 f"{url} unreachable: {err}", url=url, status=None, attempts=attempt
             )
+            continue
+        if idle is None or response.will_close:
+            conn.close()
+        else:
+            idle.put(conn)
+        if 200 <= response.status < 300:
+            break
+        last = TransportError(
+            f"{url} returned HTTP {response.status}", url=url,
+            status=response.status, attempts=attempt,
+        )
+        if response.status < 500:
+            raise last  # client errors (and redirects) will not heal on retry
     else:
         raise last
     try:
@@ -164,14 +194,14 @@ class RemoteScorer:
             raise ProtocolError(f"{endpoint}/info: nonsensical max_batch {max_batch}")
         return cls(descriptor, endpoint, task, max_batch)
 
-    def _score_sub_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
+    def _score_sub_batch(self, chunks: Sequence[Chunk], idle: queue.SimpleQueue) -> np.ndarray:
         url = self.endpoint + "/score"
         num_classes = self.descriptor.num_classes
         reply = _http_json(url, {
             "task": self.task,
             "num_classes": num_classes,
             "chunks": [{"ids": list(c.ids)} for c in chunks],
-        })
+        }, idle)
         return _score_rows(reply.get("scores"), len(chunks), num_classes, url)
 
     def score_batch(self, chunks: Sequence[Chunk]) -> np.ndarray:
@@ -181,14 +211,26 @@ class RemoteScorer:
             chunks[i : i + self.max_batch]
             for i in range(0, len(chunks), self.max_batch)
         ]
-        # Sub-batches may land on the server in any order; pool.map
-        # returns their replies in input order regardless.
-        with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(parts))) as pool:
-            return np.concatenate(list(pool.map(self._score_sub_batch, parts)))
+        # A worker holds at most one connection at a time, so the pool
+        # never holds more than the workers do.
+        idle: queue.SimpleQueue = queue.SimpleQueue()
+        try:
+            # Sub-batches may land on the server in any order; pool.map
+            # returns their replies in input order regardless.
+            with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(parts))) as pool:
+                replies = pool.map(lambda part: self._score_sub_batch(part, idle), parts)
+                return np.concatenate(list(replies))
+        finally:  # the workers have all returned: every open connection is idle
+            while not idle.empty():
+                idle.get_nowait().close()
 
 
 class _StubHandler(BaseHTTPRequestHandler):
     server: "_StubHTTPServer"
+    protocol_version = "HTTP/1.1"  # keep-alive: a client may send request after request
+    # Headers and body go out as two sends; with Nagle's algorithm on, the
+    # client's delayed ACK holds the body back by tens of milliseconds.
+    disable_nagle_algorithm = True
     timeout = TIMEOUT_S  # a body shorter than its Content-Length must not pin a thread
 
     def log_message(self, *args) -> None:  # silence per-request stderr noise
@@ -200,11 +242,17 @@ class _StubHandler(BaseHTTPRequestHandler):
         except ConnectionError:  # the client has gone; nobody reads the reply
             pass
 
-    def _reply(self, status: int, payload: object) -> None:
+    def _reply(self, status: int, payload: object, body_read: bool = False) -> None:
+        """Send ``payload``. Unless the request's body was read, or it has
+        none, the connection closes after the reply: the unread bytes would
+        be taken for the next request."""
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if not body_read and ("Content-Length" in self.headers
+                              or "Transfer-Encoding" in self.headers):
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -249,10 +297,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         override = stub.respond
         if override is not None:
             status, payload = override(body)
-            self._reply(status, payload)
+            self._reply(status, payload, body_read=True)
             return
         scores = [stub.score_fn(c["ids"]) for c in body["chunks"]]
-        self._reply(200, {"scores": scores})
+        self._reply(200, {"scores": scores}, body_read=True)
 
 
 class _StubHTTPServer(ThreadingHTTPServer):

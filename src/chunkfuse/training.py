@@ -6,7 +6,8 @@ accumulation, and a linear warmup/decay learning-rate schedule. After
 every epoch the model is evaluated note-level (score all chunks of each
 validation note, average them, macro-AUROC over notes); training stops
 early once that score stops improving over epochs that took an optimizer
-step, and the best epoch's weights are what the caller gets back.
+step, and the weights of the best such epoch are what the caller gets
+back.
 
 The weights change only at optimizer steps, so the trainer works one
 segment at a time: the micro-batches up to the next step (or the epoch's
@@ -313,6 +314,11 @@ def train_linear_scorer(
                 lr=current_lr,
             )
         )
+        # An epoch that took no optimizer step left the weights as they
+        # were: before the first step they are the random initialization,
+        # never a result, and after it they are no evidence of a plateau.
+        if opt_step == steps_before:
+            continue
         if val_auroc > best["auroc"]:
             best = {
                 "auroc": val_auroc,
@@ -320,9 +326,7 @@ def train_linear_scorer(
                 "weights": weights.copy(),
                 "bias": bias.copy(),
             }
-        # An epoch that took no optimizer step left the weights as they
-        # were: it is no evidence of a plateau, so patience does not count it.
-        if opt_step > steps_before and stopper.update(val_auroc):
+        if stopper.update(val_auroc):
             stopped_early = True
             logger.info("early stop at epoch %d (best %.4f at epoch %d)",
                         epoch, best["auroc"], best["epoch"])

@@ -4,6 +4,7 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -78,7 +79,7 @@ def post_score(stub, body: bytes, length: str | None = None) -> tuple[int, dict]
         conn.close()
 
 
-@pytest.mark.parametrize("body, length", [
+MALFORMED_SCORE_REQUESTS = [  # (body, Content-Length when not the body's length)
     (b"not json", None),
     (b"\xff\xfe{}", None),
     (b"[]", None),
@@ -88,7 +89,10 @@ def post_score(stub, body: bytes, length: str | None = None) -> tuple[int, dict]
     (b'{"task": "mortality"}', None),
     (b"{}", "two"),
     (b"{}", "-1"),
-])
+]
+
+
+@pytest.mark.parametrize("body, length", MALFORMED_SCORE_REQUESTS)
 def test_malformed_score_request_gets_400_and_the_stub_keeps_serving(body, length):
     with StubScorerServer() as stub:
         status, reply = post_score(stub, body, length)
@@ -96,6 +100,28 @@ def test_malformed_score_request_gets_400_and_the_stub_keeps_serving(body, lengt
         status, reply = post_score(stub, b'{"chunks": [{"ids": [2, 9, 3]}]}')
         assert (status, reply) == (200, {"scores": [[0.5, 0.5]]})
         assert stub.batch_sizes == [1]
+
+
+@pytest.mark.parametrize("path, body, length", [
+    ("/nope", b'{"chunks": [{"ids": [2, 9, 3]}]}', None),
+    *(("/score", body, length) for body, length in MALFORMED_SCORE_REQUESTS),
+])
+def test_reply_that_leaves_the_body_unread_closes_the_connection(path, body, length):
+    # On a kept-alive connection the unread body would be parsed as the
+    # start of the next request.
+    request = (f"POST {path} HTTP/1.1\r\nHost: stub\r\n"
+               f"Content-Length: {len(body) if length is None else length}\r\n\r\n")
+    with StubScorerServer() as stub:
+        address = urlsplit(stub.endpoint).hostname, urlsplit(stub.endpoint).port
+        with socket.create_connection(address, timeout=5) as conn:
+            conn.sendall(request.encode() + body + b"GET /info HTTP/1.1\r\n\r\n")
+            reply = conn.makefile("rb").read()  # to EOF: the stub closed the connection
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == (b"404" if path == "/nope" else b"400")
+        assert b"\r\nConnection: close" in head
+        assert b"HTTP/1.1" not in rest  # the GET after the body was not answered
+        status, reply = post_score(stub, b'{"chunks": [{"ids": [2, 9, 3]}]}')
+        assert (status, reply) == (200, {"scores": [[0.5, 0.5]]})
 
 
 def test_short_body_gets_400_after_the_timeout_and_a_gone_client_is_dropped(
@@ -247,6 +273,72 @@ def test_concurrent_sub_batches_preserve_order():
             assert vector[1] == pytest.approx((1000 + i) % 100 / 100.0)
 
 
+@pytest.fixture
+def stub_connections(monkeypatch):
+    """Counts of the connections the stub has accepted and finished."""
+    counts = {"accepted": 0, "finished": 0}
+    lock = threading.Lock()
+    setup, finish = remote._StubHandler.setup, remote._StubHandler.finish
+
+    def counted_setup(self):
+        with lock:
+            counts["accepted"] += 1
+        setup(self)
+
+    def counted_finish(self):
+        try:
+            finish(self)
+        finally:
+            with lock:
+                counts["finished"] += 1
+
+    monkeypatch.setattr(remote._StubHandler, "setup", counted_setup)
+    monkeypatch.setattr(remote._StubHandler, "finish", counted_finish)
+    return counts
+
+
+def all_finished(counts, within_s=2.0):
+    """Whether every accepted connection finishes within ``within_s``, well
+    inside the TIMEOUT_S an idle connection would otherwise be held."""
+    deadline = time.monotonic() + within_s
+    while counts["finished"] < counts["accepted"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return counts["finished"] == counts["accepted"]
+
+
+def test_one_call_reuses_at_most_max_workers_connections_and_closes_them(stub_connections):
+    with StubScorerServer(max_batch=2, score_fn=id_scores) as stub:
+        scorer = connect(stub)
+        assert all_finished(stub_connections) and stub_connections["accepted"] == 1
+        out = scorer.score_batch([make_chunk(i) for i in range(80)])
+        assert len(stub.batch_sizes) == 40
+        assert 1 <= stub_connections["accepted"] - 1 <= remote.MAX_WORKERS
+        assert all_finished(stub_connections)
+        stub.respond = lambda body: (200, {"scores": []})
+        # kept in `failed`, the error's traceback holds the call's frames
+        with pytest.raises(ProtocolError) as failed:
+            scorer.score_batch([make_chunk(i) for i in range(80)])
+        assert all_finished(stub_connections)
+    assert out[:, 1] == pytest.approx([(1000 + i) % 100 / 100.0 for i in range(80)])
+
+
+def test_server_that_closes_every_connection_gets_one_per_request(
+    monkeypatch, stub_connections
+):
+    send_response = remote._StubHandler.send_response
+
+    def closing(self, code, message=None):
+        send_response(self, code, message)
+        self.send_header("Connection", "close")
+
+    monkeypatch.setattr(remote._StubHandler, "send_response", closing)
+    with StubScorerServer(max_batch=2, score_fn=id_scores) as stub:
+        out = connect(stub).score_batch([make_chunk(i) for i in range(20)])
+        assert all_finished(stub_connections)
+        assert stub_connections["accepted"] == 1 + len(stub.batch_sizes) == 11
+    assert out[:, 1] == pytest.approx([(1000 + i) % 100 / 100.0 for i in range(20)])
+
+
 def test_empty_batch_rejected():
     with StubScorerServer() as stub:
         with pytest.raises(ContractError):
@@ -359,36 +451,38 @@ def test_transient_failure_then_recovery():
         assert state["calls"] == 2
 
 
-class CannedResponse:
+class CannedConnection:
+    """A connection whose every reply is a 200 with the body ``read`` gives."""
+
     def __init__(self, read):
         self.read = read
+        self.requests = []
 
-    def __enter__(self):
-        return self
+    def request(self, method, target, body, headers):
+        self.requests.append((method, target))
 
-    def __exit__(self, *exc):
-        return False
+    def getresponse(self):
+        return SimpleNamespace(status=200, will_close=False, read=self.read)
+
+    def close(self):
+        pass
 
 
 def test_undecodable_reply_is_protocol_error_truncated_reply_retries(monkeypatch):
-    calls = []
-
     def serve(read):
-        def urlopen(request, timeout):
-            calls.append(request)
-            return CannedResponse(read)
-        monkeypatch.setattr(remote.urllib.request, "urlopen", urlopen)
+        conn = CannedConnection(read)
+        monkeypatch.setattr(remote, "_connection", lambda url: conn)
+        return conn.requests
 
-    serve(lambda: b"\xff\xfe{")
+    calls = serve(lambda: b"\xff\xfe{")
     with pytest.raises(ProtocolError, match="non-JSON"):
         remote._http_json("http://stub/score", {})
-    assert len(calls) == 1  # a garbled body is not retried
+    assert calls == [("POST", "/score")]  # a garbled body is not retried
 
     def truncated():
         raise http.client.IncompleteRead(b"{", 10)
 
-    calls.clear()
-    serve(truncated)
+    calls = serve(truncated)
     with pytest.raises(TransportError) as exc:
         remote._http_json("http://stub/score", {})
     assert exc.value.attempts == 3 and len(calls) == 3

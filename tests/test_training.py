@@ -276,6 +276,23 @@ def test_patience_counts_only_epochs_that_stepped():
     assert log.total_optimizer_steps == 3
 
 
+def test_best_weights_come_from_an_epoch_that_stepped():
+    # 4 windows at batch_size 2: with a step every 7 micro-batches, the first
+    # lands in epoch 4. Identical validation notes score an AUROC of 0.5
+    # whatever the weights, so epoch 1 (the untrained initialization) would
+    # otherwise stay the best.
+    same = build_labeled_chunks([note_with("a a a", "v0"), note_with("a a a", "v1")],
+                                [0, 1], TOY_CHUNKING, TOY_VOCAB)
+    config = TrainerConfig(max_epochs=6, batch_size=2, accumulation_steps=7)
+    scorer, log = train_linear_scorer(toy_separable(), same, linear(), config, 0)
+    assert [e.val_auroc for e in log.epochs] == [0.5] * 6
+    assert log.total_optimizer_steps == 1
+    assert (log.best_epoch, log.best_val_auroc) == (4, 0.5)
+    untrained = np.random.default_rng(child_seed(0, "init")).normal(
+        scale=0.01, size=scorer.weights.shape)
+    assert not np.array_equal(scorer.weights, untrained)
+
+
 def oracle_train(train, validation, num_classes, config, seed):
     """The trainer with one row gather, one forward and one backward product
     per micro-batch: the reference the segment-batched trainer must match
@@ -329,9 +346,11 @@ def oracle_train(train, validation, num_classes, config, seed):
         note_probs = pool_windows(window_probs, validation.window_counts)
         val_auroc = macro_auroc(note_probs, validation.labels, num_classes).macro_auc
         epochs.append(EpochStats(epoch, float(np.mean(losses)), val_auroc, lr))
+        if opt_step == steps_before:  # a step-less epoch neither counts nor wins
+            continue
         if val_auroc > best[0]:
             best = (val_auroc, epoch, weights.copy(), bias.copy())
-        if opt_step > steps_before and stopper.update(val_auroc):  # step-less epochs wait
+        if stopper.update(val_auroc):
             stopped_early = True
             break
     log = TrainingLog(
