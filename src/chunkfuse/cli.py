@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: ingest, generate, compare, serve-mock.
+Subcommands: ingest, compare, serve-mock.
 
 ``compare`` runs the method grid of one JSON experiment config, training
 and checkpointing the linear scorers it needs on the way. It accepts
@@ -17,16 +17,14 @@ transport errors, 4 undefined metrics.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
 import sys
 import time
-import typing
 from pathlib import Path
 
-from .corpus import CsvSchema, GeneratorConfig, generate_synthetic_corpus, ingest_csv
+from .corpus import CsvSchema, ingest_csv
 from .errors import (
     ChunkfuseError,
     ConfigError,
@@ -116,11 +114,6 @@ def _reject_extras(extras: list[str]) -> None:
         raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
 
 
-def _write_jsonl(notes, path: str) -> None:
-    """One JSON object per note: its fields."""
-    write_text(path, "".join(json.dumps(vars(n), sort_keys=True) + "\n" for n in notes), "notes")
-
-
 def cmd_ingest(args: argparse.Namespace, extras: list[str]) -> int:
     _reject_extras(extras)
     schema_doc = as_object(read_json(args.schema, "schema"), "schema")
@@ -130,24 +123,10 @@ def cmd_ingest(args: argparse.Namespace, extras: list[str]) -> int:
         print(f"warning: missing columns {list(result.missing_columns)}")
     if not result.notes:
         raise DataError(f"{args.input} produced no usable notes")
-    if args.output:
-        _write_jsonl(result.notes, args.output)
     print(
         f"ingested {len(result.notes)} notes"
         f" ({result.skipped_rows} rows skipped)"
     )
-    return 0
-
-
-def cmd_generate(args: argparse.Namespace, extras: list[str]) -> int:
-    _reject_extras(extras)
-    generator = build_block("generate", GeneratorConfig, {
-        f.name: getattr(args, f.name) for f in dataclasses.fields(GeneratorConfig)
-    })
-    notes = generate_synthetic_corpus(generator, args.seed)
-    _write_jsonl(notes, args.output)
-    positives = sum(1 for n in notes if n.mortality_label == 1)
-    print(f"wrote {len(notes)} notes ({positives} positive) to {args.output}")
     return 0
 
 
@@ -215,20 +194,7 @@ def build_parser() -> _Parser:
     ingest = sub.add_parser("ingest", help="read a CSV corpus and report stats")
     ingest.add_argument("--input", required=True, help="CSV file of notes")
     ingest.add_argument("--schema", required=True, help="JSON column-mapping file")
-    ingest.add_argument("--output", help="write notes as JSON lines")
     ingest.set_defaults(handler=cmd_ingest)
-
-    generate = sub.add_parser("generate", help="write a synthetic corpus")
-    generate.add_argument("--output", required=True, help="JSON lines destination")
-    generate.add_argument("--seed", type=int, default=0)
-    # One flag per GeneratorConfig field, with its type and default.
-    hints = typing.get_type_hints(GeneratorConfig)
-    for f in dataclasses.fields(GeneratorConfig):
-        generate.add_argument(
-            "--" + f.name.replace("_", "-"), type=hints[f.name], default=f.default,
-            required=f.default is dataclasses.MISSING,
-        )
-    generate.set_defaults(handler=cmd_generate)
 
     compare = sub.add_parser("compare", help="run the full method comparison grid")
     compare.add_argument("--config", required=True, help="experiment JSON file")

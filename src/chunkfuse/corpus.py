@@ -149,8 +149,8 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> IngestResult:
     values are present but unparseable or out of range are skipped and
     counted instead of failing the whole file. No cell is too long: csv's
     field limit is raised to the file's size. A path that is missing, is
-    not a readable file, or does not hold UTF-8 CSV, and a row with fewer
-    cells than the header, are a DataError naming it.
+    not a readable file, or does not hold UTF-8 CSV, a row whose cell count
+    is not the header's, and a repeated note id are a DataError naming it.
     """
     path = Path(path)
     try:
@@ -175,19 +175,29 @@ def _read_notes(path: Path, reader: csv.DictReader, schema: CsvSchema) -> Ingest
         if col not in header
     )
     notes: list[ClinicalNote] = []
+    first_line: dict[str, int] = {}  # note id -> line it first appeared on
     skipped = 0
     for row in reader:
         if None in row.values():  # csv.DictReader's filler for a missing cell
             raise DataError(f"{path}: line {reader.line_num} has fewer cells than the header")
+        if None in row:  # csv.DictReader's key for the cells past the header
+            raise DataError(f"{path}: line {reader.line_num} has more cells than the header")
         try:
-            notes.append(ClinicalNote(
+            note = ClinicalNote(
                 note_id=row[schema.id_column],
                 sections={k: row.get(schema.section_columns[k]) or "" for k in SECTION_ORDER},
                 mortality_label=_cell(row, schema.mortality_column, int),
                 los_days=_cell(row, schema.los_column, float),
-            ))
+            )
         except (ValueError, InvalidLabelError):
             skipped += 1
+            continue
+        line = first_line.setdefault(note.note_id, reader.line_num)
+        if line != reader.line_num:
+            raise DataError(
+                f"{path}: line {reader.line_num} repeats note id {note.note_id!r} of line {line}"
+            )
+        notes.append(note)
     return IngestResult(notes=notes, skipped_rows=skipped, missing_columns=missing)
 
 
@@ -218,8 +228,6 @@ def split_dataset(
     if not ids:
         raise ContractError("cannot split an empty corpus")
     ids = list(ids)
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate note ids in corpus")
     rng = random.Random(seed)
     rng.shuffle(ids)
     n = len(ids)

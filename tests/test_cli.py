@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import logging
@@ -63,17 +62,18 @@ class TestParsing:
         assert main([]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_flag_on_generate_rejected(self, tmp_path, capsys):
+    def test_unknown_flag_on_ingest_rejected(self, capsys):
         rc = main([
-            "generate", "--num-docs", "4",
-            "--output", str(tmp_path / "x.jsonl"), "--window", "7",
+            "ingest", "--input", "notes.csv", "--schema", "schema.json",
+            "--output", "notes.jsonl",
         ])
         assert rc == 1
-        assert "window" in capsys.readouterr().err
+        assert "unrecognized arguments: --output notes.jsonl" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["train", "--config", "exp.json"],
         ["evaluate", "--config", "exp.json", "--scorer-id", "lin"],
+        ["generate", "--num-docs", "4", "--output", "notes.jsonl"],
     ])
     def test_removed_commands_exit_1(self, capsys, argv):
         assert main(argv) == 1
@@ -94,33 +94,6 @@ class TestParsing:
     def test_malformed_overrides_are_config_errors(self, extras, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             cli._parse_overrides(extras)
-
-
-class TestGenerate:
-    def test_writes_jsonl_with_exact_positive_count(self, tmp_path, capsys):
-        out = tmp_path / "notes.jsonl"
-        rc = main([
-            "generate", "--num-docs", "12", "--output", str(out),
-            "--min-tokens", "30", "--max-tokens", "60", "--seed", "4",
-        ])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 12
-        records = [json.loads(line) for line in lines]
-        assert sum(r["mortality_label"] for r in records) == 6
-        assert all(set(r["sections"]) == set(SECTION_ORDER) for r in records)
-        assert "12 notes (6 positive)" in capsys.readouterr().out
-        # pinned: a note's fields only, never its derived assembled text
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f25741a4f89c682b471fd1d56a657560d0260b551ec5fad1d8373e53f6d699ff"
-        )
-
-    def test_bad_generator_value_is_config_error(self, tmp_path, capsys):
-        rc = main([
-            "generate", "--num-docs", "0", "--output", str(tmp_path / "x.jsonl"),
-        ])
-        assert rc == 1
-        assert "num_docs" in capsys.readouterr().err
 
 
 SCHEMA = {
@@ -161,24 +134,20 @@ class TestIngest:
 
     def test_round_trip(self, tmp_path, capsys):
         csv_path, schema_path = self.write_fixture(tmp_path, INGEST_ROWS)
-        out = tmp_path / "notes.jsonl"
-        rc = main([
-            "ingest", "--input", csv_path, "--schema", schema_path,
-            "--output", str(out),
-        ])
+        rc = main(["ingest", "--input", csv_path, "--schema", schema_path])
         assert rc == 0
         assert "ingested 2 notes (0 rows skipped)" in capsys.readouterr().out
-        records = [json.loads(line) for line in out.read_text().splitlines()]
+        records = [vars(n) for n in ingest_csv(csv_path, CsvSchema(**SCHEMA)).notes]
         assert [r["note_id"] for r in records] == ["n1", "n2"]
         assert records[0]["los_days"] == 3.5
         assert records[1]["los_days"] is None
         blank = {k: "" for k in SECTION_ORDER}
-        assert out.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in [
+        assert records == [
             {"los_days": 3.5, "mortality_label": 1, "note_id": "n1",
              "sections": {**blank, "CC": "chest pain", "PI": "two days"}},
             {"los_days": None, "mortality_label": 0, "note_id": "n2",
              "sections": {**blank, "CC": "fever", "MH": "copd"}},
-        ])
+        ]
 
     def test_missing_schema_file(self, tmp_path, capsys):
         rc = main([
@@ -230,27 +199,20 @@ class TestIngest:
             "ingested 2 notes (1 rows skipped)\n"
         )
 
-    def ingest_records(self, csv_path, schema_path, tmp_path) -> list[dict]:
-        out = tmp_path / "notes.jsonl"
-        rc = main(["ingest", "--input", csv_path, "--schema", schema_path,
-                   "--output", str(out)])
-        assert rc == 0
-        return [json.loads(line) for line in out.read_text().splitlines()]
-
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a byte-order mark
-        csv_path, schema_path = self.write_fixture(tmp_path, INGEST_ROWS)
+        csv_path, _ = self.write_fixture(tmp_path, INGEST_ROWS)
         Path(csv_path).write_bytes(b"\xef\xbb\xbf" + Path(csv_path).read_bytes())
-        records = self.ingest_records(csv_path, schema_path, tmp_path)
-        assert [r["note_id"] for r in records] == ["n1", "n2"]
+        notes = ingest_csv(csv_path, CsvSchema(**SCHEMA)).notes
+        assert [n.note_id for n in notes] == ["n1", "n2"]
 
     def test_cell_past_csvs_default_field_limit_is_kept_whole(self, tmp_path):
         words = " ".join(f"w{i}" for i in range(30_000))
         assert len(words) > 131_072  # csv.field_size_limit()'s default
         rows = [[INGEST_ROWS[0][0], words, *INGEST_ROWS[0][2:]], INGEST_ROWS[1]]
-        csv_path, schema_path = self.write_fixture(tmp_path, rows)
-        first, _ = self.ingest_records(csv_path, schema_path, tmp_path)
-        assert first["sections"][SECTION_ORDER[0]] == words
+        csv_path, _ = self.write_fixture(tmp_path, rows)
+        first, _ = ingest_csv(csv_path, CsvSchema(**SCHEMA)).notes
+        assert first.sections[SECTION_ORDER[0]] == words
 
     def test_all_rows_skipped_is_data_error(self, tmp_path, capsys):
         csv_path, schema_path = self.write_fixture(tmp_path, [
@@ -505,7 +467,11 @@ def test_readme_cli_block_lists_exactly_the_subcommands():
         action for action in cli.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    assert set(re.findall(r"^chunkfuse ([\w-]+)", block, flags=re.M)) == set(subparsers.choices)
+    lines = dict(re.findall(r"^chunkfuse ([\w-]+)(.*)$", block, flags=re.M))
+    assert set(lines) == set(subparsers.choices)
+    for name, rest in lines.items():
+        flags = set(re.findall(r"--[\w-]+", rest))
+        assert flags <= set(subparsers.choices[name]._option_string_actions), name
 
 
 class TestServeMock:
@@ -734,11 +700,19 @@ def test_fuzz_ingest_csv_fails_closed(tmp_path, capsys, text):
     assert rc <= 2
 
 
-def test_short_row_is_data_error_naming_its_line(tmp_path, capsys):
-    csv_path, schema_path = write_ingest_fixture(
-        tmp_path, [INGEST_ROWS[0], ["n1", "chest"]], SCHEMA
-    )
-    rc = main(["ingest", "--input", csv_path, "--schema", schema_path])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"{csv_path}: line 3 has fewer cells than the header" in err
+@pytest.mark.parametrize("row, message", [
+    (["n3", "chest"], "line 3 has fewer cells than the header"),
+    # an unquoted comma in the physical exam shifts the labels one cell right
+    (["n3", "", "", "", "", "", "bp 120", " hr 80", "", "", "1", "20"],
+     "line 3 has more cells than the header"),
+    (["n1", "cough", "", "", "", "", "", "", "", "0", "2"],
+     "line 3 repeats note id 'n1' of line 2"),
+], ids=["short_row", "long_row", "repeated_id"])
+def test_short_row_is_data_error_naming_its_line(tmp_path, capsys, row, message):
+    # the checker and the pipeline refuse the file alike
+    csv_path, schema_path = write_ingest_fixture(tmp_path, [INGEST_ROWS[0], row], SCHEMA)
+    config = base_config(tmp_path, data={"kind": "csv", "path": csv_path, "schema": SCHEMA})
+    for argv in (["ingest", "--input", csv_path, "--schema", schema_path],
+                 ["compare", "--config", config]):
+        assert main(argv) == 2
+        assert f"{csv_path}: {message}" in capsys.readouterr().err

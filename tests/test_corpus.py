@@ -222,6 +222,12 @@ def test_ingest_error_paths(tmp_path):
         ingest_csv(path, SCHEMA)
     with pytest.raises(SchemaError):
         CsvSchema(id_column="note_id", section_columns={"CC": "cc"})
+    path = tmp_path / "repeat.csv"
+    # a skipped row (mortality 2) is not a note, so its id is not compared
+    rows = [["a", "x", "2"], ["a", "y", "1"], ["b", "z", ""], ["a", "w", "0"]]
+    write_csv(path, ["note_id", "cc", "died"], rows)
+    with pytest.raises(DataError, match=r"line 5 repeats note id 'a' of line 3$"):
+        ingest_csv(path, SCHEMA)
 
 
 def test_split_exact_divisibility():
@@ -247,8 +253,6 @@ def test_split_config_errors():
         split_dataset(["a", "b"], (1.2, -0.1, -0.1), seed=0)
     with pytest.raises(ContractError):
         split_dataset([], (0.7, 0.1, 0.2), seed=0)
-    with pytest.raises(DataError):
-        split_dataset(["a", "a"], (0.5, 0.25, 0.25), seed=0)
 
 
 @settings(max_examples=120)
