@@ -4,12 +4,15 @@ Long token sequences are cut into fixed-capacity windows that advance
 left to right by ``capacity - overlap`` positions, so consecutive chunks
 share exactly ``overlap`` tokens; the final window keeps its natural
 length instead of being padded. A window is a span over its note's id
-tuple; its framed ids, [CLS] + content + [SEP], are built on demand.
+tuple or int array; its framed ids, [CLS] + content + [SEP], are built on
+demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError, ContractError, config_block
 from .tokenizer import CLS_ID, SEP_ID
@@ -39,11 +42,12 @@ class ChunkingConfig:
 @dataclass(frozen=True)
 class Chunk:
     """One window: the span ``[start, end)`` of ``source``, its note's id
-    tuple, which every window of the note shares and none copies."""
+    tuple or int array, which every window of the note shares and none
+    copies."""
 
     start: int
     end: int
-    source: tuple[int, ...] = field(repr=False)
+    source: tuple[int, ...] | np.ndarray = field(repr=False)
 
     @property
     def content(self) -> tuple[int, ...]:
@@ -54,7 +58,9 @@ class Chunk:
         return (CLS_ID, *self.content, SEP_ID)
 
 
-def chunk(token_ids: list[int] | tuple[int, ...], config: ChunkingConfig) -> list[Chunk]:
+def chunk(
+    token_ids: list[int] | tuple[int, ...] | np.ndarray, config: ChunkingConfig
+) -> list[Chunk]:
     """Split ``token_ids`` into overlapping windows.
 
     Window ``k`` starts at ``k * stride`` and a new window is started only
@@ -62,7 +68,8 @@ def chunk(token_ids: list[int] | tuple[int, ...], config: ChunkingConfig) -> lis
     its natural length. An empty sequence still yields the one window
     ``(0, 0)``, so every note produces at least one scoreable unit.
     """
-    source = tuple(token_ids)  # a tuple is shared as is, not copied
+    # a tuple or an array is shared as is, not copied
+    source = token_ids if isinstance(token_ids, np.ndarray) else tuple(token_ids)
     n = len(source)
     return [
         Chunk(start=start, end=min(start + config.capacity, n), source=source)
@@ -71,7 +78,9 @@ def chunk(token_ids: list[int] | tuple[int, ...], config: ChunkingConfig) -> lis
 
 
 def coverage_check(
-    token_ids: list[int] | tuple[int, ...], chunks: list[Chunk], config: ChunkingConfig
+    token_ids: list[int] | tuple[int, ...] | np.ndarray,
+    chunks: list[Chunk],
+    config: ChunkingConfig,
 ) -> None:
     """Verify that ``chunks`` tile ``token_ids`` per the window contract.
 
@@ -86,7 +95,7 @@ def coverage_check(
         raise ContractError("chunking must produce at least one chunk")
     source = chunks[0].source
     if any(c.source is not source for c in chunks) or (
-        source is not token_ids and source != tuple(token_ids)
+        source is not token_ids and tuple(source) != tuple(token_ids)
     ):
         raise ContractError("chunks are not windows over this sequence")
     first, last = chunks[0], chunks[-1]

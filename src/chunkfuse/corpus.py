@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,12 +54,21 @@ class TaskKind(Enum):
     def num_classes(self) -> int:
         return 2 if self is TaskKind.MORTALITY else len(LOS_BIN_EDGES) + 1
 
-    def label(self, note: ClinicalNote) -> int | None:
+    def label(self, note: ClinicalNote | NoteLabels) -> int | None:
         """The note's class for this task, or None if it carries no label
         for it; the one derivation of a class from a note."""
         if self is TaskKind.MORTALITY:
             return note.mortality_label
         return None if note.los_days is None else bisect_left(LOS_BIN_EDGES, note.los_days)
+
+
+class NoteLabels(NamedTuple):
+    """A note's id and labels: all that filtering and splitting read, and
+    known for a synthetic note before its text is made."""
+
+    note_id: str
+    mortality_label: int | None = None
+    los_days: float | None = None
 
 
 @dataclass(frozen=True)
@@ -95,19 +104,21 @@ class ClinicalNote:
 
 
 def filter_for_task(
-    notes: Sequence[ClinicalNote], task: TaskKind
-) -> tuple[list[ClinicalNote], list[int]]:
-    """Keep only notes labeled for the task; return them with class indices.
+    notes: Iterable[ClinicalNote | NoteLabels], task: TaskKind
+) -> tuple[list[str], list[int]]:
+    """The ids of the notes labeled for the task, with their class indices.
 
     Notes lacking the relevant label are excluded rather than treated as
-    errors, so one ingested corpus can serve both tasks.
+    errors, so one ingested corpus can serve both tasks. Only ids and
+    labels are read, so ``notes`` may be a synthetic corpus's
+    ``note_labels``, whose texts do not exist yet.
     """
-    kept: list[ClinicalNote] = []
+    kept: list[str] = []
     labels: list[int] = []
     for note in notes:
         label = task.label(note)
         if label is not None:
-            kept.append(note)
+            kept.append(note.note_id)
             labels.append(label)
     return kept, labels
 
@@ -149,8 +160,9 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> IngestResult:
     values are present but unparseable or out of range are skipped and
     counted instead of failing the whole file. No cell is too long: csv's
     field limit is raised to the file's size. A path that is missing, is
-    not a readable file, or does not hold UTF-8 CSV, a row whose cell count
-    is not the header's, and a repeated note id are a DataError naming it.
+    not a readable file, or does not hold UTF-8 CSV, a header that names a
+    column twice, a row whose cell count is not the header's, and an empty
+    or repeated note id are a DataError naming it.
     """
     path = Path(path)
     try:
@@ -167,6 +179,9 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> IngestResult:
 
 def _read_notes(path: Path, reader: csv.DictReader, schema: CsvSchema) -> IngestResult:
     header = reader.fieldnames or []
+    repeated = next((col for i, col in enumerate(header) if col in header[:i]), None)
+    if repeated is not None:  # csv.DictReader would keep only its last cell
+        raise DataError(f"{path}: header names column {repeated!r} twice")
     if schema.id_column not in header:
         raise SchemaError(f"{path}: id column {schema.id_column!r} not in header")
     missing = tuple(
@@ -182,6 +197,8 @@ def _read_notes(path: Path, reader: csv.DictReader, schema: CsvSchema) -> Ingest
             raise DataError(f"{path}: line {reader.line_num} has fewer cells than the header")
         if None in row:  # csv.DictReader's key for the cells past the header
             raise DataError(f"{path}: line {reader.line_num} has more cells than the header")
+        if not row[schema.id_column].strip():
+            raise DataError(f"{path}: line {reader.line_num} has an empty note id")
         try:
             note = ClinicalNote(
                 note_id=row[schema.id_column],
@@ -439,34 +456,57 @@ def _into_sections(tokens: list[str]) -> dict[str, str]:
     }
 
 
-def generate_synthetic_corpus(
-    config: GeneratorConfig, seed: int
-) -> list[ClinicalNote]:
-    """Build a labeled corpus with a planted signal.
+class SyntheticCorpus:
+    """A synthetic corpus that makes each note's text only as it is reached.
+
+    Each iteration replays the seed's stream from its start, so every pass
+    yields the same notes and no pass keeps one. The labels are the
+    stream's first draws, so ``note_labels`` exist before any text does.
+    """
+
+    def __init__(self, config: GeneratorConfig, seed: int) -> None:
+        self.config = config
+        self.seed = seed
+        labels = self._shuffled_labels(_ReplayedRandom(seed))
+        self.note_labels = [
+            NoteLabels(_synthetic_id(i), label) for i, label in enumerate(labels)
+        ]
+
+    def _shuffled_labels(self, rng: _ReplayedRandom) -> list[int]:
+        """Exactly round(num_docs * positive_fraction) positives, shuffled."""
+        num_pos = int(self.config.num_docs * self.config.positive_fraction + 0.5)
+        labels = [1] * num_pos + [0] * (self.config.num_docs - num_pos)
+        rng.shuffle(labels)
+        return labels
+
+    def __iter__(self) -> Iterator[ClinicalNote]:
+        config = self.config
+        rng = _ReplayedRandom(self.seed)
+        filler = np.array(_filler_vocabulary(config.filler_vocab_size), dtype=object)
+        pattern = list(signal_pattern(config.signal_length))
+        for i, label in enumerate(self._shuffled_labels(rng)):
+            m = rng.randint(config.min_tokens, config.max_tokens)
+            tokens = rng.choices(filler, m)
+            if label == 1:
+                offset = _choose_offset(rng, m, config)
+                tokens[offset : offset + config.signal_length] = pattern
+            yield ClinicalNote(
+                note_id=_synthetic_id(i),
+                sections=_into_sections(tokens),
+                mortality_label=label,
+            )
+
+
+def _synthetic_id(i: int) -> str:
+    return f"syn-{i:05d}"
+
+
+def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> SyntheticCorpus:
+    """A labeled corpus with a planted signal, made lazily (see SyntheticCorpus).
 
     Positive documents contain the signal pattern exactly once (spliced
     over filler, so length is unchanged); negatives never contain it
     because signal tokens are disjoint from the filler vocabulary. The
     positive count is exact: round(num_docs * positive_fraction).
     """
-    rng = _ReplayedRandom(seed)
-    filler = np.array(_filler_vocabulary(config.filler_vocab_size), dtype=object)
-    pattern = list(signal_pattern(config.signal_length))
-    num_pos = int(config.num_docs * config.positive_fraction + 0.5)
-    labels = [1] * num_pos + [0] * (config.num_docs - num_pos)
-    rng.shuffle(labels)
-    notes = []
-    for i, label in enumerate(labels):
-        m = rng.randint(config.min_tokens, config.max_tokens)
-        tokens = rng.choices(filler, m)
-        if label == 1:
-            offset = _choose_offset(rng, m, config)
-            tokens[offset : offset + config.signal_length] = pattern
-        notes.append(
-            ClinicalNote(
-                note_id=f"syn-{i:05d}",
-                sections=_into_sections(tokens),
-                mortality_label=label,
-            )
-        )
-    return notes
+    return SyntheticCorpus(config, seed)

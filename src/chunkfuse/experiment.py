@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .corpus import (
     ClinicalNote,
     CsvSchema,
     GeneratorConfig,
+    NoteLabels,
     TaskKind,
     check_split_ratios,
     filter_for_task,
@@ -236,9 +237,15 @@ def emit_report(report: ComparisonReport, output_dir: Path) -> None:
     write_text(output_dir / "report.md", "\n".join(lines) + "\n", "report")
 
 
-def _load_notes(config: ExperimentConfig) -> list[ClinicalNote]:
+def _load_corpus(
+    config: ExperimentConfig,
+) -> tuple[Iterable[ClinicalNote], Sequence[ClinicalNote | NoteLabels]]:
+    """The notes, and the ids and labels the split is made from: a
+    synthetic corpus's, known before its text, or a CSV's notes, which are
+    read whole because the split needs every id first."""
     if isinstance(config.data, GeneratorConfig):
-        return generate_synthetic_corpus(config.data, child_seed(config.seed, "data"))
+        corpus = generate_synthetic_corpus(config.data, child_seed(config.seed, "data"))
+        return corpus, corpus.note_labels
     result = ingest_csv(config.data.path, config.data.schema)
     if result.missing_columns:
         logger.warning("%s: section columns absent, treated as empty: %s",
@@ -246,7 +253,7 @@ def _load_notes(config: ExperimentConfig) -> list[ClinicalNote]:
     if result.skipped_rows:
         logger.warning("%s: skipped %d rows with bad labels",
                        config.data.path, result.skipped_rows)
-    return result.notes
+    return result.notes, result.notes
 
 
 def _pattern_ids(
@@ -370,41 +377,59 @@ class PreparedData:
 def _prepare_data(
     config: ExperimentConfig,
 ) -> tuple[PreparedData, TrainingSplit | None, TrainingSplit | None]:
-    """Load notes, split them, build the vocab from train only, and
-    featurize the train and validation splits if any scorer trains (else
-    both are None)."""
-    notes = _load_notes(config)
-    kept, labels = filter_for_task(notes, config.task)
-    if not kept:
+    """Split on note ids and labels alone, then walk the notes once.
+
+    ``build_vocabulary`` reads each train note's text once, counted, and,
+    when a scorer trains, each validation note's, not counted; a test note
+    is kept as it is for ``run_experiment`` to tokenize. The vocabulary
+    comes from the train notes only. If any scorer trains, the train and
+    validation ids that pass keeps are featurized here (else both splits
+    are None). A synthetic note's text is made as the walk reaches it, so
+    no train or validation text outlives its step; a CSV source is read
+    whole, because the split needs every id first, and then goes through
+    the same walk.
+    """
+    corpus, labeled = _load_corpus(config)
+    ids, labels = filter_for_task(labeled, config.task)
+    if not ids:
         raise DataError(f"no notes carry a label for the {config.task.value} task")
-    labeled = {n.note_id: (n, label) for n, label in zip(kept, labels)}
-    split = split_dataset(
-        [n.note_id for n in kept], config.split_ratios, child_seed(config.seed, "split")
-    )
+    label_of = dict(zip(ids, labels))
+    split = split_dataset(ids, config.split_ratios, child_seed(config.seed, "split"))
     for name in ("train", "test"):
         if not getattr(split, name):
             raise DataError(
-                f"the {name} split is empty: {len(kept)} labeled notes"
+                f"the {name} split is empty: {len(ids)} labeled notes"
                 f" split by ratios {list(config.split_ratios)}"
             )
+    counted = dict.fromkeys(split.train, True) | dict.fromkeys(split.validation, False)
+    test_ids = frozenset(split.test)
+    walked: list[str] = []  # the ids of the texts build_vocabulary read, in order
+    test_notes: dict[str, ClinicalNote] = {}
 
-    def notes_and_labels(ids: tuple[str, ...]) -> tuple[list[ClinicalNote], list[int]]:
-        return [labeled[i][0] for i in ids], [labeled[i][1] for i in ids]
+    def texts() -> Iterator[tuple[str, bool]]:
+        for note in corpus:
+            if note.note_id in counted:
+                walked.append(note.note_id)
+                yield note.assembled_text, counted[note.note_id]
+            elif note.note_id in test_ids:
+                test_notes[note.note_id] = note
 
-    vocab = build_vocabulary(
-        (labeled[i][0].assembled_text for i in split.train), config.vocab_size
-    )
     needs_training = any(
         s.kind is ScorerKind.LINEAR and not s.metadata.get("checkpoint")
         for s in config.scorers
     )
+    vocab, sequences = build_vocabulary(texts(), config.vocab_size, keep_ids=needs_training)
     train = validation = None
     if needs_training:
+        ids_of = dict(zip(walked, sequences))
+        del sequences  # each split's arrays are freed once it is featurized
         train, validation = (
-            build_labeled_chunks(*notes_and_labels(ids), config.chunking, vocab)
-            for ids in (split.train, split.validation)
+            build_labeled_chunks(
+                part, [ids_of.pop(i) for i in part], [label_of[i] for i in part],
+                config.chunking, vocab,
+            )
+            for part in (split.train, split.validation)
         )
-    test_notes, test_labels = notes_and_labels(split.test)
     prepared = PreparedData(
         vocab=vocab,
         sizes={
@@ -412,9 +437,9 @@ def _prepare_data(
             "validation": len(split.validation),
             "test": len(split.test),
         },
-        test_ids=frozenset(split.test),
-        test_notes=test_notes,
-        test_labels=test_labels,
+        test_ids=test_ids,
+        test_notes=[test_notes[i] for i in split.test],
+        test_labels=[label_of[i] for i in split.test],
     )
     return prepared, train, validation
 

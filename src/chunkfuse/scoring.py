@@ -242,9 +242,9 @@ def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix
     Only a chunk's content is counted, never a frame, and reserved ids
     (UNK) count for nothing; an id at or past ``vocab_size`` raises
     ContractError naming the first such id in window order. Each distinct
-    note (a window's ``source``) becomes an id array once per call, and a
-    window's ids are a slice of it, so overlapping windows are not
-    converted again. Windows are counted in blocks of ``_BLOCK_WINDOWS``
+    note (a window's ``source``) becomes an id array once per call, unless
+    it is one already, and a window's ids are a slice of it, so
+    overlapping windows are not converted again. Windows are counted in blocks of ``_BLOCK_WINDOWS``
     with one ``np.unique`` over ``row * vocab_size + id`` keys (int32 when
     a block's keys fit, else int64), which yields each row's columns in
     ascending order: the same float counts in the same order as a per-row
@@ -266,7 +266,10 @@ def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix
         for c in block:
             note = notes.get(id(c.source))
             if note is None:
-                note = notes[id(c.source)] = np.fromiter(c.source, np.int64, len(c.source))
+                note = notes[id(c.source)] = (
+                    c.source if isinstance(c.source, np.ndarray)
+                    else np.fromiter(c.source, np.int64, len(c.source))
+                )
             spans.append(note[c.start : c.end])
         ids = np.concatenate(spans)
         outside = ids >= vocab_size

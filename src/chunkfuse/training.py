@@ -22,12 +22,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .chunker import ChunkingConfig, chunk, coverage_check
-from .corpus import ClinicalNote
 from .errors import ConfigError, DataError, NumericDivergenceError
 from .metrics import macro_auroc
 from .scoring import (
@@ -40,7 +39,7 @@ from .scoring import (
     softmax_rows,
 )
 from .seeds import child_seed
-from .tokenizer import Vocabulary, tokenize
+from .tokenizer import Vocabulary
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -68,26 +67,30 @@ class TrainingSplit:
 
 
 def build_labeled_chunks(
-    notes: list[ClinicalNote],
-    labels: list[int],
+    note_ids: Sequence[str],
+    sequences: Sequence[np.ndarray],
+    labels: Sequence[int],
     chunking: ChunkingConfig,
     vocab: Vocabulary,
 ) -> TrainingSplit:
-    """Tokenize, window and featurize a split in one pass over its notes.
+    """Window and featurize a split's id arrays in one pass over its notes.
 
+    ``sequences[i]`` is note ``note_ids[i]``'s ids under ``vocab``, as
+    ``build_vocabulary`` keeps them; the windows are spans of those arrays.
     Once ``_BLOCK_WINDOWS`` windows are pending they are featurized and
-    dropped, so the split's windows and id tuples are never held whole.
-    The block matrices are joined once, into the same arrays as one
-    ``chunks_to_csr`` call over every window. scipy is imported here, where
-    that join happens.
+    dropped, so the split's windows are never held whole. The block
+    matrices are joined once, into the same arrays as one
+    ``chunks_to_csr`` call over every window. scipy is imported here,
+    where that join happens.
     """
     from scipy import sparse
 
-    if len(notes) != len(labels):
-        raise DataError(f"{len(notes)} notes but {len(labels)} labels")
+    if not len(note_ids) == len(sequences) == len(labels):
+        raise DataError(
+            f"{len(note_ids)} notes, {len(sequences)} id arrays and {len(labels)} labels"
+        )
     blocks, pending, counts = [], [], []
-    for note in notes:
-        ids = tokenize(note.assembled_text, vocab).ids
+    for ids in sequences:
         note_windows = chunk(ids, chunking)
         coverage_check(ids, note_windows, chunking)
         pending.extend(note_windows)
@@ -98,7 +101,7 @@ def build_labeled_chunks(
     if pending or not blocks:  # an empty split is one (0, vocab) block
         blocks.append(chunks_to_csr(pending, len(vocab)))
     return TrainingSplit(
-        note_ids=tuple(note.note_id for note in notes),
+        note_ids=tuple(note_ids),
         labels=np.array(labels, dtype=np.int64),
         window_counts=np.array(counts, dtype=np.int64),
         features=sparse.vstack(blocks, format="csr"),

@@ -261,14 +261,17 @@ def test_a6_trainer_gradients_early_stop_and_determinism(tmp_path):
 
     # Identical seeds yield bit-identical checkpoints of a trained model;
     # another seed yields other weights.
-    notes = generate_synthetic_corpus(
+    notes = list(generate_synthetic_corpus(
         GeneratorConfig(num_docs=40, min_tokens=60, max_tokens=100), seed=9
-    )
+    ))
     labels = [n.mortality_label for n in notes]
-    vocab = build_vocabulary([n.assembled_text for n in notes[:30]], 300)
+    ids = [n.note_id for n in notes]
+    vocab, sequences = build_vocabulary(
+        [(n.assembled_text, i < 30) for i, n in enumerate(notes)], 300, keep_ids=True
+    )
     chunking = ChunkingConfig()
-    train_items = build_labeled_chunks(notes[:30], labels[:30], chunking, vocab)
-    val_items = build_labeled_chunks(notes[30:], labels[30:], chunking, vocab)
+    train_items = build_labeled_chunks(ids[:30], sequences[:30], labels[:30], chunking, vocab)
+    val_items = build_labeled_chunks(ids[30:], sequences[30:], labels[30:], chunking, vocab)
     config = TrainerConfig(max_epochs=4, accumulation_steps=1, warmup_steps=2)
     descriptor = ScorerDescriptor("det", ScorerKind.LINEAR, 2)
     paths, weights = [], []

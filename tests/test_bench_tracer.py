@@ -12,10 +12,11 @@ import sys
 from pathlib import Path
 
 from chunkfuse.chunker import ChunkingConfig
-from chunkfuse.corpus import GeneratorConfig, TaskKind
+from chunkfuse.corpus import DatasetSplit, GeneratorConfig, TaskKind
 from chunkfuse.experiment import ExperimentConfig, Method, run_experiment
 from chunkfuse.remote import StubScorerServer
 from chunkfuse.scoring import ScorerDescriptor, ScorerKind, TrainerConfig
+from chunkfuse.tokenizer import UNK_ID, normalize, tokenize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,6 +81,18 @@ def test_traced_run_matches_plain_run_and_fills_every_layer(tmp_path, capsys):
     # the tracer computes the request count; the stub saw the requests
     assert metrics["remote.requests"] == len(server.batch_sizes) - plain_requests > 0
     assert metrics["remote.errors"] == 0
+    # the corpus is made lazily: the tracer's own pass over it still sees
+    # every note, and the vocabulary span still holds the one pass
+    (corpus,) = tracer.results("corpus.generate_s")
+    notes = list(corpus)
+    assert metrics["corpus.notes"] == len(notes) == config.data.num_docs
+    assert metrics["corpus.tokens"] == sum(len(normalize(n.assembled_text)) for n in notes) > 0
+    (vocab, _), = tracer.results("tokenizer.vocab_s")
+    (split,) = (r for r in tracer.results("corpus.split_s") if isinstance(r, DatasetSplit))
+    by_id = {n.note_id: n for n in notes}
+    test_ids = [tokenize(by_id[i].assembled_text, vocab).ids for i in split.test]
+    unk = sum(ids.count(UNK_ID) for ids in test_ids) / sum(map(len, test_ids))
+    assert metrics["tokenizer.unk_rate"] == unk
     built = tracer.results("scoring.build_s")  # LinearScorer.load and PatternScorer.for_pattern
     assert sorted(s.descriptor.scorer_id for s in built) == ["ckpt", "pat"]
     err = capsys.readouterr().err

@@ -707,7 +707,9 @@ def test_fuzz_ingest_csv_fails_closed(tmp_path, capsys, text):
      "line 3 has more cells than the header"),
     (["n1", "cough", "", "", "", "", "", "", "", "0", "2"],
      "line 3 repeats note id 'n1' of line 2"),
-], ids=["short_row", "long_row", "repeated_id"])
+    (["", "cough", "", "", "", "", "", "", "", "0", "2"], "line 3 has an empty note id"),
+    ([" \t", "cough", "", "", "", "", "", "", "", "0", "2"], "line 3 has an empty note id"),
+], ids=["short_row", "long_row", "repeated_id", "empty_id", "blank_id"])
 def test_short_row_is_data_error_naming_its_line(tmp_path, capsys, row, message):
     # the checker and the pipeline refuse the file alike
     csv_path, schema_path = write_ingest_fixture(tmp_path, [INGEST_ROWS[0], row], SCHEMA)
@@ -716,3 +718,17 @@ def test_short_row_is_data_error_naming_its_line(tmp_path, capsys, row, message)
                  ["compare", "--config", config]):
         assert main(argv) == 2
         assert f"{csv_path}: {message}" in capsys.readouterr().err
+
+
+def test_header_naming_a_column_twice_is_data_error(tmp_path, capsys):
+    # csv.DictReader would keep the last "died" cell: n1 would survive
+    header = ["note_id"] + [k.lower() for k in SECTION_ORDER] + ["died", "los", "died"]
+    csv_path = tmp_path / "notes.csv"
+    csv_path.write_text(",".join(header) + "\nn1,a,,,,,,,,1,3,0\n")
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(SCHEMA))
+    config = base_config(tmp_path, data={"kind": "csv", "path": str(csv_path), "schema": SCHEMA})
+    for argv in (["ingest", "--input", str(csv_path), "--schema", str(schema_path)],
+                 ["compare", "--config", config]):
+        assert main(argv) == 2
+        assert f"{csv_path}: header names column 'died' twice" in capsys.readouterr().err

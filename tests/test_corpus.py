@@ -18,6 +18,7 @@ from chunkfuse.corpus import (
     ClinicalNote,
     CsvSchema,
     GeneratorConfig,
+    NoteLabels,
     TaskKind,
     filter_for_task,
     find_pattern,
@@ -37,7 +38,7 @@ from chunkfuse.errors import (
     InvalidLabelError,
     SchemaError,
 )
-from chunkfuse.experiment import CsvSource, _load_notes
+from chunkfuse.experiment import CsvSource, _load_corpus
 from chunkfuse.metrics import auc
 from chunkfuse.tokenizer import build_vocabulary
 
@@ -133,10 +134,10 @@ def test_filter_for_task_drops_unlabeled():
                      los_days=20.0),
     ]
     kept, labels = filter_for_task(notes, TaskKind.MORTALITY)
-    assert [n.note_id for n in kept] == ["a", "c"]
+    assert kept == ["a", "c"]
     assert labels == [1, 0]
     kept, labels = filter_for_task(notes, TaskKind.LENGTH_OF_STAY)
-    assert [n.note_id for n in kept] == ["b", "c"]
+    assert kept == ["b", "c"]
     assert labels == [1, 3]
 
 
@@ -193,6 +194,19 @@ def test_ingest_skips_unparseable_labels(tmp_path):
     assert [n.note_id for n in result.notes] == ["n4"]
 
 
+def test_ingest_refuses_a_repeated_column_and_an_empty_id(tmp_path):
+    header = ["note_id"] + [k.lower() for k in SECTION_ORDER] + ["died", "died"]
+    path = tmp_path / "twice.csv"
+    write_csv(path, header, [["n1", "a", "", "", "", "", "", "", "", "1", "0"]])
+    with pytest.raises(DataError, match=r"twice.csv: header names column 'died' twice$"):
+        ingest_csv(path, SCHEMA)
+    header = ["note_id"] + [k.lower() for k in SECTION_ORDER]
+    path = tmp_path / "blank.csv"
+    write_csv(path, header, [["n1"] + ["a"] * 8, ["  "] + ["a"] * 8])
+    with pytest.raises(DataError, match=r"blank.csv: line 3 has an empty note id$"):
+        ingest_csv(path, SCHEMA)
+
+
 def test_ingest_missing_section_column_warns(tmp_path, caplog):
     path = tmp_path / "notes.csv"
     header = ["note_id"] + [k.lower() for k in SECTION_ORDER if k != "FH"]
@@ -205,7 +219,7 @@ def test_ingest_missing_section_column_warns(tmp_path, caplog):
     assert caplog.text == ""
     source = SimpleNamespace(data=CsvSource(path=str(path), schema=SCHEMA))
     with caplog.at_level("WARNING"):
-        _load_notes(source)
+        _load_corpus(source)
     assert [r.getMessage() for r in caplog.records] == [
         f"{path}: section columns absent, treated as empty: fh"
     ]
@@ -276,7 +290,7 @@ def test_split_proportions_within_one(n, weights, seed):
 def test_generator_exact_balance_and_single_occurrence():
     config = GeneratorConfig(num_docs=200, min_tokens=150, max_tokens=300,
                              signal_length=12)
-    notes = generate_synthetic_corpus(config, seed=7)
+    notes = list(generate_synthetic_corpus(config, seed=7))
     assert len(notes) == 200
     pattern = signal_pattern(12)
     positives = [n for n in notes if n.mortality_label == 1]
@@ -288,10 +302,10 @@ def test_generator_exact_balance_and_single_occurrence():
 
 def test_generator_deterministic_per_seed():
     config = GeneratorConfig(num_docs=30, min_tokens=50, max_tokens=80)
-    a = generate_synthetic_corpus(config, seed=5)
-    b = generate_synthetic_corpus(config, seed=5)
+    a = list(generate_synthetic_corpus(config, seed=5))
+    b = list(generate_synthetic_corpus(config, seed=5))
     assert a == b
-    assert generate_synthetic_corpus(config, seed=6) != a
+    assert list(generate_synthetic_corpus(config, seed=6)) != a
 
 
 def test_generator_lengths_and_sections():
@@ -330,12 +344,12 @@ def test_generator_refuses_what_it_cannot_generate(changes):
 def test_one_token_signal_may_avoid_boundaries():
     config = GeneratorConfig(num_docs=4, min_tokens=600, max_tokens=700, signal_length=1,
                              placement="boundary", straddle_prob=0.0)
-    assert len(generate_synthetic_corpus(config, seed=0)) == 4
+    assert len(list(generate_synthetic_corpus(config, seed=0))) == 4
 
 
 def test_full_document_scan_separates_classes_perfectly():
     config = GeneratorConfig(num_docs=120, min_tokens=150, max_tokens=300)
-    notes = generate_synthetic_corpus(config, seed=13)
+    notes = list(generate_synthetic_corpus(config, seed=13))
     pattern = signal_pattern(config.signal_length)
     scores = [
         1.0 if find_pattern(n.assembled_text.split(), pattern) else 0.0
@@ -348,7 +362,7 @@ def test_full_document_scan_separates_classes_perfectly():
 def test_offset_distribution_uniform():
     config = GeneratorConfig(num_docs=10000, min_tokens=200, max_tokens=400,
                              positive_fraction=1.0, signal_length=12)
-    notes = generate_synthetic_corpus(config, seed=11)
+    notes = list(generate_synthetic_corpus(config, seed=11))
     pattern = signal_pattern(12)
     deciles = [0] * 10
     for note in notes:
@@ -363,8 +377,8 @@ def test_offset_distribution_uniform():
 def test_signal_tokens_enter_vocabulary():
     config = GeneratorConfig(num_docs=10000, min_tokens=200, max_tokens=400,
                              signal_length=12)
-    notes = generate_synthetic_corpus(config, seed=3)
-    vocab = build_vocabulary([n.assembled_text for n in notes], max_size=5000)
+    notes = list(generate_synthetic_corpus(config, seed=3))
+    vocab, _ = build_vocabulary([(n.assembled_text, True) for n in notes], max_size=5000)
     for token in signal_pattern(12):
         assert token in vocab.token_to_id
 
@@ -374,7 +388,7 @@ def test_boundary_placement_straddles_half_the_time():
                              positive_fraction=1.0, signal_length=60,
                              placement="boundary", boundary_period=510,
                              straddle_prob=0.5)
-    notes = generate_synthetic_corpus(config, seed=3)
+    notes = list(generate_synthetic_corpus(config, seed=3))
     pattern = signal_pattern(60)
     straddled = 0
     for note in notes:
@@ -391,7 +405,7 @@ def test_off_boundary_placement_always_succeeds():
     config = GeneratorConfig(num_docs=400, min_tokens=1100, max_tokens=1100,
                              signal_length=509, placement="boundary",
                              straddle_prob=0.0)
-    notes = generate_synthetic_corpus(config, seed=11)
+    notes = list(generate_synthetic_corpus(config, seed=11))
     assert len(notes) == 400
     pattern = signal_pattern(509)
     for note in notes:
@@ -498,9 +512,12 @@ def generator_configs(draw):
 @settings(max_examples=150, deadline=None)
 @given(generator_configs(), SEEDS)
 def test_generator_replays_random_stream(config, seed):
-    assert generate_synthetic_corpus(config, seed) == reference_generate_synthetic_corpus(
-        config, seed
-    )
+    corpus = generate_synthetic_corpus(config, seed)
+    want = reference_generate_synthetic_corpus(config, seed)
+    # the labels exist before any text, and each pass makes the same notes
+    assert corpus.note_labels == [NoteLabels(n.note_id, n.mortality_label) for n in want]
+    assert list(corpus) == want
+    assert list(corpus) == want
 
 
 def corpus_digest(notes):
@@ -521,7 +538,8 @@ def test_shipped_corpora_keep_their_bytes(name, expected):
     """Recorded from the ``random.Random`` generator: each shipped config's
     corpus, as its run draws it from the config's seed."""
     config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json", [])
-    assert corpus_digest(_load_notes(config)) == expected
+    corpus, _ = _load_corpus(config)
+    assert corpus_digest(corpus) == expected
 
 
 def reference_find_pattern(tokens, pattern):

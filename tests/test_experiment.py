@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 import typing
 import weakref
 from collections import Counter
@@ -16,9 +17,16 @@ from hypothesis import strategies as st
 
 import chunkfuse.experiment as experiment
 import chunkfuse.scoring as scoring
+import chunkfuse.tokenizer as tokenizer
 import chunkfuse.training as training
 from chunkfuse.chunker import ChunkingConfig
-from chunkfuse.corpus import SECTION_ORDER, CsvSchema, GeneratorConfig, TaskKind
+from chunkfuse.corpus import (
+    SECTION_ORDER,
+    CsvSchema,
+    GeneratorConfig,
+    TaskKind,
+    generate_synthetic_corpus,
+)
 from chunkfuse.errors import (
     ChunkfuseError,
     ConfigError,
@@ -833,6 +841,28 @@ def test_constant_scorers_pool_to_exactly_chance(task, num_models, data):
         assert macro_auroc(probs, labels, classes).macro_auc == 0.5, method
 
 
+def test_data_preparation_holds_no_split_text_whole(tmp_path):
+    # a pattern-only run trains nothing: only the test split's notes, a
+    # fifth of the text, are kept, and each other note lives for its step
+    config = small_config(
+        tmp_path,
+        data=GeneratorConfig(num_docs=400, min_tokens=1000, max_tokens=2000),
+        scorers=(ScorerDescriptor("pat", ScorerKind.PATTERN, 2, {"pattern": "auto"}),),
+        methods=(Method.AGGREGATION,),
+    )
+    notes = generate_synthetic_corpus(config.data, child_seed(config.seed, "data"))
+    text_bytes = sum(len(note.assembled_text.encode()) for note in notes)
+    tracemalloc.start()
+    try:
+        prepared, train, validation = _prepare_data(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert train is None and validation is None
+    assert len(prepared.test_notes) == 80
+    assert peak < text_bytes / 2, (peak, text_bytes)
+
+
 def test_readme_config_table_lists_exactly_the_parsed_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Experiment config", 1)[1].split("\n## ", 1)[0]
@@ -985,6 +1015,23 @@ class TestTrainedScorersEndToEnd:
         # train and validation once for both trainers; the test split once
         # per linear scorer
         assert calls == {"training": 2, "scoring": 2}
+
+    def test_each_note_is_normalized_once(self, tmp_path, monkeypatch):
+        normalized = Counter()
+        normalize = tokenizer.normalize
+
+        def counted(text):
+            normalized[text] += 1
+            return normalize(text)
+
+        monkeypatch.setattr(tokenizer, "normalize", counted)
+        config = self.linear_config(tmp_path, "out")
+        report = run_experiment(config)
+        assert all(row.error is None for row in report.rows)
+        notes = generate_synthetic_corpus(config.data, child_seed(config.seed, "data"))
+        # train, validation and test notes alike: once each, and no more
+        assert normalized == Counter(note.assembled_text for note in notes)
+        assert normalized.total() == config.data.num_docs
 
     @pytest.mark.parametrize("max_epochs", [
         4,  # trains: 3 micro-batches an epoch, one optimizer step in 4 epochs

@@ -186,7 +186,7 @@ def test_blending_is_affine_in_weight():
 
 
 def test_predict_short_note_single_scorer():
-    vocab = build_vocabulary(["alpha beta"], max_size=10)
+    vocab = build_vocabulary([("alpha beta", True)], max_size=10)[0]
     note = note_with("alpha beta alpha")
     probs, num_chunks = pipeline_probs(
         Method.AGGREGATION, note, [mock(0.3, 0.7)], vocab
@@ -196,7 +196,7 @@ def test_predict_short_note_single_scorer():
 
 
 def test_predict_three_chunk_note_averages_mock_table():
-    vocab = build_vocabulary(["fi"], max_size=5)
+    vocab = build_vocabulary([("fi", True)], max_size=5)[0]
     note = note_with(" ".join(["fi"] * 1000))
     scorer = WindowTable("m", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
     probs, num_chunks = pipeline_probs(Method.AGGREGATION, note, [scorer], vocab)
@@ -205,7 +205,7 @@ def test_predict_three_chunk_note_averages_mock_table():
 
 
 def test_duplicate_scorers_change_nothing():
-    vocab = build_vocabulary(["fi"], max_size=5)
+    vocab = build_vocabulary([("fi", True)], max_size=5)[0]
     note = note_with(" ".join(["fi"] * 700))
     rows = [(0.2, 0.8), (0.6, 0.4)]
     solo = [WindowTable("a", rows)]
@@ -220,7 +220,7 @@ def test_duplicate_scorers_change_nothing():
 
 
 def test_truncation_matches_full_pipeline_on_short_note():
-    vocab = build_vocabulary(["alpha"], max_size=5)
+    vocab = build_vocabulary([("alpha", True)], max_size=5)[0]
     note = note_with("alpha alpha")
     scorer = [mock(0.4, 0.6)]
     full, _ = pipeline_probs(Method.AGGREGATION, note, scorer, vocab)
@@ -230,7 +230,7 @@ def test_truncation_matches_full_pipeline_on_short_note():
 
 
 def test_truncation_sees_only_first_chunk():
-    vocab = build_vocabulary(["fi"], max_size=5)
+    vocab = build_vocabulary([("fi", True)], max_size=5)[0]
     note = note_with(" ".join(["fi"] * 1000))
     scorer = WindowTable("m", [(0.9, 0.1), (0.0, 1.0), (0.0, 1.0)])
     probs, num_chunks = pipeline_probs(Method.BASELINE, note, [scorer], vocab)
@@ -239,7 +239,7 @@ def test_truncation_sees_only_first_chunk():
 
 
 def test_truncation_on_empty_note():
-    vocab = build_vocabulary(["x"], max_size=5)
+    vocab = build_vocabulary([("x", True)], max_size=5)[0]
     probs, num_chunks = pipeline_probs(
         Method.BASELINE, note_with(""), [mock(0.5, 0.5)], vocab
     )

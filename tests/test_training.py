@@ -125,10 +125,17 @@ def test_early_stopping_counts_subthreshold_gains_as_stall():
     assert [stopper.update(v) for v in values] == [False, False, False, True]
 
 
+def labeled_split(notes, labels, chunking, vocab):
+    """``build_labeled_chunks`` over the notes' ids under ``vocab``, as int32
+    arrays like those the pipeline's vocabulary pass keeps."""
+    sequences = [np.array(tokenize(n.assembled_text, vocab).ids, np.int32) for n in notes]
+    return build_labeled_chunks([n.note_id for n in notes], sequences, labels, chunking, vocab)
+
+
 def test_build_labeled_chunks():
-    vocab = build_vocabulary(["fi fo"], max_size=10)
+    vocab = build_vocabulary([("fi fo", True)], max_size=10)[0]
     notes = [note_with("fi fo " * 30, "a"), note_with("fo", "b")]
-    split = build_labeled_chunks(notes, [1, 0], ChunkingConfig(capacity=20, overlap=5), vocab)
+    split = labeled_split(notes, [1, 0], ChunkingConfig(capacity=20, overlap=5), vocab)
     assert split.note_ids == ("a", "b")
     assert split.labels.tolist() == [1, 0]
     assert split.window_counts.tolist() == [4, 1]  # 60 tokens, stride 15
@@ -139,10 +146,10 @@ def test_build_labeled_chunks():
     ]
     assert split.vocab_sha256 == vocab.sha256()
     with pytest.raises(DataError):
-        build_labeled_chunks(notes, [1], ChunkingConfig(), vocab)
+        labeled_split(notes, [1], ChunkingConfig(), vocab)
 
 
-FI_FO_VOCAB = build_vocabulary(["fi fo fum"], max_size=10)
+FI_FO_VOCAB = build_vocabulary([("fi fo fum", True)], max_size=10)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,7 +168,7 @@ def test_split_featurized_in_blocks_equals_one_featurizer_call(texts, stride, ov
     per_note = [chunk(tokenize(n.assembled_text, FI_FO_VOCAB).ids, chunking) for n in notes]
     want = chunks_to_csr([w for windows in per_note for w in windows], len(FI_FO_VOCAB))
     with mock.patch.object(training, "_BLOCK_WINDOWS", block):
-        split = build_labeled_chunks(notes, [0] * len(notes), chunking, FI_FO_VOCAB)
+        split = labeled_split(notes, [0] * len(notes), chunking, FI_FO_VOCAB)
     assert split.window_counts.tolist() == [len(windows) for windows in per_note]
     assert split.features.shape == want.shape == (sum(map(len, per_note)), len(FI_FO_VOCAB))
     for part in ("data", "indices", "indptr"):
@@ -179,7 +186,7 @@ def test_split_is_featurized_a_block_at_a_time():
         return chunks_to_csr(chunks, vocab_size)
 
     with mock.patch.object(training, "chunks_to_csr", recording):
-        split = build_labeled_chunks(
+        split = labeled_split(
             notes, [0] * 60, ChunkingConfig(capacity=4, overlap=1), FI_FO_VOCAB
         )
     assert len(lengths) > 2 and sum(lengths) == split.features.shape[0]
@@ -188,7 +195,7 @@ def test_split_is_featurized_a_block_at_a_time():
     assert max(lengths) < training._BLOCK_WINDOWS + split.window_counts.max()
 
 
-TOY_VOCAB = build_vocabulary(["a b"], max_size=10)  # "a" is id 4, "b" id 5
+TOY_VOCAB = build_vocabulary([("a b", True)], max_size=10)[0]  # "a" is id 4, "b" id 5
 TOY_CHUNKING = ChunkingConfig(capacity=10, overlap=2)
 
 
@@ -196,7 +203,7 @@ def toy_separable(num_notes=4, labels=None):
     # class 0 notes use only token id 4, class 1 only id 5
     labels = [i % 2 for i in range(num_notes)] if labels is None else labels
     notes = [note_with(" ".join(["ab"[y % 2]] * 3), f"t{i}") for i, y in enumerate(labels)]
-    return build_labeled_chunks(notes, labels, TOY_CHUNKING, TOY_VOCAB)
+    return labeled_split(notes, labels, TOY_CHUNKING, TOY_VOCAB)
 
 
 def test_separable_toy_reaches_perfect_auroc():
@@ -281,8 +288,8 @@ def test_best_weights_come_from_an_epoch_that_stepped():
     # lands in epoch 4. Identical validation notes score an AUROC of 0.5
     # whatever the weights, so epoch 1 (the untrained initialization) would
     # otherwise stay the best.
-    same = build_labeled_chunks([note_with("a a a", "v0"), note_with("a a a", "v1")],
-                                [0, 1], TOY_CHUNKING, TOY_VOCAB)
+    same = labeled_split([note_with("a a a", "v0"), note_with("a a a", "v1")],
+                         [0, 1], TOY_CHUNKING, TOY_VOCAB)
     config = TrainerConfig(max_epochs=6, batch_size=2, accumulation_steps=7)
     scorer, log = train_linear_scorer(toy_separable(), same, linear(), config, 0)
     assert [e.val_auroc for e in log.epochs] == [0.5] * 6
@@ -462,10 +469,10 @@ def test_random_labels_score_near_chance():
     words = [f"w{i}" for i in range(100)]
     train_notes, train_labels = random_corpus(100, rng, words)
     val_notes, val_labels = random_corpus(200, rng, words)
-    vocab = build_vocabulary([n.assembled_text for n in train_notes], max_size=200)
+    vocab, _ = build_vocabulary([(n.assembled_text, True) for n in train_notes], max_size=200)
     chunking = ChunkingConfig(capacity=20, overlap=5)
-    train_items = build_labeled_chunks(train_notes, train_labels, chunking, vocab)
-    val_items = build_labeled_chunks(val_notes, val_labels, chunking, vocab)
+    train_items = labeled_split(train_notes, train_labels, chunking, vocab)
+    val_items = labeled_split(val_notes, val_labels, chunking, vocab)
     for seed in range(5):
         config = TrainerConfig(learning_rate=0.05, max_epochs=10, batch_size=18,
                                accumulation_steps=2, warmup_steps=5)
