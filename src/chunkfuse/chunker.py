@@ -3,9 +3,8 @@
 Long token sequences are cut into fixed-capacity windows that advance
 left to right by ``capacity - overlap`` positions, so consecutive chunks
 share exactly ``overlap`` tokens; the final window keeps its natural
-length instead of being padded. A window is a span over its note's id
-tuple or int array; its framed ids, [CLS] + content + [SEP], are built on
-demand.
+length instead of being padded. A window is a span over its note's int32
+id array; its framed ids, [CLS] + content + [SEP], are built on demand.
 """
 
 from __future__ import annotations
@@ -39,37 +38,37 @@ class ChunkingConfig:
         return self.capacity - self.overlap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chunk:
-    """One window: the span ``[start, end)`` of ``source``, its note's id
-    tuple or int array, which every window of the note shares and none
-    copies."""
+    """One window: the span ``[start, end)`` of ``source``, its note's int32
+    id array, which every window of the note shares and none copies.
+    Windows compare and hash by identity: field-wise, they would compare
+    and hash arrays."""
 
     start: int
     end: int
-    source: tuple[int, ...] | np.ndarray = field(repr=False)
+    source: np.ndarray = field(repr=False)
 
     @property
-    def content(self) -> tuple[int, ...]:
+    def content(self) -> np.ndarray:
         return self.source[self.start : self.end]
 
     @property
     def ids(self) -> tuple[int, ...]:
-        return (CLS_ID, *self.content, SEP_ID)
+        """The framed ids as Python ints, ready for JSON."""
+        return (CLS_ID, *self.content.tolist(), SEP_ID)
 
 
-def chunk(
-    token_ids: list[int] | tuple[int, ...] | np.ndarray, config: ChunkingConfig
-) -> list[Chunk]:
-    """Split ``token_ids`` into overlapping windows.
+def chunk(token_ids: np.ndarray, config: ChunkingConfig) -> list[Chunk]:
+    """Split ``token_ids`` into overlapping windows over one int32 array:
+    ``token_ids`` itself if it is one, else its one int32 copy.
 
     Window ``k`` starts at ``k * stride`` and a new window is started only
     while it would hold at least one unseen token; the final window keeps
     its natural length. An empty sequence still yields the one window
     ``(0, 0)``, so every note produces at least one scoreable unit.
     """
-    # a tuple or an array is shared as is, not copied
-    source = token_ids if isinstance(token_ids, np.ndarray) else tuple(token_ids)
+    source = np.asarray(token_ids, np.int32)
     n = len(source)
     return [
         Chunk(start=start, end=min(start + config.capacity, n), source=source)
@@ -77,11 +76,7 @@ def chunk(
     ]
 
 
-def coverage_check(
-    token_ids: list[int] | tuple[int, ...] | np.ndarray,
-    chunks: list[Chunk],
-    config: ChunkingConfig,
-) -> None:
+def coverage_check(token_ids: np.ndarray, chunks: list[Chunk], config: ChunkingConfig) -> None:
     """Verify that ``chunks`` tile ``token_ids`` per the window contract.
 
     Raises ContractError unless every window is over this sequence, the
@@ -95,7 +90,7 @@ def coverage_check(
         raise ContractError("chunking must produce at least one chunk")
     source = chunks[0].source
     if any(c.source is not source for c in chunks) or (
-        source is not token_ids and tuple(source) != tuple(token_ids)
+        source is not token_ids and not np.array_equal(source, token_ids)
     ):
         raise ContractError("chunks are not windows over this sequence")
     first, last = chunks[0], chunks[-1]

@@ -307,7 +307,7 @@ def _build_scorer(
 
         return RemoteScorer.connect(descriptor, config.task.value)
     checkpoint = descriptor.metadata.get("checkpoint")
-    if checkpoint:
+    if checkpoint is not None:
         scorer = LinearScorer.load(checkpoint, descriptor)
         if scorer.vocab_sha256 != vocab.sha256():
             raise ConfigError(
@@ -415,7 +415,7 @@ def _prepare_data(
                 test_notes[note.note_id] = note
 
     needs_training = any(
-        s.kind is ScorerKind.LINEAR and not s.metadata.get("checkpoint")
+        s.kind is ScorerKind.LINEAR and "checkpoint" not in s.metadata
         for s in config.scorers
     )
     vocab, sequences = build_vocabulary(texts(), config.vocab_size, keep_ids=needs_training)
@@ -467,10 +467,12 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             failures[descriptor.scorer_id] = err.with_traceback(None)
     del train, validation  # every trainer is done: free them before the test split
 
-    # Chunk each test note once, then score per scorer in one flat batch.
+    # Chunk each test note once, over its one int32 id array, then score
+    # per scorer in one flat batch.
     chunk_lists: list[list[Chunk]] = []
     for note in test_notes:
-        ids = tokenize(note.assembled_text, prepared.vocab).ids
+        seq = tokenize(note.assembled_text, prepared.vocab)
+        ids = np.fromiter(seq.ids, np.int32, len(seq))
         windows = chunk(ids, config.chunking)
         coverage_check(ids, windows, config.chunking)
         chunk_lists.append(windows)

@@ -103,6 +103,8 @@ class ScorerDescriptor:
         if set(self.metadata) - {key}:
             raise ConfigError(f"scorer {self.scorer_id} reads only metadata.{key},"
                               f" got keys {sorted(self.metadata)}")
+        if self.kind is ScorerKind.LINEAR and self.metadata.get("checkpoint") == "":
+            raise ConfigError(f"scorer {self.scorer_id}: metadata.checkpoint is an empty path")
 
 
 @config_block
@@ -223,7 +225,8 @@ class PatternScorer:
         for c in chunks:
             hits = offsets.get(id(c.source))
             if hits is None:
-                hits = offsets[id(c.source)] = find_pattern(c.source, self.pattern_ids)
+                hits = find_pattern(c.source.tolist(), self.pattern_ids)
+                offsets[id(c.source)] = hits
             i = bisect_left(hits, c.start)
             hit = i < len(hits) and hits[i] + width <= c.end
             rows.append(PATTERN_HIT if hit else PATTERN_MISS)
@@ -241,12 +244,11 @@ def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix
 
     Only a chunk's content is counted, never a frame, and reserved ids
     (UNK) count for nothing; an id at or past ``vocab_size`` raises
-    ContractError naming the first such id in window order. Each distinct
-    note (a window's ``source``) becomes an id array once per call, unless
-    it is one already, and a window's ids are a slice of it, so
-    overlapping windows are not converted again. Windows are counted in blocks of ``_BLOCK_WINDOWS``
-    with one ``np.unique`` over ``row * vocab_size + id`` keys (int32 when
-    a block's keys fit, else int64), which yields each row's columns in
+    ContractError naming the first such id in window order. A window's
+    ids are a slice of its note's int32 array, so no note is converted.
+    Windows are counted in blocks of ``_BLOCK_WINDOWS`` with one
+    ``np.unique`` over ``row * vocab_size + id`` keys (int32 when a
+    block's keys fit, else int64), which yields each row's columns in
     ascending order: the same float counts in the same order as a per-row
     dict count, so ``features @ W.T`` is bit-for-bit the same. Each
     block's counts and columns are made at the matrix's own dtypes
@@ -257,20 +259,11 @@ def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix
     """
     from scipy import sparse
 
-    notes: dict[int, np.ndarray] = {}  # by id(source): `chunks` keeps each source alive
     counts, cols = [np.empty(0, np.float64)], [np.empty(0, np.int32)]
     indptr = np.zeros(len(chunks) + 1, np.int64)
     for lo in range(0, len(chunks), _BLOCK_WINDOWS):
         block = chunks[lo : lo + _BLOCK_WINDOWS]
-        spans = []
-        for c in block:
-            note = notes.get(id(c.source))
-            if note is None:
-                note = notes[id(c.source)] = (
-                    c.source if isinstance(c.source, np.ndarray)
-                    else np.fromiter(c.source, np.int64, len(c.source))
-                )
-            spans.append(note[c.start : c.end])
+        spans = [c.content for c in block]
         ids = np.concatenate(spans)
         outside = ids >= vocab_size
         if outside.any():

@@ -331,7 +331,7 @@ def test_a8_remote_protocol_round_trip_and_error_paths(caplog):
         return [x, 1.0 - x]
 
     def make_chunk(rng) -> Chunk:
-        content = tuple(rng.randint(4, 300) for _ in range(rng.randint(1, 40)))
+        content = np.array([rng.randint(4, 300) for _ in range(rng.randint(1, 40))], np.int32)
         return Chunk(start=0, end=len(content), source=content)
 
     rng = random.Random(8)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -61,21 +62,32 @@ def test_non_int_fields_are_config_errors(field, value):
 
 def test_thousand_token_spans():
     cfg = ChunkingConfig()
-    ids = tuple(range(100, 1100))
+    ids = np.arange(100, 1100, dtype=np.int32)
     chunks = chunk(ids, cfg)
     assert [(c.start, c.end) for c in chunks] == [(0, 510), (460, 970), (920, 1000)]
     assert all(c.source is ids for c in chunks)  # shared, not copied
     assert len(chunks[0].ids) == 512  # 510 content tokens plus the frame
     assert len(chunks[-1].ids) == 82
-    assert chunks[1].content == tuple(range(560, 1070))
+    assert chunks[1].content.tolist() == list(range(560, 1070))
 
 
 def test_empty_input_yields_frame_only_chunk():
     cfg = ChunkingConfig()
     chunks = chunk([], cfg)
-    assert chunks == [Chunk(start=0, end=0, source=())]
-    assert chunks[0].content == () and chunks[0].ids == (2, 3)
+    assert [(c.start, c.end) for c in chunks] == [(0, 0)]
+    assert chunks[0].source.tolist() == []
+    assert chunks[0].content.tolist() == [] and chunks[0].ids == (2, 3)
     coverage_check([], chunks, cfg)
+
+
+def test_windows_compare_and_hash_by_identity():
+    # same spans over equal arrays: field-wise equality would compare the
+    # arrays and raise, and a field-wise hash cannot hash an array
+    cfg = ChunkingConfig(capacity=4, overlap=1)
+    ids = np.arange(4, 14, dtype=np.int32)
+    first, again = chunk(ids, cfg), chunk(ids.copy(), cfg)
+    assert first[0] == first[0] and first[0] != again[0]
+    assert len({*first, *again}) == len(first) + len(again)
 
 
 def test_exact_capacity_is_single_chunk():
@@ -139,10 +151,10 @@ def test_spans_and_derived_ids_match_copying_oracle(ids, geom):
     want = copying_chunk(ids, cfg)
     assert [(c.start, c.end) for c in chunks] == [(s, e) for s, e, _ in want]
     assert [c.ids for c in chunks] == [framed for _, _, framed in want]
-    assert [c.content for c in chunks] == [framed[1:-1] for _, _, framed in want]
-    # every window refers to one shared tuple of the note's ids
+    assert [c.content.tolist() for c in chunks] == [list(framed[1:-1]) for _, _, framed in want]
+    # every window refers to one shared int32 array of the note's ids
     assert all(c.source is chunks[0].source for c in chunks)
-    assert chunks[0].source == tuple(ids)
+    assert chunks[0].source.dtype == np.int32 and chunks[0].source.tolist() == ids
 
 
 def spans(source, pairs):
@@ -151,14 +163,14 @@ def spans(source, pairs):
 
 def test_coverage_check_rejects_tampering():
     cfg = ChunkingConfig(capacity=5, overlap=2)
-    ids = tuple(range(10, 22))
+    ids = np.arange(10, 22, dtype=np.int32)
     chunks = chunk(ids, cfg)
     assert [(c.start, c.end) for c in chunks] == [(0, 5), (3, 8), (6, 11), (9, 12)]
     coverage_check(ids, chunks, cfg)
-    coverage_check(list(ids), chunks, cfg)  # the same ids as a list
-    coverage_check(ids, chunk(tuple(list(ids)), cfg), cfg)  # an equal copy
+    coverage_check(ids.tolist(), chunks, cfg)  # the same ids as a list
+    coverage_check(ids, chunk(ids.copy(), cfg), cfg)  # an equal copy
     short = ids[:5]
-    other = tuple(range(30, 42))  # another note of the same length
+    other = np.arange(30, 42, dtype=np.int32)  # another note of the same length
     mixed = list(chunks)
     mixed[2] = dataclasses.replace(mixed[2], source=other)
     tampered = [

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -321,6 +322,16 @@ class TestCompare:
         assert not (reloaded / "scorer_lin.ckpt.json").exists()
         assert (reloaded / "report.json").read_bytes() == (trained / "report.json").read_bytes()
 
+    def test_empty_checkpoint_path_exits_1_before_training(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["compare", "--config", COMPARE_CONFIG, "--output_dir", str(out),
+                   "--scorers.0.metadata.checkpoint", '""'])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: scorer lin-a: metadata.checkpoint is an empty path\n"
+        )
+        assert not (out / "scorer_lin-a.ckpt.json").exists()
+
     def test_scorer_failure_propagates_exit_code(self, tmp_path, capsys):
         config = base_config(tmp_path, scorers=[
             {"scorer_id": "mock-a", "kind": "mock", "metadata": {"probs": "0.6,0.4"}},
@@ -494,7 +505,7 @@ class TestServeMock:
         endpoint = endpoint_file.read_text().strip()
         descriptor = ScorerDescriptor("far", ScorerKind.REMOTE, 2, {"endpoint": endpoint})
         scorer = RemoteScorer.connect(descriptor, "mortality")
-        vectors = scorer.score_batch([Chunk(start=0, end=1, source=(7,))])
+        vectors = scorer.score_batch([Chunk(start=0, end=1, source=np.array([7], np.int32))])
         assert [round(p, 6) for p in vectors[0]] == [0.25, 0.75]
         thread.join(timeout=10)
         assert result["rc"] == 0

@@ -1033,6 +1033,36 @@ class TestTrainedScorersEndToEnd:
         assert normalized == Counter(note.assembled_text for note in notes)
         assert normalized.total() == config.data.num_docs
 
+    def test_test_windows_span_one_shared_int32_array_per_note(self, tmp_path, monkeypatch):
+        score_chunks, batches = experiment.score_chunks, {}
+
+        def captured(scorer, chunks):
+            batches[scorer.descriptor.scorer_id] = list(chunks)
+            return score_chunks(scorer, chunks)
+
+        monkeypatch.setattr(experiment, "score_chunks", captured)
+        config = self.linear_config(
+            tmp_path, "out",
+            scorers=(
+                ScorerDescriptor(scorer_id="lin", kind=ScorerKind.LINEAR, num_classes=2),
+                ScorerDescriptor(scorer_id="pat", kind=ScorerKind.PATTERN, num_classes=2),
+            ),
+            chunking=ChunkingConfig(capacity=30, overlap=5),
+        )
+        report = run_experiment(config)
+        assert all(row.error is None for row in report.rows)
+        assert set(batches) == {"lin", "pat"}
+        windows = batches["lin"]
+        assert all(a is b for a, b in zip(windows, batches["pat"], strict=True))
+        # one array per test note, in note order, spanned by all its windows
+        sources = list({id(c.source): c.source for c in windows}.values())
+        prepared = _prepare_data(config)[0]
+        assert len(windows) > len(sources) == len(prepared.test_notes) > 1
+        for source, note in zip(sources, prepared.test_notes):
+            assert isinstance(source, np.ndarray) and source.dtype == np.int32
+            want = tokenizer.tokenize(note.assembled_text, prepared.vocab).ids
+            assert source.tolist() == list(want)
+
     @pytest.mark.parametrize("max_epochs", [
         4,  # trains: 3 micro-batches an epoch, one optimizer step in 4 epochs
         1,  # refused (3 micro-batches for accumulation_steps 10): error rows

@@ -27,7 +27,7 @@ from chunkfuse.scoring import ScorerDescriptor, ScorerKind, score_chunks
 
 
 def make_chunk(i):
-    return Chunk(start=0, end=1, source=(1000 + i,))
+    return Chunk(start=0, end=1, source=np.array([1000 + i], np.int32))
 
 
 def id_scores(ids):

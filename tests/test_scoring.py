@@ -37,7 +37,7 @@ def descriptor(kind: ScorerKind, num_classes: int = 2) -> ScorerDescriptor:
 
 def window(ids):
     """A note's one window holding all of ``ids``."""
-    return Chunk(start=0, end=len(ids), source=tuple(ids))
+    return Chunk(start=0, end=len(ids), source=np.array(ids, np.int32))
 
 
 def test_probability_vector_validation():
@@ -381,7 +381,10 @@ def test_pattern_scorer_overlap_rejoins_split_signal():
 
 def pattern_rows(chunks, pattern):
     """The per-window scan the pattern scorer replaced, kept as its oracle."""
-    return [PATTERN_HIT if find_pattern(c.content, pattern) else PATTERN_MISS for c in chunks]
+    return [
+        PATTERN_HIT if find_pattern(c.content.tolist(), pattern) else PATTERN_MISS
+        for c in chunks
+    ]
 
 
 @settings(max_examples=300, deadline=None)
