@@ -11,10 +11,13 @@ back.
 
 The weights change only at optimizer steps, so the trainer works one
 segment at a time: the micro-batches up to the next step (or the epoch's
-end, where validation reads the weights) share one row gather, one
-forward and one backward product. Each element is summed in the same
-order as with one product per micro-batch, so the result is bit-identical
-to per-micro-batch training.
+end, where validation reads the weights) share one row gather and one
+forward product, and each micro-batch's weight gradient is one backward
+product over its own rows. The gather and the products run on the
+training CSR's own arrays through scipy's compiled kernels, without its
+matrix layer. Each element is summed in the same order as with one scipy
+product per micro-batch, so the result is bit-identical to
+per-micro-batch training.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .chunker import ChunkingConfig, chunk, coverage_check
-from .errors import ConfigError, DataError, NumericDivergenceError
+from .errors import ConfigError, ContractError, DataError, NumericDivergenceError
 from .metrics import macro_auroc
 from .scoring import (
     _BLOCK_WINDOWS,
@@ -46,11 +49,83 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-# Float64 cells one segment product may allocate, its block-diagonal D and
-# its gradient blocks together. A longer segment is split into several
-# products; the weights do not change inside a segment, so the split
-# changes no bit.
+# Float64 cells of one ``loss_and_grad`` call's gradient stack (``k *
+# classes * vocab``). A longer segment is split into several calls; the
+# weights do not change inside a segment, so the split changes no bit.
 _SEGMENT_CELLS = 1 << 20
+
+
+def _sparsetools():
+    """scipy's compiled sparse kernels, which the trainer calls directly.
+
+    On a training segment, scipy's public matrix layer (format checks and
+    new arrays for every gather and product) costs about as much as the
+    kernels' arithmetic, so the trainer calls the kernels behind it. They
+    check no shape or dtype: callers pass one index dtype for row numbers,
+    ``indptr`` and ``indices``, C-contiguous float64 values, and outputs
+    that the kernel writes in place (an input of another dtype is silently
+    cast; an output copy silently drops the result). The import is private
+    to scipy and made here, on first use, so that scipy still loads only
+    when a CSR is built.
+    """
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+class _CsrArrays(NamedTuple):
+    """The arrays of a CSR matrix, without scipy's matrix layer: what
+    ``loss_and_grad`` reads of its ``features``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def _csr_arrays(features) -> _CsrArrays:
+    """``features``' arrays as the kernels take them: ``indptr`` and
+    ``indices`` at one index dtype, values as contiguous float64. Arrays
+    already so are not copied."""
+    index = np.result_type(features.indptr.dtype, features.indices.dtype)
+    return _CsrArrays(
+        features.indptr.astype(index, copy=False),
+        features.indices.astype(index, copy=False),
+        np.ascontiguousarray(features.data, dtype=np.float64),
+        features.shape,
+    )
+
+
+class _RowGather:
+    """Gathers rows of a CSR into index and value buffers that every
+    gather reuses. They are sized to the ``max_rows`` rows with the most
+    nonzeros, not to the whole matrix: fresh buffers would page-fault on
+    every gather."""
+
+    def __init__(self, features, max_rows: int):
+        self.source = _csr_arrays(features)
+        self.row_nnz = np.diff(self.source.indptr)
+        most = int(np.sort(self.row_nnz)[-max_rows:].sum())
+        self.indptr = np.zeros(max_rows + 1, self.source.indptr.dtype)
+        self.indices = np.empty(most, self.source.indptr.dtype)
+        self.data = np.empty(most)
+
+    def take(self, rows: np.ndarray) -> _CsrArrays:
+        """Rows ``rows`` (at most ``max_rows``, of the index dtype), in
+        order, as views of the buffers: valid until the next ``take``."""
+        count = len(rows)
+        np.cumsum(self.row_nnz[rows], out=self.indptr[1 : count + 1])
+        nnz = self.indptr[count]
+        if nnz > len(self.indices):  # csr_row_index writes without a bounds check
+            raise ContractError(f"{nnz} nonzeros do not fit a {len(self.indices)} buffer")
+        src = self.source
+        _sparsetools().csr_row_index(
+            count, rows, src.indptr, src.indices, src.data, self.indices, self.data
+        )
+        return _CsrArrays(
+            self.indptr[: count + 1], self.indices[:nnz], self.data[:nnz],
+            (count, src.shape[1]),
+        )
 
 
 @dataclass(frozen=True)
@@ -124,43 +199,58 @@ def lr_schedule(step: int, peak: float, warmup_steps: int, total_steps: int) -> 
 def loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
-    features: np.ndarray | sparse.csr_matrix,
+    features: _CsrArrays | sparse.csr_matrix,
     labels: np.ndarray,
     batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean cross-entropy of each micro-batch and its analytic gradient.
 
-    The rows are consecutive micro-batches of ``batch_size`` rows, the last
-    possibly shorter. They share one forward product and one backward
-    product ``D @ features``, where the block-diagonal ``D`` holds each
-    micro-batch's ``delta.T`` in its own row block: every gradient element
-    sums the same products in the same order as one product per
-    micro-batch, and the added zeros change nothing. Returns the losses
-    ``(k,)``, weight gradients ``(k, classes, vocab)`` and bias gradients
-    ``(k, classes)``.
+    ``features`` is a scipy CSR matrix, or any object with its ``indptr``,
+    ``indices``, ``data`` and ``shape``. The rows are consecutive
+    micro-batches of ``batch_size`` rows, the last possibly shorter. They
+    share one forward product; each micro-batch's weight gradient is one
+    backward product ``delta.T @ rows`` over its own slice of the row
+    pointer. Every element sums the same products in the same order as
+    scipy's ``features @ weights.T`` and ``delta.T @ x``. Returns the
+    losses ``(k,)``, weight gradients ``(k, classes, vocab)`` and bias
+    gradients ``(k, classes)``.
 
     Weight decay is decoupled (applied at the optimizer step), so it is
     deliberately absent here; this is the pure data term.
     """
+    kernels = _sparsetools()
     rows = len(labels)
-    classes = len(bias)
-    starts = range(0, rows, batch_size)
-    k = len(starts)
-    probs = softmax_rows(np.asarray(features @ weights.T + bias))
+    classes, vocab = weights.shape
+    if tuple(features.shape) != (rows, vocab):
+        raise ContractError(
+            f"features of shape {tuple(features.shape)} for {rows} labels"
+            f" and weights of shape {weights.shape}"
+        )
+    csr = _csr_arrays(features)
+    logits = np.zeros((rows, classes))
+    kernels.csr_matvecs(
+        rows, vocab, classes, csr.indptr, csr.indices, csr.data,
+        np.ascontiguousarray(weights.T), logits,
+    )
+    probs = softmax_rows(logits + bias)
     nll = -np.log(np.clip(probs[np.arange(rows), labels], 1e-300, None))
     delta = probs
     delta[np.arange(rows), labels] -= 1.0
-    losses = np.empty(k)
-    grad_b = np.empty((k, classes))
-    block_diag = np.zeros((k * classes, rows))
+    starts = range(0, rows, batch_size)
+    losses = np.empty(len(starts))
+    grad_b = np.empty((len(starts), classes))
+    grad_w = np.zeros((len(starts), vocab, classes))
     for j, lo in enumerate(starts):
-        part = delta[lo : lo + batch_size]
-        losses[j] = nll[lo : lo + batch_size].mean()
-        part /= len(part)
+        hi = min(rows, lo + batch_size)
+        losses[j] = nll[lo:hi].sum() / (hi - lo)  # .mean()'s float, without its wrapper
+        part = delta[lo:hi]
+        part /= hi - lo
         grad_b[j] = part.sum(axis=0)
-        block_diag[j * classes : (j + 1) * classes, lo : lo + batch_size] = part.T
-    grad_w = np.asarray(block_diag @ features).reshape(k, classes, -1)
-    return losses, grad_w, grad_b
+        kernels.csc_matvecs(
+            vocab, hi - lo, classes, csr.indptr[lo : hi + 1], csr.indices, csr.data,
+            part, grad_w[j],
+        )
+    return losses, grad_w.transpose(0, 2, 1), grad_b
 
 
 class EarlyStopping:
@@ -206,18 +296,11 @@ class TrainingLog:
     seen_note_ids: frozenset[str] = field(repr=False)
 
 
-def _micro_batches_per_product(
-    classes: int, batch_size: int, vocab: int, accumulation_steps: int
-) -> int:
-    """Most micro-batches one ``loss_and_grad`` call takes: its ``D``
-    (``k * classes`` by ``k * batch_size``) and gradient blocks (``k *
-    classes`` by ``vocab``) stay within ``_SEGMENT_CELLS``; one always fits."""
-    k = 1
-    while k < accumulation_steps and (
-        (k + 1) * classes * ((k + 1) * batch_size + vocab) <= _SEGMENT_CELLS
-    ):
-        k += 1
-    return k
+def _micro_batches_per_product(classes: int, vocab: int, accumulation_steps: int) -> int:
+    """Most micro-batches one ``loss_and_grad`` call takes: its gradient
+    stack (``k * classes * vocab`` cells) stays within ``_SEGMENT_CELLS``;
+    one always fits."""
+    return max(1, min(accumulation_steps, _SEGMENT_CELLS // (classes * vocab)))
 
 
 def train_linear_scorer(
@@ -238,6 +321,23 @@ def train_linear_scorer(
         raise DataError("training set is empty")
     if not validation.note_ids:
         raise DataError("validation set is empty")
+    if validation.vocab_sha256 != train.vocab_sha256:
+        raise ContractError(
+            f"validation split is over vocabulary {validation.vocab_sha256},"
+            f" the training split over {train.vocab_sha256}"
+        )
+    if validation.features.shape[1] != train.features.shape[1]:
+        raise ContractError(
+            f"validation features are {validation.features.shape[1]} columns wide,"
+            f" training features {train.features.shape[1]}"
+        )
+    val_classes = np.unique(validation.labels)
+    if len(val_classes) < 2:
+        size = len(validation.note_ids)
+        raise DataError(
+            f"validation split of {size} note{'s' * (size != 1)} holds only class"
+            f" {val_classes[0]}: early stopping's macro AUROC needs two classes"
+        )
     num_classes = descriptor.num_classes
     features = train.features
     flat_labels = np.repeat(train.labels, train.window_counts)
@@ -272,11 +372,12 @@ def train_linear_scorer(
     current_lr = 0.0
 
     per_product = _micro_batches_per_product(
-        num_classes, config.batch_size, features.shape[1], config.accumulation_steps
+        num_classes, features.shape[1], config.accumulation_steps
     )
+    gather = _RowGather(features, min(n, per_product * config.batch_size))
 
     for epoch in range(1, config.max_epochs + 1):
-        order = rng_shuffle.permutation(n)
+        order = rng_shuffle.permutation(n).astype(gather.indptr.dtype)
         losses = []
         steps_before = opt_step
         lo = 0
@@ -285,13 +386,13 @@ def train_linear_scorer(
             hi = min(n, lo + k * config.batch_size)
             idx = order[lo:hi]
             seg_losses, grads_w, grads_b = loss_and_grad(
-                weights, bias, features[idx], flat_labels[idx], config.batch_size
+                weights, bias, gather.take(idx), flat_labels[idx], config.batch_size
             )
             lo = hi
-            for loss, grad_w, grad_b in zip(seg_losses, grads_w, grads_b):
-                if math.isnan(loss):
-                    raise NumericDivergenceError(f"loss became NaN at optimizer step {opt_step}")
-                losses.append(float(loss))
+            if np.isnan(seg_losses).any():
+                raise NumericDivergenceError(f"loss became NaN at optimizer step {opt_step}")
+            losses.extend(seg_losses.tolist())
+            for grad_w, grad_b in zip(grads_w, grads_b):
                 acc_w += grad_w
                 acc_b += grad_b
             micro_in_window += len(seg_losses)

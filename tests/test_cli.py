@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -395,6 +396,46 @@ class TestCompare:
             for name in ("batch_size 18", "max_epochs 3", "accumulation_steps 10"):
                 assert name in row["error"]
         assert not (out / "scorer_lin-a.ckpt.json").exists()
+
+    def test_one_class_validation_split_exits_2_before_training(self, tmp_path, caplog):
+        # 30 notes at these ratios leave one validation note, of class 1
+        out = tmp_path / "out"
+        rc = main([
+            "compare", "--config", COMPARE_CONFIG, "--data.num_docs", "30",
+            "--split_ratios", "[0.8, 0.034, 0.166]", "--output_dir", str(out),
+        ])
+        assert rc == 2
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert len(rows) == 6
+        for row in rows:
+            assert row["macro_auroc"] is None
+            assert re.fullmatch(
+                r"scorer lin-[ab]: validation split of 1 note holds only class 1:"
+                r" early stopping's macro AUROC needs two classes",
+                row["error"],
+            )
+        assert not list(out.glob("*.ckpt.json"))
+        assert "no positives or no negatives" not in caplog.text
+
+    # sha256 of what a reduced compare_synthetic run writes: a change to
+    # the trainer's arithmetic, its sum order or its checkpoints shows here
+    TRAINED_BYTES = {
+        "report.json": "5d243827aaf1123d2de301844ef8901fba91c4f574ac012296df00a0fa512478",
+        "scorer_lin-a.ckpt.json":
+            "ba1722dc6dca10d0e63d7945e3a69821b031d07827ef7426b5ec0b7d9d149f9a",
+        "scorer_lin-b.ckpt.json":
+            "90e8286438a1e7113619bdce33d84bd181eb0347dc7329bfe48828a52a6dc4c7",
+    }
+
+    def test_trained_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["compare", "--config", COMPARE_CONFIG, "--data.num_docs", "120",
+                "--output_dir", str(out)]
+        assert main(argv) == 0
+        assert {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in self.TRAINED_BYTES
+        } == self.TRAINED_BYTES
 
     def test_task_with_no_labeled_note_exits_2_naming_it(self, tmp_path, capsys):
         rc = main(["compare", "--config", base_config(tmp_path), "--task", "length_of_stay"])

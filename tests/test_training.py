@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from unittest import mock
@@ -11,7 +12,13 @@ from scipy import sparse
 from chunkfuse import training
 from chunkfuse.chunker import ChunkingConfig, chunk
 from chunkfuse.corpus import SECTION_ORDER, ClinicalNote
-from chunkfuse.errors import ConfigError, DataError, NumericDivergenceError
+from chunkfuse.errors import (
+    ChunkfuseError,
+    ConfigError,
+    ContractError,
+    DataError,
+    NumericDivergenceError,
+)
 from chunkfuse.metrics import auc, macro_auroc
 from chunkfuse.scoring import (
     ScorerDescriptor,
@@ -72,7 +79,7 @@ def test_gradient_matches_central_differences():
     for _ in range(3):
         weights = rng.normal(size=(3, 10))
         bias = rng.normal(size=3)
-        features = rng.poisson(1.0, size=(6, 10)).astype(float)
+        features = sparse.csr_matrix(rng.poisson(1.0, size=(6, 10)).astype(float))
         labels = rng.integers(0, 3, size=6)
         # One micro-batch of every row: entry 0 of each result.
         _, (grad_w,), (grad_b,) = loss_and_grad(
@@ -441,6 +448,91 @@ def test_segment_loss_and_grad_matches_one_call_per_micro_batch():
             assert losses[j] == loss
             assert np.array_equal(grads_w[j], grad_w)
             assert np.array_equal(grads_b[j], grad_b)
+
+
+def test_loss_and_grad_refuses_features_of_another_shape():
+    weights, bias = np.zeros((2, 9)), np.zeros(2)
+    features = sparse.csr_matrix(np.ones((3, 8)))
+    with pytest.raises(ContractError) as refused:
+        loss_and_grad(weights, bias, features, np.array([0, 1, 0]), 2)
+    assert str(refused.value) == (
+        "features of shape (3, 8) for 3 labels and weights of shape (2, 9)"
+    )
+
+
+def test_row_gather_refuses_rows_past_its_buffers():
+    # buffers for the 2 fullest rows hold 3 + 1 nonzeros; row 0 twice is 6
+    features = sparse.csr_matrix(np.array([[1.0, 2.0, 3.0], [0, 4.0, 0], [5.0, 0, 0]]))
+    gather = training._RowGather(features, 2)
+    assert gather.take(np.array([2, 0], np.int32)).data.tolist() == [5.0, 1.0, 2.0, 3.0]
+    with pytest.raises(ContractError) as refused:
+        gather.take(np.array([0, 0], np.int32))
+    assert str(refused.value) == "6 nonzeros do not fit a 4 buffer"
+
+
+def with_index_dtypes(split, indptr_dtype, indices_dtype):
+    features = split.features.copy()
+    features.indptr = features.indptr.astype(indptr_dtype)
+    features.indices = features.indices.astype(indices_dtype)
+    return dataclasses.replace(split, features=features)
+
+
+@pytest.mark.parametrize("indptr_dtype, indices_dtype", [
+    (np.int64, np.int64),
+    (np.int64, np.int32),
+])
+def test_index_dtypes_train_alike(indptr_dtype, indices_dtype):
+    rng = np.random.default_rng(3)
+    train = random_split(rng, [2, 3, 1, 4, 2, 3], [0, 1, 1, 0, 1, 0], 9)
+    validation = random_split(rng, [1, 2, 1, 2], [0, 1, 0, 1], 9)
+    wide = with_index_dtypes(train, indptr_dtype, indices_dtype)
+    assert train.features.indptr.dtype == train.features.indices.dtype == np.int32
+    assert (wide.features.indptr.dtype, wide.features.indices.dtype) == (
+        indptr_dtype, indices_dtype
+    )
+    config = TrainerConfig(learning_rate=0.5, max_epochs=4, batch_size=3,
+                           accumulation_steps=2, warmup_steps=2)
+    narrow_scorer, narrow_log = train_linear_scorer(train, validation, linear(), config, 0)
+    wide_scorer, wide_log = train_linear_scorer(wide, validation, linear(), config, 0)
+    assert narrow_log.total_optimizer_steps > 0
+    assert np.array_equal(wide_scorer.weights, narrow_scorer.weights)
+    assert np.array_equal(wide_scorer.bias, narrow_scorer.bias)
+    assert wide_log == narrow_log
+
+
+def refused_before_any_kernel(train, validation):
+    """The error ``train_linear_scorer`` raises, with scipy's kernels
+    made unreachable: a refusal must come before any of them reads a column."""
+    config = TrainerConfig(max_epochs=2, batch_size=2, accumulation_steps=1)
+    unreachable = mock.Mock(side_effect=AssertionError("a kernel was reached"))
+    with mock.patch.object(training, "_sparsetools", unreachable), \
+            pytest.raises(ChunkfuseError) as refused:
+        train_linear_scorer(train, validation, linear(), config, 0)
+    return refused.value
+
+
+def test_validation_split_over_another_vocabulary_is_refused():
+    rng = np.random.default_rng(4)
+    train = random_split(rng, [1, 2, 1], [0, 1, 0], 9)
+    validation = random_split(rng, [1, 2], [0, 1], 9)
+    other = refused_before_any_kernel(train, dataclasses.replace(validation, vocab_sha256="w"))
+    assert type(other) is ContractError
+    assert str(other) == "validation split is over vocabulary w, the training split over v"
+    narrow = refused_before_any_kernel(train, random_split(rng, [1, 2], [0, 1], 8))
+    assert type(narrow) is ContractError
+    assert str(narrow) == "validation features are 8 columns wide, training features 9"
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([1], "validation split of 1 note holds only class 1"),
+    ([0, 0, 0], "validation split of 3 notes holds only class 0"),
+])
+def test_one_class_validation_split_is_refused(labels, message):
+    rng = np.random.default_rng(6)
+    train = random_split(rng, [1, 2, 1], [0, 1, 0], 9)
+    refused = refused_before_any_kernel(train, random_split(rng, [2] * len(labels), labels, 9))
+    assert type(refused) is DataError
+    assert str(refused) == f"{message}: early stopping's macro AUROC needs two classes"
 
 
 def test_nan_loss_raises_divergence_error():
