@@ -91,13 +91,14 @@ class RocReport:
         write_text(path, text.getvalue(), "ROC curve")
 
 
-def macro_auroc(prob_vectors, labels, num_classes: int) -> RocReport:
+def macro_auroc(prob_vectors, labels, num_classes: int, *, warn: bool = True) -> RocReport:
     """One-vs-rest AUC per class, averaged with equal class weight.
 
     ``prob_vectors`` is a ``(samples, num_classes)`` array-like of
     probability rows. Classes without both a positive and a negative
-    example are skipped with a warning and excluded from the macro mean;
-    if every class is degenerate the metric is undefined.
+    example are skipped, with a warning unless ``warn`` is false, and
+    excluded from the macro mean; if every class is degenerate the metric
+    is undefined.
     """
     rows = np.asarray(prob_vectors, dtype=float)
     y = np.asarray(labels)
@@ -119,7 +120,8 @@ def macro_auroc(prob_vectors, labels, num_classes: int) -> RocReport:
         try:
             points[c] = roc_curve(rows[:, c], binary)
         except DegenerateClassError:
-            logger.warning("class %d has no positives or no negatives; skipped", c)
+            if warn:
+                logger.warning("class %d has no positives or no negatives; skipped", c)
             per_class.append(float("nan"))
             continue
         per_class.append(_area(points[c]))

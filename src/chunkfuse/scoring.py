@@ -13,12 +13,16 @@ every scorer's output crosses, and it checks that output once.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import json
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -35,9 +39,6 @@ from .errors import (
     write_text,
 )
 from .tokenizer import FIRST_TEXT_ID
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 # Windows per block. The featurizer gathers and counts one block per
 # np.unique call, linear scoring featurizes and scores one block at a time,
@@ -239,7 +240,104 @@ class PatternScorer:
         return cls(descriptor, tuple(pattern_ids))
 
 
-def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix:
+class CsrArrays(NamedTuple):
+    """A CSR matrix as its four arrays: the one sparse form, which the
+    featurizer returns, a training split holds and the kernels read.
+
+    Row ``i``'s columns are ``indices[indptr[i]:indptr[i + 1]]``, in
+    ascending order, and its values the same slice of ``data``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def csr_arrays(features) -> CsrArrays:
+    """``features`` (a ``CsrArrays``, or any object with its four fields,
+    such as a scipy CSR matrix) as the kernels take it: ``indptr`` and
+    ``indices`` at one index dtype, values as contiguous float64. Arrays
+    already so are not copied."""
+    index = np.result_type(features.indptr.dtype, features.indices.dtype)
+    return CsrArrays(
+        features.indptr.astype(index, copy=False),
+        features.indices.astype(index, copy=False),
+        np.ascontiguousarray(features.data, dtype=np.float64),
+        tuple(features.shape),
+    )
+
+
+@functools.cache
+def sparse_kernels():
+    """scipy's compiled sparse kernels, ``scipy.sparse._sparsetools``,
+    loaded from their extension file without the ``scipy.sparse`` package.
+
+    That package costs 16 MB and some 300 modules; the kernels alone
+    cost one module. ``find_spec`` locates scipy without running its
+    ``__init__``. The module is registered under its own name, so a later
+    ``import scipy.sparse`` shares it, and one loaded already is reused.
+    The kernels check no shape or dtype: callers pass one index dtype for
+    row numbers, ``indptr`` and ``indices``, C-contiguous float64 values,
+    and outputs that the kernel writes in place (an input of another
+    dtype is silently cast; an output copy silently drops the result). A
+    missing extension file is an ImportError naming the paths tried.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy is not None else None
+    tried = [
+        Path(root, "sparse", "_sparsetools" + suffix)
+        for root in roots or ()
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    for path in tried:
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(name, loader)
+            )
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(
+        "scipy's sparse kernels not found; tried "
+        + (", ".join(map(str, tried)) or "nothing: scipy is not installed")
+    )
+
+
+def csr_logits(csr: CsrArrays, weights: np.ndarray) -> np.ndarray:
+    """``csr @ weights.T`` as a C-contiguous ``(rows, classes)`` float64
+    array: the one product of features and weights.
+
+    Each class's column is one ``csr_matvec`` over the contiguous
+    ``weights[k]``. It sums every row's products in column order from
+    zero, as scipy's ``csr @ weights.T`` does, so the result is
+    bit-identical to it. ``csr`` is as ``csr_arrays`` returns it."""
+    kernels = sparse_kernels()
+    rows, vocab = csr.shape
+    out = np.zeros((len(weights), rows))
+    for k, w in enumerate(weights):
+        kernels.csr_matvec(rows, vocab, csr.indptr, csr.indices, csr.data, w, out[k])
+    return np.ascontiguousarray(out.T)
+
+
+def stack_csr(blocks: Sequence[CsrArrays], vocab_size: int) -> CsrArrays:
+    """The rows of ``blocks``, in order, as one ``vocab_size``-column
+    record. Its ``indptr`` and ``indices`` are int32 when its row count,
+    column count and nonzero count all fit below 2^31, else int64, as
+    scipy picks them; its values are float64."""
+    data = np.concatenate([np.empty(0)] + [b.data for b in blocks])
+    row_nnz = np.concatenate([np.empty(0, np.int64)] + [np.diff(b.indptr) for b in blocks])
+    index = np.int32 if max(len(row_nnz), vocab_size, len(data)) < 2**31 else np.int64
+    indptr = np.zeros(len(row_nnz) + 1, index)
+    np.cumsum(row_nnz, dtype=index, out=indptr[1:])
+    indices = np.concatenate([np.empty(0, index)] + [b.indices for b in blocks], dtype=index)
+    return CsrArrays(indptr, indices, data, (len(row_nnz), vocab_size))
+
+
+def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> CsrArrays:
     """Bag-of-token-id counts, one CSR row per chunk: the one featurizer.
 
     Only a chunk's content is counted, never a frame, and reserved ids
@@ -251,16 +349,10 @@ def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix
     block's keys fit, else int64), which yields each row's columns in
     ascending order: the same float counts in the same order as a per-row
     dict count, so ``features @ W.T`` is bit-for-bit the same. Each
-    block's counts and columns are made at the matrix's own dtypes
-    (float64 and int32), so scipy keeps the joined arrays as they are.
-
-    scipy is imported here, where a matrix is built, so a run that builds
-    none never loads it.
+    block's counts and columns are made at the record's own dtypes
+    (float64 and int32), so ``stack_csr``'s join is the one copy.
     """
-    from scipy import sparse
-
-    counts, cols = [np.empty(0, np.float64)], [np.empty(0, np.int32)]
-    indptr = np.zeros(len(chunks) + 1, np.int64)
+    blocks = []
     for lo in range(0, len(chunks), _BLOCK_WINDOWS):
         block = chunks[lo : lo + _BLOCK_WINDOWS]
         spans = [c.content for c in block]
@@ -276,16 +368,13 @@ def chunks_to_csr(chunks: Sequence[Chunk], vocab_size: int) -> sparse.csr_matrix
         keys, n = np.unique(
             row_of[text] * vocab_size + ids[text].astype(key_type), return_counts=True
         )
-        indptr[lo + 1 : lo + 1 + len(block)] = np.bincount(
-            keys // vocab_size, minlength=len(block)
-        )
-        cols.append((keys % vocab_size).astype(np.int32, copy=False))
-        counts.append(n.astype(np.float64))
-    np.cumsum(indptr, out=indptr)
-    return sparse.csr_matrix(
-        (np.concatenate(counts), np.concatenate(cols), indptr),
-        shape=(len(chunks), vocab_size),
-    )
+        indptr = np.zeros(len(block) + 1, np.int64)
+        np.cumsum(np.bincount(keys // vocab_size, minlength=len(block)), out=indptr[1:])
+        blocks.append(CsrArrays(
+            indptr, (keys % vocab_size).astype(np.int32, copy=False),
+            n.astype(np.float64), (len(block), vocab_size),
+        ))
+    return stack_csr(blocks, vocab_size)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -340,7 +429,7 @@ class LinearScorer:
         rows = [np.empty((0, self.descriptor.num_classes))]
         for lo in range(0, len(chunks), _BLOCK_WINDOWS):
             features = chunks_to_csr(chunks[lo : lo + _BLOCK_WINDOWS], self.vocab_size)
-            rows.append(softmax_rows(np.asarray(features @ self.weights.T + self.bias)))
+            rows.append(softmax_rows(csr_logits(features, self.weights) + self.bias))
         return np.concatenate(rows)
 
     def save(self, path: str | Path) -> None:

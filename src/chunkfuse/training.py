@@ -14,10 +14,10 @@ segment at a time: the micro-batches up to the next step (or the epoch's
 end, where validation reads the weights) share one row gather and one
 forward product, and each micro-batch's weight gradient is one backward
 product over its own rows. The gather and the products run on the
-training CSR's own arrays through scipy's compiled kernels, without its
-matrix layer. Each element is summed in the same order as with one scipy
-product per micro-batch, so the result is bit-identical to
-per-micro-batch training.
+training split's ``CsrArrays`` through scipy's compiled kernels, loaded
+by ``sparse_kernels`` without the ``scipy.sparse`` package. Each element
+is summed in the same order as with one scipy product per micro-batch,
+so the result is bit-identical to per-micro-batch training.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,18 +34,20 @@ from .errors import ConfigError, ContractError, DataError, NumericDivergenceErro
 from .metrics import macro_auroc
 from .scoring import (
     _BLOCK_WINDOWS,
+    CsrArrays,
     LinearScorer,
     ScorerDescriptor,
     TrainerConfig,
     chunks_to_csr,
+    csr_arrays,
+    csr_logits,
     pool_windows,
     softmax_rows,
+    sparse_kernels,
+    stack_csr,
 )
 from .seeds import child_seed
 from .tokenizer import Vocabulary
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -55,47 +57,6 @@ logger = logging.getLogger(__name__)
 _SEGMENT_CELLS = 1 << 20
 
 
-def _sparsetools():
-    """scipy's compiled sparse kernels, which the trainer calls directly.
-
-    On a training segment, scipy's public matrix layer (format checks and
-    new arrays for every gather and product) costs about as much as the
-    kernels' arithmetic, so the trainer calls the kernels behind it. They
-    check no shape or dtype: callers pass one index dtype for row numbers,
-    ``indptr`` and ``indices``, C-contiguous float64 values, and outputs
-    that the kernel writes in place (an input of another dtype is silently
-    cast; an output copy silently drops the result). The import is private
-    to scipy and made here, on first use, so that scipy still loads only
-    when a CSR is built.
-    """
-    from scipy.sparse import _sparsetools
-
-    return _sparsetools
-
-
-class _CsrArrays(NamedTuple):
-    """The arrays of a CSR matrix, without scipy's matrix layer: what
-    ``loss_and_grad`` reads of its ``features``."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
-
-
-def _csr_arrays(features) -> _CsrArrays:
-    """``features``' arrays as the kernels take them: ``indptr`` and
-    ``indices`` at one index dtype, values as contiguous float64. Arrays
-    already so are not copied."""
-    index = np.result_type(features.indptr.dtype, features.indices.dtype)
-    return _CsrArrays(
-        features.indptr.astype(index, copy=False),
-        features.indices.astype(index, copy=False),
-        np.ascontiguousarray(features.data, dtype=np.float64),
-        features.shape,
-    )
-
-
 class _RowGather:
     """Gathers rows of a CSR into index and value buffers that every
     gather reuses. They are sized to the ``max_rows`` rows with the most
@@ -103,14 +64,14 @@ class _RowGather:
     every gather."""
 
     def __init__(self, features, max_rows: int):
-        self.source = _csr_arrays(features)
+        self.source = csr_arrays(features)
         self.row_nnz = np.diff(self.source.indptr)
         most = int(np.sort(self.row_nnz)[-max_rows:].sum())
         self.indptr = np.zeros(max_rows + 1, self.source.indptr.dtype)
         self.indices = np.empty(most, self.source.indptr.dtype)
         self.data = np.empty(most)
 
-    def take(self, rows: np.ndarray) -> _CsrArrays:
+    def take(self, rows: np.ndarray) -> CsrArrays:
         """Rows ``rows`` (at most ``max_rows``, of the index dtype), in
         order, as views of the buffers: valid until the next ``take``."""
         count = len(rows)
@@ -119,10 +80,10 @@ class _RowGather:
         if nnz > len(self.indices):  # csr_row_index writes without a bounds check
             raise ContractError(f"{nnz} nonzeros do not fit a {len(self.indices)} buffer")
         src = self.source
-        _sparsetools().csr_row_index(
+        sparse_kernels().csr_row_index(
             count, rows, src.indptr, src.indices, src.data, self.indices, self.data
         )
-        return _CsrArrays(
+        return CsrArrays(
             self.indptr[: count + 1], self.indices[:nnz], self.data[:nnz],
             (count, src.shape[1]),
         )
@@ -137,7 +98,7 @@ class TrainingSplit:
     note_ids: tuple[str, ...]
     labels: np.ndarray  # (notes,) int64
     window_counts: np.ndarray  # (notes,) int64
-    features: sparse.csr_matrix  # (windows, vocab)
+    features: CsrArrays  # (windows, vocab)
     vocab_sha256: str
 
 
@@ -154,12 +115,9 @@ def build_labeled_chunks(
     ``build_vocabulary`` keeps them; the windows are spans of those arrays.
     Once ``_BLOCK_WINDOWS`` windows are pending they are featurized and
     dropped, so the split's windows are never held whole. The block
-    matrices are joined once, into the same arrays as one
-    ``chunks_to_csr`` call over every window. scipy is imported here,
-    where that join happens.
+    records are joined once (``stack_csr``), into the same arrays as one
+    ``chunks_to_csr`` call over every window.
     """
-    from scipy import sparse
-
     if not len(note_ids) == len(sequences) == len(labels):
         raise DataError(
             f"{len(note_ids)} notes, {len(sequences)} id arrays and {len(labels)} labels"
@@ -173,13 +131,13 @@ def build_labeled_chunks(
         if len(pending) >= _BLOCK_WINDOWS:
             blocks.append(chunks_to_csr(pending, len(vocab)))
             pending = []
-    if pending or not blocks:  # an empty split is one (0, vocab) block
+    if pending:
         blocks.append(chunks_to_csr(pending, len(vocab)))
     return TrainingSplit(
         note_ids=tuple(note_ids),
         labels=np.array(labels, dtype=np.int64),
         window_counts=np.array(counts, dtype=np.int64),
-        features=sparse.vstack(blocks, format="csr"),
+        features=stack_csr(blocks, len(vocab)),
         vocab_sha256=vocab.sha256(),
     )
 
@@ -199,14 +157,14 @@ def lr_schedule(step: int, peak: float, warmup_steps: int, total_steps: int) -> 
 def loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
-    features: _CsrArrays | sparse.csr_matrix,
+    features: CsrArrays,
     labels: np.ndarray,
     batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean cross-entropy of each micro-batch and its analytic gradient.
 
-    ``features`` is a scipy CSR matrix, or any object with its ``indptr``,
-    ``indices``, ``data`` and ``shape``. The rows are consecutive
+    ``features`` is a ``CsrArrays``, or any object with its four fields
+    (``csr_arrays``), such as a scipy CSR matrix. The rows are consecutive
     micro-batches of ``batch_size`` rows, the last possibly shorter. They
     share one forward product; each micro-batch's weight gradient is one
     backward product ``delta.T @ rows`` over its own slice of the row
@@ -218,7 +176,6 @@ def loss_and_grad(
     Weight decay is decoupled (applied at the optimizer step), so it is
     deliberately absent here; this is the pure data term.
     """
-    kernels = _sparsetools()
     rows = len(labels)
     classes, vocab = weights.shape
     if tuple(features.shape) != (rows, vocab):
@@ -226,16 +183,12 @@ def loss_and_grad(
             f"features of shape {tuple(features.shape)} for {rows} labels"
             f" and weights of shape {weights.shape}"
         )
-    csr = _csr_arrays(features)
-    logits = np.zeros((rows, classes))
-    kernels.csr_matvecs(
-        rows, vocab, classes, csr.indptr, csr.indices, csr.data,
-        np.ascontiguousarray(weights.T), logits,
-    )
-    probs = softmax_rows(logits + bias)
+    csr = csr_arrays(features)
+    probs = softmax_rows(csr_logits(csr, weights) + bias)
     nll = -np.log(np.clip(probs[np.arange(rows), labels], 1e-300, None))
     delta = probs
     delta[np.arange(rows), labels] -= 1.0
+    kernels = sparse_kernels()
     starts = range(0, rows, batch_size)
     losses = np.empty(len(starts))
     grad_b = np.empty((len(starts), classes))
@@ -375,6 +328,13 @@ def train_linear_scorer(
         num_classes, features.shape[1], config.accumulation_steps
     )
     gather = _RowGather(features, min(n, per_product * config.batch_size))
+    val_features = csr_arrays(validation.features)
+    missing = np.setdiff1d(np.arange(num_classes), val_classes)
+    if len(missing):
+        logger.warning(
+            "validation split holds no note of class %s; early stopping's macro"
+            " AUROC skips it at every epoch", ", ".join(map(str, missing)),
+        )
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng_shuffle.permutation(n).astype(gather.indptr.dtype)
@@ -407,9 +367,12 @@ def train_linear_scorer(
                 acc_w[:] = 0.0
                 acc_b[:] = 0.0
                 micro_in_window = 0
-        window_probs = softmax_rows(np.asarray(validation.features @ weights.T + bias))
+        window_probs = softmax_rows(csr_logits(val_features, weights) + bias)
         note_probs = pool_windows(window_probs, validation.window_counts)
-        val_auroc = macro_auroc(note_probs, validation.labels, num_classes).macro_auc
+        # a class the split lacks was reported once, before epoch 1
+        val_auroc = macro_auroc(
+            note_probs, validation.labels, num_classes, warn=False
+        ).macro_auc
         epochs.append(
             EpochStats(
                 epoch=epoch,

@@ -1,7 +1,9 @@
+import importlib.machinery
 import json
 import math
 import random
 import re
+import sys
 from unittest.mock import patch
 
 import numpy as np
@@ -26,9 +28,12 @@ from chunkfuse.scoring import (
     ScorerKind,
     TrainerConfig,
     chunks_to_csr,
+    csr_logits,
     score_chunks,
     softmax_rows,
+    stack_csr,
 )
+from csr_matrix import as_matrix
 
 
 def descriptor(kind: ScorerKind, num_classes: int = 2) -> ScorerDescriptor:
@@ -89,7 +94,7 @@ def test_zero_weight_linear_is_uniform():
 
 def test_csr_counts_skip_reserved_ids():
     # UNK (id 1) counts for nothing
-    counts = chunks_to_csr([window([4, 4, 7, 1])], vocab_size=10).toarray()
+    counts = as_matrix(chunks_to_csr([window([4, 4, 7, 1])], vocab_size=10)).toarray()
     assert counts.tolist() == [[0, 0, 0, 0, 2, 0, 0, 1, 0, 0]]
     with pytest.raises(ContractError):
         chunks_to_csr([window([12])], vocab_size=10)
@@ -99,7 +104,7 @@ def test_csr_matches_dense_counts():
     chunks = [window([4, 5, 5]), window([9, 1]), window([])]
     dense = np.zeros((3, 12))
     dense[0, 4], dense[0, 5], dense[1, 9] = 1, 2, 1
-    assert np.array_equal(chunks_to_csr(chunks, 12).toarray(), dense)
+    assert np.array_equal(as_matrix(chunks_to_csr(chunks, 12)).toarray(), dense)
     with pytest.raises(ContractError):
         chunks_to_csr([window([99])], 12)
 
@@ -133,7 +138,7 @@ def assert_same_csr(got, want):
         a, b = getattr(got, part), getattr(want, part)
         assert a.dtype == b.dtype and np.array_equal(a, b), part
     weights = np.random.default_rng(got.shape[1]).normal(size=(3, got.shape[1]))
-    assert np.array_equal(got @ weights.T, want @ weights.T)
+    assert np.array_equal(as_matrix(got) @ weights.T, want @ weights.T)
 
 
 @st.composite
@@ -176,7 +181,8 @@ def test_csr_matches_oracle_across_full_blocks():
     chunks += [window([]), window([1, 2, 3, 0]), window([49, 49, 4])]
     got = chunks_to_csr(chunks, 50)
     assert_same_csr(got, reference_csr(chunks, 50))
-    assert got[-1, 49] == 2.0 and got[-2].nnz == 0 and got[-3].nnz == 0
+    matrix = as_matrix(got)
+    assert matrix[-1, 49] == 2.0 and matrix[-2].nnz == 0 and matrix[-3].nnz == 0
     # the first id past the vocabulary in window order is the one named
     late = chunks + [window([4, 60, 70]), window([55])]
     with pytest.raises(ContractError, match="^token id 60 outside vocabulary of 50$"):
@@ -185,7 +191,7 @@ def test_csr_matches_oracle_across_full_blocks():
 
 def test_csr_of_no_windows_is_empty():
     features = chunks_to_csr([], 9)
-    assert features.shape == (0, 9) and features.nnz == 0
+    assert features.shape == (0, 9) and as_matrix(features).nnz == 0
     assert_same_csr(features, reference_csr([], 9))
 
 
@@ -194,6 +200,56 @@ def test_csr_is_built_at_its_final_dtypes():
         features = chunks_to_csr(chunks, 12)
         assert features.data.dtype == np.float64
         assert features.indices.dtype == features.indptr.dtype == np.int32
+
+
+def test_stacked_index_dtype_is_int32_while_the_columns_fit():
+    assert stack_csr([], 2**31 - 1).indptr.dtype == np.int32
+    wide = stack_csr([], 2**31)
+    assert wide.indptr.dtype == wide.indices.dtype == np.int64
+    assert wide.shape == (0, 2**31) and wide.data.dtype == np.float64
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_csr_logits_equal_scipy_product_bit_for_bit(rows, vocab, classes, seed):
+    rng = np.random.default_rng(seed)
+    matrix = sparse.csr_matrix(rng.poisson(0.7, size=(rows, vocab)).astype(float))
+    weights = rng.normal(scale=3.0, size=(classes, vocab))
+    record = scoring.csr_arrays(matrix)
+    got = csr_logits(record, weights)
+    assert got.flags.c_contiguous and got.shape == (rows, classes)
+    assert np.array_equal(got, matrix @ weights.T)
+
+
+def scipy_at(monkeypatch, roots):
+    """Make ``find_spec("scipy")`` find a scipy package at ``roots``, or
+    none if ``roots`` is None."""
+    spec = None
+    if roots is not None:
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations[:] = roots
+    monkeypatch.setattr(scoring.importlib.util, "find_spec", lambda name: spec)
+
+
+def test_missing_kernel_file_is_an_import_error_naming_the_paths_tried(
+    monkeypatch, tmp_path
+):
+    (tmp_path / "sparse").mkdir()
+    (tmp_path / "sparse" / "_sparsetools.py").write_text("")  # not an extension
+    # the test process has scipy.sparse, and so its kernel module, loaded
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    scipy_at(monkeypatch, [str(tmp_path)])
+    with pytest.raises(ImportError) as missing:
+        scoring.sparse_kernels.__wrapped__()
+    tried = [
+        str(tmp_path / "sparse" / f"_sparsetools{suffix}")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    assert str(missing.value) == "scipy's sparse kernels not found; tried " + ", ".join(tried)
+    scipy_at(monkeypatch, None)
+    with pytest.raises(ImportError, match="^scipy's sparse kernels not found; tried"
+                       " nothing: scipy is not installed$"):
+        scoring.sparse_kernels.__wrapped__()
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 128])
@@ -276,7 +332,7 @@ def test_linear_scores_in_blocks_equal_whole_batch_scores(windows, classes, bloc
         bias=rng.normal(size=classes),
     )
     chunks = [window(w) for w in windows]
-    logits = chunks_to_csr(chunks, 12) @ scorer.weights.T + scorer.bias
+    logits = as_matrix(chunks_to_csr(chunks, 12)) @ scorer.weights.T + scorer.bias
     whole = softmax_rows(np.asarray(logits))
     with patch.object(scoring, "_BLOCK_WINDOWS", block):
         got = scorer.score_batch(chunks)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from chunkfuse import training
+from chunkfuse import scoring, training
 from chunkfuse.chunker import ChunkingConfig, chunk
 from chunkfuse.corpus import SECTION_ORDER, ClinicalNote
 from chunkfuse.errors import (
@@ -40,6 +40,7 @@ from chunkfuse.training import (
     lr_schedule,
     train_linear_scorer,
 )
+from csr_matrix import as_matrix
 
 
 def linear(num_classes=2):
@@ -148,7 +149,7 @@ def test_build_labeled_chunks():
     assert split.window_counts.tolist() == [4, 1]  # 60 tokens, stride 15
     assert split.features.shape == (5, len(vocab))
     fi, fo = vocab.token_to_id["fi"], vocab.token_to_id["fo"]
-    assert split.features[:, [fi, fo]].toarray().tolist() == [
+    assert as_matrix(split.features)[:, [fi, fo]].toarray().tolist() == [
         [10, 10], [10, 10], [10, 10], [7, 8], [0, 1]
     ]
     assert split.vocab_sha256 == vocab.sha256()
@@ -311,7 +312,7 @@ def oracle_train(train, validation, num_classes, config, seed):
     """The trainer with one row gather, one forward and one backward product
     per micro-batch: the reference the segment-batched trainer must match
     bit for bit. Returns the best weights, bias and the training log."""
-    features = train.features
+    features = as_matrix(train.features)
     flat_labels = np.repeat(train.labels, train.window_counts)
     rng_init = np.random.default_rng(child_seed(seed, "init"))
     rng_shuffle = np.random.default_rng(child_seed(seed, "shuffle"))
@@ -356,7 +357,8 @@ def oracle_train(train, validation, num_classes, config, seed):
                 acc_w[:] = 0.0
                 acc_b[:] = 0.0
                 micro_in_window = 0
-        window_probs = softmax_rows(np.asarray(validation.features @ weights.T + bias))
+        logits = as_matrix(validation.features) @ weights.T + bias
+        window_probs = softmax_rows(np.asarray(logits))
         note_probs = pool_windows(window_probs, validation.window_counts)
         val_auroc = macro_auroc(note_probs, validation.labels, num_classes).macro_auc
         epochs.append(EpochStats(epoch, float(np.mean(losses)), val_auroc, lr))
@@ -450,6 +452,29 @@ def test_segment_loss_and_grad_matches_one_call_per_micro_batch():
             assert np.array_equal(grads_b[j], grad_b)
 
 
+def test_validation_split_missing_a_class_is_reported_once(caplog):
+    # 3 classes, validation notes of classes 0 and 1 only: macro AUROC skips
+    # class 2 at each of the 6 epochs, and the trainer says so once
+    rng = np.random.default_rng(8)
+    train = random_split(rng, [2, 1, 3, 2, 1, 2], [0, 1, 2, 0, 1, 2], 9)
+    validation = random_split(rng, [1, 2, 2, 1], [0, 1, 0, 1], 9)
+    config = TrainerConfig(learning_rate=0.5, max_epochs=6, batch_size=3,
+                           accumulation_steps=1, warmup_steps=2,
+                           early_stop_patience=100)
+    weights, bias, oracle_log = oracle_train(train, validation, 3, config, 0)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        scorer, log = train_linear_scorer(train, validation, linear(3), config, 0)
+    assert len(log.epochs) == 6
+    assert [r.getMessage() for r in caplog.records] == [
+        "validation split holds no note of class 2; early stopping's macro AUROC"
+        " skips it at every epoch"
+    ]
+    assert np.array_equal(scorer.weights, weights)
+    assert np.array_equal(scorer.bias, bias)
+    assert log == oracle_log
+
+
 def test_loss_and_grad_refuses_features_of_another_shape():
     weights, bias = np.zeros((2, 9)), np.zeros(2)
     features = sparse.csr_matrix(np.ones((3, 8)))
@@ -505,7 +530,8 @@ def refused_before_any_kernel(train, validation):
     made unreachable: a refusal must come before any of them reads a column."""
     config = TrainerConfig(max_epochs=2, batch_size=2, accumulation_steps=1)
     unreachable = mock.Mock(side_effect=AssertionError("a kernel was reached"))
-    with mock.patch.object(training, "_sparsetools", unreachable), \
+    with mock.patch.object(scoring, "sparse_kernels", unreachable), \
+            mock.patch.object(training, "sparse_kernels", unreachable), \
             pytest.raises(ChunkfuseError) as refused:
         train_linear_scorer(train, validation, linear(), config, 0)
     return refused.value
